@@ -62,15 +62,11 @@ from .passivate import (
 )
 from .polarmodels import (
     DegenerateOperatingPointError,
-    PoleAtOriginError,
-    RationalLF,
     build_j_of_s,
     build_jdf,
     build_jdp,
-    build_ndf,
-    build_np,
+    build_lf_model,
     interface_matrices,
-    residue_at_origin,
 )
 from .powerflow import (
     ConsistencyError,

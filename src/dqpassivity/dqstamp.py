@@ -101,20 +101,16 @@ class StateSpace:
             return np.zeros(0, dtype=complex)
         return np.linalg.eigvals(self.a)
 
-    def tf(self, s: complex) -> np.ndarray:
-        return eval_tf(self, s)
-
 
 @dataclass(frozen=True)
 class ParasiticConfig:
     """Parasitics that keep the assembled admittance bi-proper."""
 
     r_series_cap: float = 1e-4
-    g_shunt_bus: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.r_series_cap < 0 or self.g_shunt_bus < 0:
-            raise ValueError("parasitic values must be >= 0")
+        if self.r_series_cap < 0:
+            raise ValueError("r_series_cap must be >= 0")
 
 
 def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -> StateSpace:
@@ -204,9 +200,8 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
         row += 2
 
     for i, bus in enumerate(case.buses):
-        g = bus.g_shunt + par.g_shunt_bus
-        if g != 0.0:
-            stamp_conductance(i, i, g)
+        if bus.g_shunt != 0.0:
+            stamp_conductance(i, i, bus.g_shunt)
 
     labels_in = tuple(f"v_D:{i}" for i in case.bus_ids) + tuple(f"v_Q:{i}" for i in case.bus_ids)
     labels_out = tuple(f"i_D:{i}" for i in case.bus_ids) + tuple(f"i_Q:{i}" for i in case.bus_ids)

@@ -31,8 +31,8 @@ from .dqstamp import (
 )
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
-from .polarmodels import build_j_of_s, build_jdf, build_jdp, build_ndf, build_np, residue_at_origin
-from .powerflow import OperatingPoint, build_jlf_analytic, decouple, solve_powerflow
+from .polarmodels import build_j_of_s, build_jdf, build_jdp, build_lf_model
+from .powerflow import JacobianLF, OperatingPoint, build_jlf_analytic, decouple, solve_powerflow
 
 __all__ = [
     "SweepGrid",
@@ -46,7 +46,6 @@ __all__ = [
     "PassivityVerdict",
     "SimulationUnstableError",
     "hermitian_min_eig",
-    "embedded_eigenvalues",
     "check_poles",
     "sweep_psd",
     "check_feedthrough",
@@ -75,25 +74,13 @@ class SimulationUnstableError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigenvalues via the real-symmetric 2x embedding
+# Hermitian minimum eigenvalue
 # ---------------------------------------------------------------------------
 
 
-def _embed(h: np.ndarray) -> np.ndarray:
-    re = h.real
-    im = h.imag
-    return np.block([[re, -im], [im, re]])
-
-
 def hermitian_min_eig(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (doubled-spectrum embedding)."""
-    return float(np.min(np.linalg.eigvalsh(_embed(h))))
-
-
-def embedded_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Full Hermitian spectrum: each doubled value taken once, ascending."""
-    doubled = np.sort(np.linalg.eigvalsh(_embed(h)))
-    return doubled[::2]
+    """Smallest eigenvalue of a (complex) Hermitian matrix."""
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +239,8 @@ class SweepReport:
         }
 
 
-Evaluator = Callable[[complex], np.ndarray]
-
-
-def _as_evaluator(model) -> Evaluator:
-    if callable(model) and not hasattr(model, "tf"):
-        return model
-    return model.tf
-
-
 def sweep_psd(
-    model,
+    ss: StateSpace,
     grid: SweepGrid | None = None,
     poles: Sequence[float] = (),
     tol: float = 1e-9,
@@ -273,7 +251,6 @@ def sweep_psd(
     For real-coefficient models G^T(-jw) = G^H(jw), so sweeping w >= 0
     covers the whole axis. Pass iff the global minimum stays above -tol.
     """
-    tf = _as_evaluator(model)
     grid = grid if grid is not None else SweepGrid()
     omegas = grid.points(exclude=poles)
     worst = math.inf
@@ -281,7 +258,7 @@ def sweep_psd(
     samples: list[tuple[float, float]] = []
     for w in omegas:
         try:
-            g = tf(1j * w)
+            g = eval_tf(ss, 1j * w)
         except SingularFrequencyError as exc:
             raise ValueError(f"transfer matrix singular at sweep point omega={w}: {exc}") from exc
         lam = hermitian_min_eig(g + g.conj().T)
@@ -340,11 +317,12 @@ def check_feedthrough(
     cross = None
     if op is not None:
         cross = tuple(float(v) for v in op.i_d * op.v_q - op.i_q * op.v_d)
+    min_eig = float(np.linalg.eigvalsh(sym)[0]) if sym.size else 0.0
     return FeedthroughReport(
         trace=float(np.trace(sym)),
-        min_eig=float(np.min(np.linalg.eigvalsh(sym))) if sym.size else 0.0,
+        min_eig=min_eig,
         diagonal=tuple(float(v) for v in np.diag(sym)),
-        psd=bool(sym.size == 0 or np.min(np.linalg.eigvalsh(sym)) >= -tol),
+        psd=min_eig >= -tol,
         cross_per_bus=cross,
     )
 
@@ -583,13 +561,14 @@ class PassivityVerdict:
         }
 
 
-def _wideband_checks(
+def _state_space_checks(
     ss: StateSpace,
     grid: SweepGrid,
     tol: float,
     op: OperatingPoint | None,
     keep_samples: bool = False,
 ) -> tuple[PoleReport, SweepReport, tuple[ResidueReport, ...], FeedthroughReport, bool]:
+    """Conditions 1-3 and the feedthrough certificate; the last item is the verdict."""
     poles = check_poles(ss, tol=tol)
     imag_omegas = [p.omega for p in poles.imaginary_axis]
     sweep = sweep_psd(ss, grid, poles=imag_omegas, tol=tol, keep_samples=keep_samples)
@@ -625,8 +604,11 @@ def classify_model(
     """Classify one (model, analysis, variant) combination of a network.
 
     The variant network is re-solved so its operating point is
-    self-consistent. Low-frequency static verdicts use the raw symmetric-
-    part spectrum; a supplied regulation set can flip a failing verdict to
+    self-consistent. Every wideband model and the low-frequency models III
+    and IV (J_LF behind the same channel filters) are realized as state
+    space and go through one pipeline: poles, sweep, residues, feedthrough.
+    Low-frequency static verdicts (I and II) use the raw symmetric-part
+    spectrum. A supplied regulation set can flip a failing verdict to
     "passive-after-regulation", judged with the structural uniform-angle
     mode excluded (it is a right null vector of the Jacobian, persists
     under regulation, and for lossy networks sits slightly below zero in
@@ -658,30 +640,9 @@ def classify_model(
 
     if analysis == "wideband":
         ydq = assemble_ydq(variant, parasitics)
-        if model == "I":
-            ss = ydq
-        elif model == "II":
-            ss = build_j_of_s(ydq, op)
-        elif model == "III":
-            ss = build_jdp(build_j_of_s(ydq, op), tau)
-        else:
-            ss = build_jdf(build_j_of_s(ydq, op), tau)
-        poles, sweep, residues, feed, ok = _wideband_checks(
-            ss, grid, tol, op if model == "III" else None, keep_sweep_samples
-        )
-        return PassivityVerdict(
-            **base,
-            overall="passive" if ok else "non-passive",
-            cond1=poles,
-            cond2=sweep,
-            cond3=residues,
-            feedthrough=feed,
-        )
-
-    # Low-frequency models.
-    if model == "I":
-        ydq = assemble_ydq(variant, parasitics)
-        y0 = eval_tf(ydq, 0.0)
+        ss = ydq if model == "I" else _polar_model(model, build_j_of_s(ydq, op), tau)
+    elif model == "I":
+        y0 = eval_tf(assemble_ydq(variant, parasitics), 0.0)
         static = _static_report(y0, tol)
         return PassivityVerdict(
             **base,
@@ -689,60 +650,28 @@ def classify_model(
             cond2=static,
             notes=("static rectangular model Y_DQ(0)",),
         )
+    else:
+        jlf = build_jlf_analytic(variant, op)
+        if flags.decoupled:
+            jlf = decouple(jlf)
+        if model == "II":
+            return _static_jlf_verdict(base, jlf, regulation, tol)
+        ss = _polar_model(model, build_lf_model(jlf), tau)
 
-    jlf = build_jlf_analytic(variant, op)
-    if flags.decoupled:
-        jlf = decouple(jlf)
-
-    if model == "II":
-        k = jlf.full()
-        static = _static_report(k, tol)
-        feed = FeedthroughReport(
-            trace=float(np.trace(k + k.T)),
-            min_eig=static.min_eig,
-            diagonal=tuple(float(v) for v in np.diag(k + k.T)),
-            psd=static.passed,
-        )
-        regulated = None
-        overall = "passive" if static.passed else "non-passive"
-        if not static.passed and regulation:
-            jr = apply_qv_contribution(jlf, regulation)
-            lam = min_eig_excluding_uniform_angle(jr.symmetric_part())
-            flipped = lam >= -tol
-            regulated = RegulatedReport(
-                regulation=regulation.entries,
-                flipped=flipped,
-                min_eig_excluding_structural=lam,
-            )
-            if flipped:
-                overall = "passive-after-regulation"
-        return PassivityVerdict(
-            **base,
-            overall=overall,
-            cond2=static,
-            feedthrough=feed,
-            regulated=regulated,
-            notes=("static load-flow Jacobian J_LF",),
-        )
-
-    # Models III / IV: rational low-frequency models with an origin pole.
-    builder = build_np if model == "III" else build_ndf
-    rational = builder(jlf, tau)
-    residue = check_residue_psd_hermitian(residue_at_origin(rational), tol=tol, omega=0.0)
-    sweep = sweep_psd(rational, grid, poles=[0.0], tol=tol, keep_samples=keep_sweep_samples)
-    ok = residue.passed and sweep.passed
+    poles, sweep, residues, feed, ok = _state_space_checks(
+        ss, grid, tol, op if model == "III" else None, keep_sweep_samples
+    )
     regulated = None
     overall = "passive" if ok else "non-passive"
     if not ok and regulation:
-        jr = apply_qv_contribution(jlf, regulation)
-        rational_r = builder(jr, tau)
-        residue_r = check_residue_psd_hermitian(residue_at_origin(rational_r), tol=tol, omega=0.0)
-        sweep_r = sweep_psd(rational_r, grid, poles=[0.0], tol=tol)
-        flipped = residue_r.passed and sweep_r.passed
+        # Regulation is accepted for low-frequency models II-IV only, so the
+        # low-frequency Jacobian is bound here and the model is III or IV.
+        ss_r = _polar_model(model, build_lf_model(apply_qv_contribution(jlf, regulation)), tau)
+        _, sweep_r, residues_r, _, flipped = _state_space_checks(ss_r, grid, tol, None)
         regulated = RegulatedReport(
             regulation=regulation.entries,
             flipped=flipped,
-            residue=residue_r,
+            residue=residues_r[0],  # the single origin cluster of the integrators
             sweep=sweep_r,
         )
         if flipped:
@@ -750,10 +679,55 @@ def classify_model(
     return PassivityVerdict(
         **base,
         overall=overall,
+        cond1=poles,
         cond2=sweep,
-        cond3=(residue,),
-        feedthrough=None,
+        cond3=residues,
+        feedthrough=feed,
         regulated=regulated,
+    )
+
+
+def _polar_model(model: str, j: StateSpace, tau: float) -> StateSpace:
+    """Model II, III or IV from the power-polar J(s) or its static N(s) = J_LF."""
+    if model == "III":
+        return build_jdp(j, tau)
+    if model == "IV":
+        return build_jdf(j, tau)
+    return j
+
+
+def _static_jlf_verdict(
+    base: dict, jlf: JacobianLF, regulation: RegulationSet | None, tol: float
+) -> PassivityVerdict:
+    """Low-frequency model II: the symmetric-part spectrum of J_LF itself."""
+    k = jlf.full()
+    static = _static_report(k, tol)
+    feed = FeedthroughReport(
+        trace=float(np.trace(k + k.T)),
+        min_eig=static.min_eig,
+        diagonal=tuple(float(v) for v in np.diag(k + k.T)),
+        psd=static.passed,
+    )
+    regulated = None
+    overall = "passive" if static.passed else "non-passive"
+    if not static.passed and regulation:
+        jr = apply_qv_contribution(jlf, regulation)
+        lam = min_eig_excluding_uniform_angle(jr.symmetric_part())
+        flipped = lam >= -tol
+        regulated = RegulatedReport(
+            regulation=regulation.entries,
+            flipped=flipped,
+            min_eig_excluding_structural=lam,
+        )
+        if flipped:
+            overall = "passive-after-regulation"
+    return PassivityVerdict(
+        **base,
+        overall=overall,
+        cond2=static,
+        feedthrough=feed,
+        regulated=regulated,
+        notes=("static load-flow Jacobian J_LF",),
     )
 
 

@@ -11,13 +11,14 @@ it into, successively:
 * ``J_df(s)`` -- frequency deviation and normalized-magnitude derivative
   on all channels, appending 2n integrators.
 
-The static low-frequency counterparts N_p(s) and N_df(s) are rational
-wrappers around the load-flow Jacobian with the same channel filters.
+At low frequency the network is replaced by its load-flow Jacobian: the
+zero-state model ``N(s) = J_LF`` of `build_lf_model` has the same (phi, V_n)
+to (P, Q) ports as J(s), so the same two builders turn it into the
+low-frequency models N_p(s) = `build_jdp` and N_df(s) = `build_jdf`, each
+with its simple pole at the origin carried by the appended integrators.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +27,16 @@ from .powerflow import JacobianLF, OperatingPoint
 
 __all__ = [
     "DegenerateOperatingPointError",
-    "PoleAtOriginError",
     "interface_matrices",
     "build_j_of_s",
+    "build_lf_model",
     "build_jdp",
     "build_jdf",
-    "RationalLF",
-    "build_np",
-    "build_ndf",
-    "residue_at_origin",
 ]
 
 
 class DegenerateOperatingPointError(ValueError):
     """Some quiescent |V| is zero, so the interface map is singular."""
-
-
-class PoleAtOriginError(ValueError):
-    """Evaluation at s = 0 requested on a model with its pole there."""
 
 
 def interface_matrices(op: OperatingPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -70,17 +63,34 @@ def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
     if ydq.bus_ids != op.bus_ids:
         raise ValueError("admittance model and operating point bus orders differ")
     e, c, f = interface_matrices(op)
-    labels_in = tuple(f"phi:{i}" for i in op.bus_ids) + tuple(f"Vn:{i}" for i in op.bus_ids)
-    labels_out = tuple(f"P:{i}" for i in op.bus_ids) + tuple(f"Q:{i}" for i in op.bus_ids)
     return StateSpace(
         a=ydq.a.copy(),
         b=ydq.b @ f,
         c=e @ ydq.c,
         d=(e @ ydq.d + c) @ f,
-        input_labels=labels_in,
-        output_labels=labels_out,
+        **_power_polar_ports(op.bus_ids),
         state_meta=ydq.state_meta,
-        bus_ids=op.bus_ids,
+    )
+
+
+def build_lf_model(jlf: JacobianLF) -> StateSpace:
+    """Static low-frequency model N(s) = J_LF: zero states, D = J_LF, J(s)'s ports."""
+    m = 2 * jlf.n_bus
+    return StateSpace(
+        a=np.zeros((0, 0)),
+        b=np.zeros((0, m)),
+        c=np.zeros((m, 0)),
+        d=jlf.full(),
+        **_power_polar_ports(jlf.bus_ids),
+        state_meta=(),
+    )
+
+
+def _power_polar_ports(bus_ids: tuple[int, ...]) -> dict:
+    return dict(
+        input_labels=tuple(f"phi:{i}" for i in bus_ids) + tuple(f"Vn:{i}" for i in bus_ids),
+        output_labels=tuple(f"P:{i}" for i in bus_ids) + tuple(f"Q:{i}" for i in bus_ids),
+        bus_ids=bus_ids,
     )
 
 
@@ -151,67 +161,3 @@ def build_jdf(j: StateSpace, tau: float) -> StateSpace:
         bus_ids=j.bus_ids,
         integrator_states=integ,
     )
-
-
-@dataclass(frozen=True)
-class RationalLF:
-    """Low-frequency rational model: J_LF with (1+s tau)/s channel filters.
-
-    kind "dp" filters only the angle channels (N_p), kind "df" all
-    channels (N_df). Both have a simple pole at the origin.
-    """
-
-    jlf: JacobianLF
-    tau: float
-    kind: str  # "dp" | "df"
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.kind not in ("dp", "df"):
-            raise ValueError(f"unknown RationalLF kind {self.kind!r}")
-
-    @property
-    def n_ports(self) -> int:
-        return 2 * self.jlf.n_bus
-
-    def tf(self, s: complex) -> np.ndarray:
-        s = complex(s)
-        if s == 0:
-            raise PoleAtOriginError("model has a simple pole at s = 0; use residue_at_origin")
-        gain = (1.0 + s * self.tau) / s
-        full = self.jlf.full().astype(complex)
-        if self.kind == "df":
-            out = full * gain
-        else:
-            n = self.jlf.n_bus
-            out = full.copy()
-            out[:, :n] *= gain
-        if s.imag == 0.0:
-            return out.real
-        return out
-
-
-def build_np(jlf: JacobianLF, tau: float) -> RationalLF:
-    """N_p(s): J_LF with the (1+s tau)/s filter on the angle channels only."""
-    return RationalLF(jlf=jlf, tau=tau, kind="dp")
-
-
-def build_ndf(jlf: JacobianLF, tau: float) -> RationalLF:
-    """N_df(s) = J_LF (1+s tau)/s on every channel."""
-    return RationalLF(jlf=jlf, tau=tau, kind="df")
-
-
-def residue_at_origin(model: RationalLF) -> np.ndarray:
-    """Residue of the simple origin pole: lim_{s->0} s * N(s).
-
-    For the angle-filtered model only the angle columns survive the limit,
-    giving [[J11, 0], [J21, 0]]; for the all-channel model it is J_LF.
-    """
-    n = model.jlf.n_bus
-    if model.kind == "df":
-        return model.jlf.full()
-    res = np.zeros((2 * n, 2 * n))
-    res[:n, :n] = model.jlf.j11
-    res[n:, :n] = model.jlf.j21
-    return res

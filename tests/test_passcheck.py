@@ -33,7 +33,6 @@ from dqpassivity import (
     simulate_dissipation,
     sweep_psd,
 )
-from dqpassivity.passcheck import embedded_eigenvalues
 from conftest import random_solved_case
 
 TAU = 0.01
@@ -53,7 +52,7 @@ def negative_resistance_case():
     )
 
 
-# -- Hermitian eigenvalue embedding ------------------------------------------
+# -- Hermitian minimum eigenvalue ---------------------------------------------
 
 
 def test_hermitian_embedding_matches_direct():
@@ -63,7 +62,6 @@ def test_hermitian_embedding_matches_direct():
         h = m + m.conj().T
         direct = np.linalg.eigvalsh(h)
         assert hermitian_min_eig(h) == pytest.approx(direct[0], rel=1e-12, abs=1e-12)
-        assert np.allclose(embedded_eigenvalues(h), direct, atol=1e-9)
 
 
 # -- Poles and residues --------------------------------------------------------
@@ -221,14 +219,14 @@ def test_residue_check_identity_and_tolerances():
 def test_residue_lossless_nob_decoupled_jlf_passes(ieee9):
     # The derivative model's origin residue for the fully simplified
     # network is the decoupled lossless no-B Jacobian: PSD Hermitian.
-    from dqpassivity import build_ndf, build_jlf_analytic, decouple, derive_variant, solve_powerflow
-    from dqpassivity.polarmodels import residue_at_origin
+    from dqpassivity import build_lf_model, decouple, derive_variant, solve_powerflow
 
     variant = derive_variant(ieee9, VariantFlags(lossless=True, no_shunt_b=True))
     op = solve_powerflow(variant)
     jlf = decouple(build_jlf_analytic(variant, op))
-    residue = residue_at_origin(build_ndf(jlf, TAU))
-    assert check_residue_psd_hermitian(residue).passed
+    (origin,) = check_poles(build_jdf(build_lf_model(jlf), TAU)).imaginary_axis
+    assert origin.omega == 0.0
+    assert check_residue_psd_hermitian(origin.residue).passed
 
 
 # -- Dissipation simulation ----------------------------------------------------
@@ -307,6 +305,24 @@ def test_classify_model_iii_coupled_unfixable(ieee9):
     assert v.overall == "non-passive"
     assert v.regulated is not None and not v.regulated.flipped
     assert not v.cond3[0].passed  # residue not Hermitian
+
+
+@pytest.mark.parametrize("model, n_integrators", [("III", 9), ("IV", 18)])
+def test_classify_lowfreq_filtered_models_full_pipeline(ieee9, ieee9_op, model, n_integrators):
+    # Low-frequency III/IV are J_LF behind (1 + s tau)/s filters: the same
+    # pole, sweep, residue and feedthrough checks as a wideband model.
+    v = classify_model(ieee9, model=model, analysis="lowfreq")
+    (origin,) = v.cond1.imaginary_axis
+    assert v.cond1.passed and origin.omega == 0.0 and origin.semisimple
+    assert origin.multiplicity == n_integrators
+    assert v.feedthrough is not None
+    w = v.cond2.worst_omega
+    gain = (1.0 + 1j * w * TAU) / (1j * w)
+    g = build_jlf_analytic(ieee9, ieee9_op).full().astype(complex)
+    g[:, :n_integrators] *= gain
+    lam = np.linalg.eigvalsh(g + g.conj().T)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    assert abs(v.cond2.min_eig - lam[0]) <= 1e-9 * scale
 
 
 def test_classify_wideband_certificates(ieee9):

@@ -1,4 +1,4 @@
-"""Interface-variable realizations and low-frequency rational models."""
+"""Interface-variable realizations and the low-frequency models built on J_LF."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from dqpassivity import (
     Bus,
     Injection,
     NetworkCase,
-    PoleAtOriginError,
+    SingularFrequencyError,
     SystemParams,
     VariantFlags,
     assemble_ydq,
@@ -16,19 +16,35 @@ from dqpassivity import (
     build_jdf,
     build_jdp,
     build_jlf_analytic,
-    build_ndf,
-    build_np,
+    build_lf_model,
+    check_poles,
     check_residue_psd_hermitian,
     decouple,
     derive_variant,
     eval_tf,
     interface_matrices,
-    residue_at_origin,
     solve_powerflow,
 )
 from conftest import random_solved_case
 
 TAU = 0.01
+
+
+def n_p(jlf, tau):
+    """N_p(s): J_LF with the (1 + s tau)/s filter on the angle channels."""
+    return build_jdp(build_lf_model(jlf), tau)
+
+
+def n_df(jlf, tau):
+    """N_df(s): J_LF with the (1 + s tau)/s filter on every channel."""
+    return build_jdf(build_lf_model(jlf), tau)
+
+
+def origin_residue(model):
+    """Residue of the model's single (origin) imaginary-axis pole cluster."""
+    (pole,) = check_poles(model).imaginary_axis
+    assert pole.omega == 0.0 and pole.semisimple
+    return pole.residue
 
 
 @pytest.fixture(scope="module")
@@ -199,22 +215,22 @@ def test_jdp_zero_q_operating_point():
 
 def test_rational_lf_basics(ieee9, ieee9_op):
     jlf = build_jlf_analytic(ieee9, ieee9_op)
-    np_model = build_np(jlf, TAU)
-    ndf = build_ndf(jlf, TAU)
+    np_model = n_p(jlf, TAU)
+    ndf = n_df(jlf, TAU)
     full = jlf.full()
     n = jlf.n_bus
     # N_df(s) * s/(1+s tau) = J_LF at any s != 0
     for s in (1.0, -2.0, complex(0.5, 3.0)):
-        back = ndf.tf(s) * s / (1.0 + s * TAU)
+        back = eval_tf(ndf, s) * s / (1.0 + s * TAU)
         assert np.allclose(back, full, rtol=1e-12, atol=1e-12)
     # N_p(1) = J_LF diag(1.01 I, I)
     scale = np.ones(2 * n)
     scale[:n] = 1.0 + TAU
-    assert np.allclose(np_model.tf(1.0), full * scale[None, :], rtol=1e-12)
-    with pytest.raises(PoleAtOriginError):
-        np_model.tf(0.0)
+    assert np.allclose(eval_tf(np_model, 1.0), full * scale[None, :], rtol=1e-12)
+    with pytest.raises(SingularFrequencyError):
+        eval_tf(np_model, 0.0)
     with pytest.raises(ValueError):
-        build_np(jlf, 0.0)
+        n_p(jlf, 0.0)
 
 
 def test_np_hermitian_part_decoupled_lossless(ieee9):
@@ -225,15 +241,15 @@ def test_np_hermitian_part_decoupled_lossless(ieee9):
     jlf = decouple(build_jlf_analytic(variant, op))
     for w in (0.5, 20.0, 800.0):
         for tau in (TAU, 1e-8):
-            model = build_np(jlf, tau)
-            h = model.tf(1j * w)
+            model = n_p(jlf, tau)
+            h = eval_tf(model, 1j * w)
             herm = h + h.conj().T
             expected = np.zeros_like(herm)
             n = jlf.n_bus
             expected[:n, :n] = 2 * tau * jlf.j11
             expected[n:, n:] = jlf.j22 + jlf.j22.T
             assert np.allclose(herm, expected, atol=1e-10)
-        small = build_np(jlf, 1e-8).tf(1j * w)
+        small = eval_tf(n_p(jlf, 1e-8), 1j * w)
         herm_small = small + small.conj().T
         assert np.max(np.abs(herm_small[: jlf.n_bus, : jlf.n_bus])) < 1e-6
 
@@ -241,25 +257,25 @@ def test_np_hermitian_part_decoupled_lossless(ieee9):
 def test_residue_at_origin(ieee9, ieee9_op):
     jlf = build_jlf_analytic(ieee9, ieee9_op)
     n = jlf.n_bus
-    s_dp = residue_at_origin(build_np(jlf, TAU))
+    s_dp = origin_residue(n_p(jlf, TAU))
     assert np.array_equal(s_dp[:n, :n], jlf.j11)
     assert np.array_equal(s_dp[n:, :n], jlf.j21)
     assert np.linalg.norm(s_dp[:, n:]) == 0.0
     # Coupled network: the residue fails the Hermitian test.
     assert not check_residue_psd_hermitian(s_dp).passed
     # Lossy network: residue of N_df is J_LF, not symmetric.
-    assert not check_residue_psd_hermitian(residue_at_origin(build_ndf(jlf, TAU))).passed
+    assert not check_residue_psd_hermitian(origin_residue(n_df(jlf, TAU))).passed
 
 
 def test_residue_decoupled_tracks_j11(ieee9, ieee9_op):
     lossless = derive_variant(ieee9, VariantFlags(lossless=True))
     op = solve_powerflow(lossless)
     j_dec = decouple(build_jlf_analytic(lossless, op))
-    s_dp = residue_at_origin(build_np(j_dec, TAU))
+    s_dp = origin_residue(n_p(j_dec, TAU))
     assert check_residue_psd_hermitian(s_dp).passed  # J11 symmetric PSD
 
     lossy_dec = decouple(build_jlf_analytic(ieee9, ieee9_op))
-    s_dp_lossy = residue_at_origin(build_np(lossy_dec, TAU))
+    s_dp_lossy = origin_residue(n_p(lossy_dec, TAU))
     assert not check_residue_psd_hermitian(s_dp_lossy).passed  # J11 not symmetric
 
 

@@ -66,6 +66,7 @@ from .polarmodels import (
     build_jdf,
     build_jdp,
     build_lf_model,
+    build_polar_model,
     interface_matrices,
 )
 from .powerflow import (

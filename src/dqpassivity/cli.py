@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import reference
-from .dqstamp import ParasiticConfig, assemble_ydq, export_matrices
+from .dqstamp import assemble_ydq, export_matrices
 from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, ieee9_text, parse_case
 from .passcheck import SweepGrid, classify_grid, classify_model
 from .passivate import RegulationSet, apply_qv_contribution
-from .polarmodels import build_j_of_s, build_jdf, build_jdp
+from .polarmodels import build_j_of_s, build_polar_model
 from .powerflow import (
     PowerFlowError,
     build_jlf_analytic,
@@ -278,6 +278,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_dump_model(args: argparse.Namespace) -> int:
     case = _read_case(args.case)
     flags = _parse_variant(args.variant)
+    if flags.decoupled and args.model != "LF":
+        raise ValueError("the decoupled simplification applies to low-frequency models only")
     variant = derive_variant(case, flags)
     if args.model == "LF":
         op = solve_powerflow(variant)
@@ -286,16 +288,12 @@ def cmd_dump_model(args: argparse.Namespace) -> int:
             jlf = decouple(jlf)
         _emit(_jacobian_dump(jlf), args.out)
         return EXIT_OK
-    ydq = assemble_ydq(variant, ParasiticConfig())
+    ydq = assemble_ydq(variant)
     if args.model == "I":
         ss = ydq
     else:
         op = solve_powerflow(variant)
-        ss = build_j_of_s(ydq, op)
-        if args.model == "III":
-            ss = build_jdp(ss, args.tau)
-        elif args.model == "IV":
-            ss = build_jdf(ss, args.tau)
+        ss = build_polar_model(args.model, build_j_of_s(ydq, op), args.tau)
     _emit(export_matrices(ss), args.out)
     return EXIT_OK
 

@@ -8,31 +8,28 @@ necessary time-domain consequence D + D^T >= 0 is checked separately as a
 cheap certificate: a trace of zero with a nonzero matrix already proves
 indefiniteness.
 
-`classify_model` runs the applicable subset of these checks for the four
-interface-variable formulations and the lossless / no-shunt-B / decoupled
-simplifications, and folds in Q-V regulation contributions where they can
-rescue a low-frequency failure.
+`classify_model` realizes each of the four interface-variable
+formulations, wideband or low-frequency, under the lossless / no-shunt-B /
+decoupled simplifications as one `StateSpace` and runs the same checks on
+all of them; the static low-frequency models I and II are zero-state
+realizations, whose sweep is the symmetric-part spectrum of D. Q-V
+regulation contributions are folded in where they can rescue a
+low-frequency failure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dqstamp import (
-    ParasiticConfig,
-    SingularFrequencyError,
-    StateSpace,
-    assemble_ydq,
-    eval_tf,
-)
+from .dqstamp import SingularFrequencyError, StateSpace, assemble_ydq, eval_tf
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
-from .polarmodels import build_j_of_s, build_jdf, build_jdp, build_lf_model
-from .powerflow import JacobianLF, OperatingPoint, build_jlf_analytic, decouple, solve_powerflow
+from .polarmodels import build_j_of_s, build_lf_model, build_polar_model
+from .powerflow import OperatingPoint, build_jlf_analytic, decouple, solve_powerflow
 
 __all__ = [
     "SweepGrid",
@@ -250,7 +247,11 @@ def sweep_psd(
 
     For real-coefficient models G^T(-jw) = G^H(jw), so sweeping w >= 0
     covers the whole axis. Pass iff the global minimum stays above -tol.
+    A zero-state model is G = D at every frequency: one point, no omega.
     """
+    if ss.n_states == 0:
+        lam = hermitian_min_eig(ss.d + ss.d.T)
+        return SweepReport(passed=lam >= -tol, min_eig=lam, worst_omega=None, n_points=1)
     grid = grid if grid is not None else SweepGrid()
     omegas = grid.points(exclude=poles)
     worst = math.inf
@@ -274,11 +275,6 @@ def sweep_psd(
         n_points=len(omegas),
         samples=tuple(samples),
     )
-
-
-def _static_report(k: np.ndarray, tol: float) -> SweepReport:
-    lam = float(np.min(np.linalg.eigvalsh(k + k.T)))
-    return SweepReport(passed=lam >= -tol, min_eig=lam, worst_omega=None, n_points=1)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +534,6 @@ class PassivityVerdict:
     regulated: RegulatedReport | None = None
     notes: tuple[str, ...] = ()
 
-    @property
-    def passive(self) -> bool:
-        return self.overall == "passive"
-
     def to_dict(self) -> dict:
         return {
             "model": self.model,
@@ -597,22 +589,22 @@ def classify_model(
     tau: float = 0.01,
     regulation: RegulationSet | None = None,
     grid: SweepGrid | None = None,
-    parasitics: ParasiticConfig | None = None,
     tol: float = 1e-9,
     keep_sweep_samples: bool = False,
 ) -> PassivityVerdict:
     """Classify one (model, analysis, variant) combination of a network.
 
     The variant network is re-solved so its operating point is
-    self-consistent. Every wideband model and the low-frequency models III
-    and IV (J_LF behind the same channel filters) are realized as state
-    space and go through one pipeline: poles, sweep, residues, feedthrough.
-    Low-frequency static verdicts (I and II) use the raw symmetric-part
-    spectrum. A supplied regulation set can flip a failing verdict to
-    "passive-after-regulation", judged with the structural uniform-angle
-    mode excluded (it is a right null vector of the Jacobian, persists
-    under regulation, and for lossy networks sits slightly below zero in
-    the symmetric part).
+    self-consistent. Every cell is realized as state space and goes through
+    one pipeline: poles, sweep, residues, feedthrough. The static
+    low-frequency models are zero-state realizations, Y_DQ(0) for I and
+    N(s) = J_LF for II, so their sweep is the symmetric-part spectrum of D
+    and they report no pole check; III and IV are J_LF behind the channel
+    filters. A supplied regulation set can flip a failing verdict to
+    "passive-after-regulation". Model II is then judged with the structural
+    uniform-angle mode excluded (it is a right null vector of the Jacobian,
+    persists under regulation, and for lossy networks sits slightly below
+    zero in the symmetric part); III and IV re-run the pipeline.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -630,33 +622,30 @@ def classify_model(
     variant = derive_variant(case, flags)
     op = solve_powerflow(variant)
     grid = grid if grid is not None else SweepGrid()
-    base = dict(
-        model=model,
-        analysis=analysis,
-        lossless=flags.lossless,
-        no_shunt_b=flags.no_shunt_b,
-        decoupled=flags.decoupled,
-    )
+    notes: tuple[str, ...] = ()
 
     if analysis == "wideband":
-        ydq = assemble_ydq(variant, parasitics)
-        ss = ydq if model == "I" else _polar_model(model, build_j_of_s(ydq, op), tau)
+        ydq = assemble_ydq(variant)
+        ss = ydq if model == "I" else build_polar_model(model, build_j_of_s(ydq, op), tau)
     elif model == "I":
-        y0 = eval_tf(assemble_ydq(variant, parasitics), 0.0)
-        static = _static_report(y0, tol)
-        return PassivityVerdict(
-            **base,
-            overall="passive" if static.passed else "non-passive",
-            cond2=static,
-            notes=("static rectangular model Y_DQ(0)",),
+        ydq = assemble_ydq(variant)
+        m = ydq.n_inputs
+        ss = replace(
+            ydq,
+            a=np.zeros((0, 0)),
+            b=np.zeros((0, m)),
+            c=np.zeros((m, 0)),
+            d=eval_tf(ydq, 0.0),
+            state_meta=(),
         )
+        notes = ("static rectangular model Y_DQ(0)",)
     else:
         jlf = build_jlf_analytic(variant, op)
         if flags.decoupled:
             jlf = decouple(jlf)
+        ss = build_polar_model(model, build_lf_model(jlf), tau)
         if model == "II":
-            return _static_jlf_verdict(base, jlf, regulation, tol)
-        ss = _polar_model(model, build_lf_model(jlf), tau)
+            notes = ("static load-flow Jacobian J_LF",)
 
     poles, sweep, residues, feed, ok = _state_space_checks(
         ss, grid, tol, op if model == "III" else None, keep_sweep_samples
@@ -665,69 +654,39 @@ def classify_model(
     overall = "passive" if ok else "non-passive"
     if not ok and regulation:
         # Regulation is accepted for low-frequency models II-IV only, so the
-        # low-frequency Jacobian is bound here and the model is III or IV.
-        ss_r = _polar_model(model, build_lf_model(apply_qv_contribution(jlf, regulation)), tau)
-        _, sweep_r, residues_r, _, flipped = _state_space_checks(ss_r, grid, tol, None)
-        regulated = RegulatedReport(
-            regulation=regulation.entries,
-            flipped=flipped,
-            residue=residues_r[0],  # the single origin cluster of the integrators
-            sweep=sweep_r,
-        )
-        if flipped:
+        # low-frequency Jacobian is bound here.
+        jr = apply_qv_contribution(jlf, regulation)
+        if model == "II":
+            lam = min_eig_excluding_uniform_angle(jr.symmetric_part())
+            regulated = RegulatedReport(
+                regulation=regulation.entries,
+                flipped=lam >= -tol,
+                min_eig_excluding_structural=lam,
+            )
+        else:
+            ss_r = build_polar_model(model, build_lf_model(jr), tau)
+            _, sweep_r, residues_r, _, flipped = _state_space_checks(ss_r, grid, tol, None)
+            regulated = RegulatedReport(
+                regulation=regulation.entries,
+                flipped=flipped,
+                residue=residues_r[0],  # the single origin cluster of the integrators
+                sweep=sweep_r,
+            )
+        if regulated.flipped:
             overall = "passive-after-regulation"
     return PassivityVerdict(
-        **base,
+        model=model,
+        analysis=analysis,
+        lossless=flags.lossless,
+        no_shunt_b=flags.no_shunt_b,
+        decoupled=flags.decoupled,
         overall=overall,
-        cond1=poles,
+        cond1=poles if ss.n_states else None,
         cond2=sweep,
         cond3=residues,
         feedthrough=feed,
         regulated=regulated,
-    )
-
-
-def _polar_model(model: str, j: StateSpace, tau: float) -> StateSpace:
-    """Model II, III or IV from the power-polar J(s) or its static N(s) = J_LF."""
-    if model == "III":
-        return build_jdp(j, tau)
-    if model == "IV":
-        return build_jdf(j, tau)
-    return j
-
-
-def _static_jlf_verdict(
-    base: dict, jlf: JacobianLF, regulation: RegulationSet | None, tol: float
-) -> PassivityVerdict:
-    """Low-frequency model II: the symmetric-part spectrum of J_LF itself."""
-    k = jlf.full()
-    static = _static_report(k, tol)
-    feed = FeedthroughReport(
-        trace=float(np.trace(k + k.T)),
-        min_eig=static.min_eig,
-        diagonal=tuple(float(v) for v in np.diag(k + k.T)),
-        psd=static.passed,
-    )
-    regulated = None
-    overall = "passive" if static.passed else "non-passive"
-    if not static.passed and regulation:
-        jr = apply_qv_contribution(jlf, regulation)
-        lam = min_eig_excluding_uniform_angle(jr.symmetric_part())
-        flipped = lam >= -tol
-        regulated = RegulatedReport(
-            regulation=regulation.entries,
-            flipped=flipped,
-            min_eig_excluding_structural=lam,
-        )
-        if flipped:
-            overall = "passive-after-regulation"
-    return PassivityVerdict(
-        **base,
-        overall=overall,
-        cond2=static,
-        feedthrough=feed,
-        regulated=regulated,
-        notes=("static load-flow Jacobian J_LF",),
+        notes=notes,
     )
 
 
@@ -735,8 +694,6 @@ def classify_grid(
     case: NetworkCase,
     tau: float = 0.01,
     regulation: RegulationSet | None = None,
-    grid: SweepGrid | None = None,
-    parasitics: ParasiticConfig | None = None,
 ) -> dict[str, dict[str, str]]:
     """Verdict grid over every model and variant column.
 
@@ -747,19 +704,15 @@ def classify_grid(
     out: dict[str, dict[str, str]] = {}
     for model in MODELS:
         row: dict[str, str] = {}
-        row["wideband"] = classify_model(
-            case, VariantFlags(), model, "wideband", tau, None, grid, parasitics
-        ).overall
+        row["wideband"] = classify_model(case, VariantFlags(), model, "wideband", tau).overall
         for name, flags in VARIANT_COLUMNS:
             if model == "I":
-                row[name] = classify_model(
-                    case, flags, model, "lowfreq", tau, None, grid, parasitics
-                ).overall
+                row[name] = classify_model(case, flags, model, "lowfreq", tau).overall
                 continue
             for coupled, dec in (("coupled", False), ("decoupled", True)):
                 f = VariantFlags(flags.lossless, flags.no_shunt_b, dec)
                 row[f"{name}/{coupled}"] = classify_model(
-                    case, f, model, "lowfreq", tau, regulation, grid, parasitics
+                    case, f, model, "lowfreq", tau, regulation
                 ).overall
         out[model] = row
     return out

@@ -45,10 +45,6 @@ class RegulationSet:
     def uniform(cls, buses: Iterable[int], kqv: float) -> "RegulationSet":
         return cls(entries=tuple((b, kqv) for b in buses))
 
-    @property
-    def buses(self) -> tuple[int, ...]:
-        return tuple(b for b, _ in self.entries)
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 

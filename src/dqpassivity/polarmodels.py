@@ -16,6 +16,7 @@ zero-state model ``N(s) = J_LF`` of `build_lf_model` has the same (phi, V_n)
 to (P, Q) ports as J(s), so the same two builders turn it into the
 low-frequency models N_p(s) = `build_jdp` and N_df(s) = `build_jdf`, each
 with its simple pole at the origin carried by the appended integrators.
+`build_polar_model` maps the model names II, III and IV to these builders.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "build_lf_model",
     "build_jdp",
     "build_jdf",
+    "build_polar_model",
 ]
 
 
@@ -161,3 +163,14 @@ def build_jdf(j: StateSpace, tau: float) -> StateSpace:
         bus_ids=j.bus_ids,
         integrator_states=integ,
     )
+
+
+def build_polar_model(model: str, j: StateSpace, tau: float) -> StateSpace:
+    """Model II, III or IV from the power-polar J(s) or its static N(s) = J_LF."""
+    if model == "II":
+        return j
+    if model == "III":
+        return build_jdp(j, tau)
+    if model == "IV":
+        return build_jdf(j, tau)
+    raise ValueError(f"no polar model {model!r}; choose II, III or IV")

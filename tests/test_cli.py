@@ -190,6 +190,16 @@ def test_dump_jacobian_blocks(capsys):
         assert block in out
 
 
+@pytest.mark.parametrize("model", ["I", "II", "III", "IV"])
+def test_dump_model_rejects_decoupled_state_space(model, capsys):
+    # Models I-IV dump the wideband realization, which has no decoupled form.
+    code = main(["dump-model", "ieee9", "--model", model, "--variant", "decoupled"])
+    assert code == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert "applies to low-frequency models only" in captured.err
+    assert captured.out == ""
+
+
 def test_invalid_combination_exits_2(capsys):
     code = main([
         "passivity", "ieee9", "--model", "II", "--analysis", "wideband",

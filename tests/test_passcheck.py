@@ -325,6 +325,21 @@ def test_classify_lowfreq_filtered_models_full_pipeline(ieee9, ieee9_op, model, 
     assert abs(v.cond2.min_eig - lam[0]) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_classify_lowfreq_static_models_zero_state_pipeline(ieee9, ieee9_op, model):
+    # Low-frequency I and II are zero-state models with D = Y_DQ(0) or J_LF:
+    # no pole check, one static sweep point and a matching feedthrough block.
+    v = classify_model(ieee9, model=model, analysis="lowfreq")
+    assert v.cond1 is None
+    assert v.cond2.n_points == 1 and v.cond2.worst_omega is None
+    assert v.feedthrough.min_eig == v.cond2.min_eig
+    if model == "I":
+        k = eval_tf(assemble_ydq(ieee9), 0.0)
+    else:
+        k = build_jlf_analytic(ieee9, ieee9_op).full()
+    assert v.cond2.min_eig == pytest.approx(np.linalg.eigvalsh(k + k.T)[0], abs=1e-12)
+
+
 def test_classify_wideband_certificates(ieee9):
     for model in ("II", "III", "IV"):
         v = classify_model(ieee9, model=model, analysis="wideband")

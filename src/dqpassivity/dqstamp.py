@@ -234,17 +234,20 @@ def eval_tf(ss: StateSpace, s: complex, pole_tol: float = 1e-9) -> np.ndarray:
     return out
 
 
-def storage_energy(x: np.ndarray, meta: tuple[StateMeta, ...]) -> float:
-    """Stored electromagnetic energy 0.5*sum(L i^2) + 0.5*sum(C v^2), in pu-s."""
+def storage_energy(x: np.ndarray, meta: tuple[StateMeta, ...]) -> float | np.ndarray:
+    """Stored electromagnetic energy 0.5*sum(L i^2) + 0.5*sum(C v^2), in pu-s.
+
+    `x` has shape (..., n_states); the result has one energy per state
+    vector, so shape (...,) (a scalar for a single state vector).
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (len(meta),):
+    if x.shape[-1:] != (len(meta),):
         raise ValueError(f"state vector length {x.shape} does not match {len(meta)} meta entries")
-    energy = 0.0
-    for xi, m in zip(x, meta):
+    for m in meta:
         if m.kind not in ("inductor", "capacitor"):
             raise ValueError(f"state {m.label}: no physical storage for kind {m.kind!r}")
-        energy += 0.5 * m.storage * xi * xi
-    return energy
+    storage = np.array([m.storage for m in meta], dtype=float)
+    return 0.5 * (x * x) @ storage
 
 
 def export_matrices(ss: StateSpace) -> str:

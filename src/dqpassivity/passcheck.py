@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dqstamp import SingularFrequencyError, StateSpace, assemble_ydq, eval_tf
+from .dqstamp import SingularFrequencyError, StateSpace, assemble_ydq, eval_tf, storage_energy
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
 from .polarmodels import build_j_of_s, build_lf_model, build_polar_model
@@ -64,6 +64,12 @@ VARIANT_COLUMNS = (
     ("lossy_nob", VariantFlags(no_shunt_b=True)),
     ("lossless_nob", VariantFlags(lossless=True, no_shunt_b=True)),
 )
+
+
+# Steps per chunk of the dissipation integrator: inputs, supplied energy and
+# margins are vectorized over a chunk. Larger chunks save little time and
+# cost memory (about 4 MB more peak RSS at 1024 steps on the nine-bus case).
+_CHUNK_STEPS = 128
 
 
 class SimulationUnstableError(RuntimeError):
@@ -363,14 +369,23 @@ def check_residue_psd_hermitian(
 
 @dataclass(frozen=True)
 class MultisineInput:
-    """Sum-of-sines test signal, one row of tones per input channel."""
+    """Sum-of-sines test signal, one row of tones per input channel.
+
+    Called with a scalar time it returns the (n_channels,) input vector;
+    called with a 1-D array of k times it returns a (k, n_channels) array.
+    """
 
     omegas: np.ndarray  # (k,)
     amplitudes: np.ndarray  # (n_channels, k)
     phases: np.ndarray  # (n_channels, k)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return np.sum(self.amplitudes * np.sin(self.omegas * t + self.phases), axis=1)
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        # a sin(wt + p) = sin(wt) a cos(p) + cos(wt) a sin(p): one sine and
+        # one cosine per tone and time instead of one sine per channel too.
+        wt = np.multiply.outer(t, self.omegas)
+        a_cos = self.amplitudes * np.cos(self.phases)
+        a_sin = self.amplitudes * np.sin(self.phases)
+        return np.sin(wt) @ a_cos.T + np.cos(wt) @ a_sin.T
 
 
 def random_multisine(
@@ -412,9 +427,36 @@ class DissipationReport:
         }
 
 
+def _rk4_step_map(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One RK4 step of the model as an exact affine map and quadratic supply.
+
+    With the inputs sampled at t, t + dt/2 and t + dt stacked as
+    w = [u1; u2; u3], the step is x+ = phi x + gamma w and the supplied
+    energy of the step, dt/6 * sum_i c_i u_i^T (C x_i + D u_i) over the
+    stages (weights 1, 2, 2, 1), is z^T Q z with z = [x; w] and Q symmetric.
+    Both follow from pushing identity blocks through the four stages.
+    """
+    n, m = ss.n_states, ss.n_inputs
+    eye = np.eye(n + 3 * m)
+    x1 = eye[:n]
+    u1, u2, u3 = eye[n : n + m], eye[n + m : n + 2 * m], eye[n + 2 * m :]
+    stage_u = (u1, u2, u2, u3)
+    stage_x = [x1]
+    slopes = [ss.a @ x1 + ss.b @ u1]
+    for frac, ui in zip((0.5, 0.5, 1.0), stage_u[1:]):
+        stage_x.append(x1 + frac * dt * slopes[-1])
+        slopes.append(ss.a @ stage_x[-1] + ss.b @ ui)
+    weights = (1.0, 2.0, 2.0, 1.0)
+    step = x1 + dt / 6.0 * sum(c * k for c, k in zip(weights, slopes))
+    supply = dt / 6.0 * sum(
+        c * ui.T @ (ss.c @ xi + ss.d @ ui) for c, xi, ui in zip(weights, stage_x, stage_u)
+    )
+    return step[:, :n], step[:, n:], 0.5 * (supply + supply.T)
+
+
 def simulate_dissipation(
     ss: StateSpace,
-    u: Callable[[float], np.ndarray],
+    u: Callable[[np.ndarray], np.ndarray],
     t_end: float,
     dt: float,
     x0: np.ndarray | None = None,
@@ -424,13 +466,23 @@ def simulate_dissipation(
     The margin is integral(u^T y) - (S(x) - S(x0)) with S the physical
     stored energy from the state metadata; for a passive model it must
     stay non-negative up to integration error. The supplied-energy
-    integral is advanced as an extra RK4 state so both sides share the
-    same quadrature order.
+    integral is advanced with the same RK4 stages as the state, so both
+    sides share the same quadrature order.
+
+    On an LTI model one RK4 step is exactly the affine map
+    x+ = phi x + gamma [u1; u2; u3] and its supplied energy exactly a
+    quadratic form in [x; u1; u2; u3] (`_rk4_step_map`). The run advances
+    in chunks of L = `_CHUNK_STEPS` steps: `u` is evaluated once per chunk on
+    the array of its 2L + 1 step and half-step times and must return an
+    array that broadcasts to (2L + 1, n_inputs), so a constant vector
+    works as well as a `MultisineInput`. Only x+ = phi x + gamma w stays
+    a per-step loop; the supplied energy, the stored energy and the margin
+    are computed per chunk on the stored states.
     """
-    storage = np.array([m.storage for m in ss.state_meta])
-    for m in ss.state_meta:
-        if m.kind not in ("inductor", "capacitor"):
-            raise ValueError("dissipation accounting needs a physical (R-L-C) model")
+    x = np.zeros(ss.n_states) if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (ss.n_states,):
+        raise ValueError("x0 has the wrong length")
+    e0 = storage_energy(x, ss.state_meta)  # also rejects non-physical states
     stable = ss.poles[ss.poles.real < 0]
     if stable.size and float(np.max(np.abs(stable))) * dt > 2.5:
         worst = float(np.max(np.abs(stable)))
@@ -439,54 +491,55 @@ def simulate_dissipation(
             f"{worst:.3e} rad/s; reduce the step below {2.5 / worst:.3e} s"
         )
 
-    a, b, c, d = ss.a, ss.b, ss.c, ss.d
-    x = np.zeros(ss.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (ss.n_states,):
-        raise ValueError("x0 has the wrong length")
-
-    def output(xv: np.ndarray, uv: np.ndarray) -> np.ndarray:
-        return c @ xv + d @ uv
-
-    def energy(xv: np.ndarray) -> float:
-        return 0.5 * float(np.dot(storage, xv * xv))
-
+    phi, gamma, q = _rk4_step_map(ss, dt)
     n_steps = int(round(t_end / dt))
-    e0 = energy(x)
     supplied = 0.0
     min_margin = math.inf
     t_at_min = 0.0
     t = 0.0
-    for _ in range(n_steps):
-        u1 = u(t)
-        u2 = u(t + 0.5 * dt)
-        u3 = u(t + dt)
-        k1x = a @ x + b @ u1
-        k1w = float(u1 @ output(x, u1))
-        x2 = x + 0.5 * dt * k1x
-        k2x = a @ x2 + b @ u2
-        k2w = float(u2 @ output(x2, u2))
-        x3 = x + 0.5 * dt * k2x
-        k3x = a @ x3 + b @ u2
-        k3w = float(u2 @ output(x3, u2))
-        x4 = x + dt * k3x
-        k4x = a @ x4 + b @ u3
-        k4w = float(u3 @ output(x4, u3))
-        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        supplied += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        t += dt
-        if not np.all(np.isfinite(x)):
+    for first in range(0, n_steps, _CHUNK_STEPS):
+        n_chunk = min(_CHUNK_STEPS, n_steps - first)
+        # Step times are a running sum of dt, as a step-by-step integrator
+        # advances them; the half-step times sit between.
+        t_steps = np.cumsum(np.concatenate(([t], np.full(n_chunk, dt))))
+        times = np.empty(2 * n_chunk + 1)
+        times[0::2] = t_steps
+        times[1::2] = t_steps[:-1] + 0.5 * dt
+        w_all = np.asarray(u(times), dtype=float)
+        try:
+            w_all = np.broadcast_to(w_all, (times.size, ss.n_inputs))
+        except ValueError:
+            raise ValueError(
+                f"u returned shape {w_all.shape} for {times.size} times; "
+                f"expected an array broadcastable to ({times.size}, {ss.n_inputs})"
+            ) from None
+        w = np.hstack((w_all[0:-1:2], w_all[1::2], w_all[2::2]))
+        xs = np.empty((n_chunk + 1, ss.n_states))
+        xs[0] = x
+        xs[1:] = w @ gamma.T
+        for prev, nxt in zip(xs[:-1], xs[1:]):  # row views: updates xs in place
+            nxt += phi.dot(prev)
+        finite = np.isfinite(xs[1:]).all(axis=1)
+        if not finite.all():
             raise SimulationUnstableError(
-                f"state overflow at t={t:.4g}s; reduce the integration step"
+                f"state overflow at t={t_steps[1 + np.argmin(finite)]:.4g}s; "
+                "reduce the integration step"
             )
-        margin = supplied - (energy(x) - e0)
-        if margin < min_margin:
-            min_margin = margin
-            t_at_min = t
+        z = np.hstack((xs[:-1], w))
+        supplied_run = supplied + np.cumsum(((z @ q) * z).sum(axis=1))
+        margin = supplied_run - (storage_energy(xs[1:], ss.state_meta) - e0)
+        k_min = int(np.argmin(margin))
+        if margin[k_min] < min_margin:
+            min_margin = float(margin[k_min])
+            t_at_min = float(t_steps[k_min + 1])
+        x = xs[-1]
+        supplied = float(supplied_run[-1])
+        t = float(t_steps[-1])
     return DissipationReport(
         min_margin=float(min_margin),
         t_at_min=float(t_at_min),
         supplied=float(supplied),
-        stored_delta=float(energy(x) - e0),
+        stored_delta=float(storage_energy(x, ss.state_meta) - e0),
         n_steps=n_steps,
         dt=dt,
     )

@@ -119,6 +119,17 @@ def test_storage_energy_values():
         storage_energy(np.zeros(1), bad)
 
 
+def test_storage_energy_one_value_per_row():
+    meta = (StateMeta("inductor", 0.1, "i_D:x"), StateMeta("capacitor", 0.4, "v_D:y"))
+    rows = np.random.default_rng(5).normal(size=(3, 4, 2))
+    energies = storage_energy(rows, meta)
+    assert energies.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert energies[idx] == pytest.approx(storage_energy(rows[idx], meta), rel=1e-15)
+    with pytest.raises(ValueError, match="length"):
+        storage_energy(np.zeros((4, 3)), meta)
+
+
 def test_zero_input_energy_monotone(ieee9):
     # With the ports shorted the stored energy can only dissipate.
     ss = assemble_ydq(ieee9, ParasiticConfig(r_series_cap=0.05))

@@ -1,6 +1,8 @@
 """Passivity condition checks, dissipation simulation and classification."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,6 +277,97 @@ def test_dissipation_requires_physical_meta(ieee9_j2):
     j3 = build_jdp(ieee9_j2, TAU)
     with pytest.raises(ValueError, match="physical"):
         simulate_dissipation(j3, lambda t: np.zeros(18), t_end=0.01, dt=1e-5)
+
+
+def per_step_rk4_dissipation(ss, u, t_end, dt, x0):
+    """Reference: explicit RK4 per step, inputs and supply evaluated stage by stage."""
+    a, b, c, d = ss.a, ss.b, ss.c, ss.d
+    storage = np.array([m.storage for m in ss.state_meta])
+    x = np.asarray(x0, dtype=float).copy()
+
+    def output(xv, uv):
+        return c @ xv + d @ uv
+
+    def energy(xv):
+        return 0.5 * float(np.dot(storage, xv * xv))
+
+    e0 = energy(x)
+    supplied = 0.0
+    min_margin = np.inf
+    t_at_min = 0.0
+    t = 0.0
+    for _ in range(int(round(t_end / dt))):
+        u1 = u(t)
+        u2 = u(t + 0.5 * dt)
+        u3 = u(t + dt)
+        k1x = a @ x + b @ u1
+        k1w = float(u1 @ output(x, u1))
+        x2 = x + 0.5 * dt * k1x
+        k2x = a @ x2 + b @ u2
+        k2w = float(u2 @ output(x2, u2))
+        x3 = x + 0.5 * dt * k2x
+        k3x = a @ x3 + b @ u2
+        k3w = float(u2 @ output(x3, u2))
+        x4 = x + dt * k3x
+        k4x = a @ x4 + b @ u3
+        k4w = float(u3 @ output(x4, u3))
+        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        supplied += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        t += dt
+        margin = supplied - (energy(x) - e0)
+        if margin < min_margin:
+            min_margin = margin
+            t_at_min = t
+    return min_margin, t_at_min, supplied, energy(x) - e0
+
+
+@pytest.mark.parametrize("network", ["ieee9_sim", "negative_resistance"])
+def test_dissipation_matches_per_step_rk4_reference(ieee9_sim, network):
+    ss = ieee9_sim if network == "ieee9_sim" else assemble_ydq(negative_resistance_case())
+    rng = np.random.default_rng(21)
+    u = random_multisine(rng, ss.n_inputs)
+    x0 = 0.2 * rng.normal(size=ss.n_states)
+    # 1030 steps: not a whole number of integrator chunks.
+    t_end, dt = 0.0206, 2e-5
+    rep = simulate_dissipation(ss, u, t_end=t_end, dt=dt, x0=x0)
+    min_margin, t_at_min, supplied, stored_delta = per_step_rk4_dissipation(ss, u, t_end, dt, x0)
+    assert rep.n_steps == 1030
+    assert rep.t_at_min == t_at_min
+    for got, want in (
+        (rep.min_margin, min_margin),
+        (rep.supplied, supplied),
+        (rep.stored_delta, stored_delta),
+    ):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_dissipation_reports_state_overflow():
+    case = negative_resistance_case()
+    case = replace(case, branches=(replace(case.branches[0], r=-50.0),))
+    ss = assemble_ydq(case)
+    x0 = 0.1 * np.random.default_rng(15).normal(size=ss.n_states)
+    t_end = 0.01
+    with pytest.raises(SimulationUnstableError, match="state overflow") as err:
+        simulate_dissipation(ss, lambda t: np.zeros(4), t_end=t_end, dt=1e-5, x0=x0)
+    t_fail = float(re.search(r"t=([0-9.eE+-]+)s", str(err.value)).group(1))
+    assert 0.0 < t_fail <= t_end
+
+
+def test_dissipation_rejects_bad_x0_and_input_shape(ieee9_sim):
+    with pytest.raises(ValueError, match="x0"):
+        simulate_dissipation(ieee9_sim, lambda t: np.zeros(18), t_end=0.01, dt=2e-5, x0=np.zeros(3))
+    for bad in (lambda t: np.zeros(5), lambda t: np.zeros((3, 18))):
+        with pytest.raises(ValueError, match="broadcast"):
+            simulate_dissipation(ieee9_sim, bad, t_end=0.01, dt=2e-5)
+
+
+def test_multisine_vectorized_over_times():
+    u = random_multisine(np.random.default_rng(4), 6)
+    ts = np.linspace(0.0, 0.05, 37)
+    assert u(0.3).shape == (6,)
+    batch = u(ts)
+    assert batch.shape == (37, 6)
+    assert np.max(np.abs(batch - np.stack([u(t) for t in ts]))) <= 1e-15
 
 
 # -- Classification ------------------------------------------------------------

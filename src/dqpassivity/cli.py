@@ -147,7 +147,6 @@ def cmd_passivity(args: argparse.Namespace) -> int:
         tau=args.tau,
         regulation=reg,
         grid=grid,
-        keep_sweep_samples=bool(args.csv),
     )
     if args.csv:
         if verdict.cond2 is not None and verdict.cond2.samples:

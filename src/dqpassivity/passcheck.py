@@ -247,19 +247,36 @@ def sweep_psd(
     grid: SweepGrid | None = None,
     poles: Sequence[float] = (),
     tol: float = 1e-9,
-    keep_samples: bool = False,
 ) -> SweepReport:
     """Condition 2: minimum eigenvalue of G(jw) + G^H(jw) across the grid.
 
     For real-coefficient models G^T(-jw) = G^H(jw), so sweeping w >= 0
     covers the whole axis. Pass iff the global minimum stays above -tol.
     A zero-state model is G = D at every frequency: one point, no omega.
+    A grid left without points by the pole exclusion is a ValueError.
+
+    An integrator-only model (A = 0, as low-frequency III/IV) is evaluated
+    at the first and last grid points only, which gives the grid minimum
+    exactly. Its transfer matrix is G(jw) = D + R/(jw) with R = CB, so
+    G + G^H = (D + D^T) + t K with t = 1/w and K = -j(R - R^T) Hermitian.
+    Then lambda_min(G + G^H) = min over unit v of v^H (D + D^T) v + t v^H K v
+    is a minimum of functions affine in t, hence concave in t (Lewis &
+    Overton, Acta Numerica 1996). A concave function on an interval is at
+    least its smaller end value, so on the grid points, which all lie
+    between the first and last (in t as in w), the minimum is attained at
+    one of those two.
     """
     if ss.n_states == 0:
         lam = hermitian_min_eig(ss.d + ss.d.T)
         return SweepReport(passed=lam >= -tol, min_eig=lam, worst_omega=None, n_points=1)
     grid = grid if grid is not None else SweepGrid()
     omegas = grid.points(exclude=poles)
+    if omegas.size == 0:
+        raise ValueError(
+            f"{grid} has no point left after excluding the poles at omega={list(poles)}"
+        )
+    if not ss.a.any() and omegas.size > 2:
+        omegas = omegas[[0, -1]]
     worst = math.inf
     worst_omega = None
     samples: list[tuple[float, float]] = []
@@ -269,8 +286,7 @@ def sweep_psd(
         except SingularFrequencyError as exc:
             raise ValueError(f"transfer matrix singular at sweep point omega={w}: {exc}") from exc
         lam = hermitian_min_eig(g + g.conj().T)
-        if keep_samples:
-            samples.append((float(w), lam))
+        samples.append((float(w), lam))
         if lam < worst:
             worst = lam
             worst_omega = float(w)
@@ -497,44 +513,47 @@ def simulate_dissipation(
     min_margin = math.inf
     t_at_min = 0.0
     t = 0.0
-    for first in range(0, n_steps, _CHUNK_STEPS):
-        n_chunk = min(_CHUNK_STEPS, n_steps - first)
-        # Step times are a running sum of dt, as a step-by-step integrator
-        # advances them; the half-step times sit between.
-        t_steps = np.cumsum(np.concatenate(([t], np.full(n_chunk, dt))))
-        times = np.empty(2 * n_chunk + 1)
-        times[0::2] = t_steps
-        times[1::2] = t_steps[:-1] + 0.5 * dt
-        w_all = np.asarray(u(times), dtype=float)
-        try:
-            w_all = np.broadcast_to(w_all, (times.size, ss.n_inputs))
-        except ValueError:
-            raise ValueError(
-                f"u returned shape {w_all.shape} for {times.size} times; "
-                f"expected an array broadcastable to ({times.size}, {ss.n_inputs})"
-            ) from None
-        w = np.hstack((w_all[0:-1:2], w_all[1::2], w_all[2::2]))
-        xs = np.empty((n_chunk + 1, ss.n_states))
-        xs[0] = x
-        xs[1:] = w @ gamma.T
-        for prev, nxt in zip(xs[:-1], xs[1:]):  # row views: updates xs in place
-            nxt += phi.dot(prev)
-        finite = np.isfinite(xs[1:]).all(axis=1)
-        if not finite.all():
-            raise SimulationUnstableError(
-                f"state overflow at t={t_steps[1 + np.argmin(finite)]:.4g}s; "
-                "reduce the integration step"
-            )
-        z = np.hstack((xs[:-1], w))
-        supplied_run = supplied + np.cumsum(((z @ q) * z).sum(axis=1))
-        margin = supplied_run - (storage_energy(xs[1:], ss.state_meta) - e0)
-        k_min = int(np.argmin(margin))
-        if margin[k_min] < min_margin:
-            min_margin = float(margin[k_min])
-            t_at_min = float(t_steps[k_min + 1])
-        x = xs[-1]
-        supplied = float(supplied_run[-1])
-        t = float(t_steps[-1])
+    # Overflow is caught by the per-chunk finite check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_steps, _CHUNK_STEPS):
+            n_chunk = min(_CHUNK_STEPS, n_steps - first)
+            # Step times are a running sum of dt, as a step-by-step integrator
+            # advances them; the half-step times sit between.
+            t_steps = np.cumsum(np.concatenate(([t], np.full(n_chunk, dt))))
+            times = np.empty(2 * n_chunk + 1)
+            times[0::2] = t_steps
+            times[1::2] = t_steps[:-1] + 0.5 * dt
+            w_all = np.asarray(u(times), dtype=float)
+            try:
+                w_all = np.broadcast_to(w_all, (times.size, ss.n_inputs))
+            except ValueError:
+                raise ValueError(
+                    f"u returned shape {w_all.shape} for {times.size} times; "
+                    f"expected an array broadcastable to ({times.size}, {ss.n_inputs})"
+                ) from None
+            w = np.hstack((w_all[0:-1:2], w_all[1::2], w_all[2::2]))
+            xs = np.empty((n_chunk + 1, ss.n_states))
+            xs[0] = x
+            xs[1:] = w @ gamma.T
+            for prev, nxt in zip(xs[:-1], xs[1:]):  # row views: updates xs in place
+                nxt += phi.dot(prev)
+            z = np.hstack((xs[:-1], w))
+            supplied_run = supplied + np.cumsum(((z @ q) * z).sum(axis=1))
+            margin = supplied_run - (storage_energy(xs[1:], ss.state_meta) - e0)
+            # The margin is non-finite once a state, its energy or the supply is.
+            finite = np.isfinite(xs[1:]).all(axis=1) & np.isfinite(margin)
+            if not finite.all():
+                raise SimulationUnstableError(
+                    f"state overflow at t={t_steps[1 + np.argmin(finite)]:.4g}s; "
+                    "reduce the integration step"
+                )
+            k_min = int(np.argmin(margin))
+            if margin[k_min] < min_margin:
+                min_margin = float(margin[k_min])
+                t_at_min = float(t_steps[k_min + 1])
+            x = xs[-1]
+            supplied = float(supplied_run[-1])
+            t = float(t_steps[-1])
     return DissipationReport(
         min_margin=float(min_margin),
         t_at_min=float(t_at_min),
@@ -611,12 +630,11 @@ def _state_space_checks(
     grid: SweepGrid,
     tol: float,
     op: OperatingPoint | None,
-    keep_samples: bool = False,
 ) -> tuple[PoleReport, SweepReport, tuple[ResidueReport, ...], FeedthroughReport, bool]:
     """Conditions 1-3 and the feedthrough certificate; the last item is the verdict."""
     poles = check_poles(ss, tol=tol)
     imag_omegas = [p.omega for p in poles.imaginary_axis]
-    sweep = sweep_psd(ss, grid, poles=imag_omegas, tol=tol, keep_samples=keep_samples)
+    sweep = sweep_psd(ss, grid, poles=imag_omegas, tol=tol)
     residues: list[ResidueReport] = []
     residues_ok = True
     for p in poles.imaginary_axis:
@@ -643,7 +661,6 @@ def classify_model(
     regulation: RegulationSet | None = None,
     grid: SweepGrid | None = None,
     tol: float = 1e-9,
-    keep_sweep_samples: bool = False,
 ) -> PassivityVerdict:
     """Classify one (model, analysis, variant) combination of a network.
 
@@ -701,7 +718,7 @@ def classify_model(
             notes = ("static load-flow Jacobian J_LF",)
 
     poles, sweep, residues, feed, ok = _state_space_checks(
-        ss, grid, tol, op if model == "III" else None, keep_sweep_samples
+        ss, grid, tol, op if model == "III" else None
     )
     regulated = None
     overall = "passive" if ok else "non-passive"

@@ -60,58 +60,56 @@ def apply_qv_contribution(j: JacobianLF, reg: RegulationSet) -> JacobianLF:
     return JacobianLF(j11=j.j11, j12=j.j12, j21=j.j21, j22=j22, bus_ids=j.bus_ids)
 
 
-def _deflation_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the uniform-angle direction."""
-    e = np.zeros(2 * n)
+def _deflation_basis(n: int, dim: int) -> np.ndarray:
+    """Orthonormal basis of R^dim orthogonal to the uniform-angle direction,
+    whose first n coordinates are the angle rows [1_n; 0]."""
+    e = np.zeros(dim)
     e[:n] = 1.0 / np.sqrt(n)
-    q, _ = np.linalg.qr(np.column_stack([e, np.eye(2 * n)]))
-    return q[:, 1 : 2 * n]
+    q, _ = np.linalg.qr(np.column_stack([e, np.eye(dim)]))
+    return q[:, 1:dim]
 
 
 def min_eig_excluding_uniform_angle(sym: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric 2n x 2n matrix on the quotient
     orthogonal to the uniform angle shift [1_n; 0_n]."""
-    n = sym.shape[0] // 2
-    basis = _deflation_basis(n)
+    basis = _deflation_basis(sym.shape[0] // 2, sym.shape[0])
     return float(np.min(np.linalg.eigvalsh(basis.T @ sym @ basis)))
 
 
-def min_uniform_kqv(
-    j: JacobianLF,
-    buses: Sequence[int],
-    tol: float = 1e-6,
-    k_cap: float = 1e3,
-) -> float:
+def min_uniform_kqv(j: JacobianLF, buses: Sequence[int], tol: float = 1e-6) -> float:
     """Smallest uniform k_qv at the given buses that passivates J_LF.
 
-    Passivated means the symmetric part of the regulated Jacobian has no
-    eigenvalue below -tol outside the structural uniform-angle mode. The
-    regulated symmetric part is the base one plus a PSD diagonal bump that
-    grows linearly in k, so the deflated minimum eigenvalue is
-    non-decreasing in k and bisection is valid.
+    Passivated means the symmetric part S = J + J^T of the regulated
+    Jacobian has no eigenvalue below -tol outside the structural
+    uniform-angle mode e = [1_n; 0_n], i.e. M + 2k E is PSD on the
+    complement of e, with M = S + tol I and E the diagonal that selects the
+    regulated Q rows R (a bus listed c times counts c times). The other rows
+    N contain the angle rows, so e lies in N; with W an orthonormal basis of
+    N minus e, the complement of e is spanned by the R coordinates and W, and
+    the form there is [[M_RR + 2k E_RR, M_RN W], [W^T M_NR, W^T M_NN W]].
+    When H = W^T M_NN W is positive definite, that block matrix is PSD iff
+    its Schur complement M_RR + 2k E_RR - M_RN W H^-1 W^T M_NR is
+    (Boyd & Vandenberghe, Convex Optimization, A.5.5), which gives k in
+    closed form. When H is not, no k helps: the failing direction lies
+    outside the regulated rows.
     """
     if not buses:
         raise ValueError("need at least one regulating bus")
-
-    def lam(k: float) -> float:
-        reg = RegulationSet.uniform(buses, k)
-        return min_eig_excluding_uniform_angle(apply_qv_contribution(j, reg).symmetric_part())
-
-    if lam(0.0) >= -tol:
-        return 0.0
-    hi = 1.0
-    while lam(hi) < -tol:
-        hi *= 2.0
-        if hi > k_cap:
-            raise InfeasibleRegulationError(
-                f"no uniform contribution up to {k_cap} pu passivates the Jacobian "
-                f"with regulation at buses {tuple(buses)}"
-            )
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lam(mid) >= -tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    unknown = [b for b in buses if b not in j.bus_ids]
+    if unknown:
+        raise ValueError(f"regulation references unknown bus {unknown[0]}")
+    n = j.n_bus
+    reg_rows, counts = np.unique([n + j.bus_ids.index(b) for b in buses], return_counts=True)
+    other_rows = np.setdiff1d(np.arange(2 * n), reg_rows)
+    m = j.symmetric_part() + tol * np.eye(2 * n)
+    w = _deflation_basis(n, other_rows.size)
+    try:
+        chol = np.linalg.cholesky(w.T @ m[np.ix_(other_rows, other_rows)] @ w)
+    except np.linalg.LinAlgError:
+        raise InfeasibleRegulationError(
+            f"no uniform contribution passivates the Jacobian with regulation at buses "
+            f"{tuple(buses)}: a negative direction lies outside the regulated rows"
+        ) from None
+    x = np.linalg.solve(chol, w.T @ m[np.ix_(other_rows, reg_rows)])
+    schur = (m[np.ix_(reg_rows, reg_rows)] - x.T @ x) / np.sqrt(np.outer(counts, counts))
+    return max(0.0, -float(np.linalg.eigvalsh(schur)[0]) / 2.0)

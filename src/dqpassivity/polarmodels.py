@@ -97,72 +97,52 @@ def _power_polar_ports(bus_ids: tuple[int, ...]) -> dict:
 
 
 def _append_integrators(
-    j: StateSpace, tau: float, channels: np.ndarray, channel_tag: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[StateMeta, ...], tuple[int, ...]]:
-    """Realize J(s) with (1 + s tau)/s inserted on the selected input channels.
+    j: StateSpace, tau: float, k: int, input_labels: tuple[str, ...], channel_tag: str
+) -> StateSpace:
+    """Realize J(s) with (1 + s tau)/s inserted on its first k input channels.
 
     Each filtered channel input u becomes x_int + tau*u where x_int
-    integrates u, which appends len(channels) exact zero poles.
+    integrates u, which appends k exact zero poles.
     """
+    if tau <= 0:
+        raise ValueError("tau must be > 0")
     nx = j.n_states
-    k = len(channels)
-    b_f = j.b[:, channels]
-    d_f = j.d[:, channels]
+    b_f = j.b[:, :k]
+    d_f = j.d[:, :k]
     a = np.zeros((nx + k, nx + k))
     a[:nx, :nx] = j.a
     a[:nx, nx:] = b_f
     b = np.zeros((nx + k, j.n_inputs))
-    b[:nx, :] = j.b.copy()
-    b[:nx, channels] = tau * b_f
-    b[nx:, channels] = np.eye(k)
-    c = np.hstack([j.c, d_f])
+    b[:nx, :] = j.b
+    b[:nx, :k] = tau * b_f
+    b[nx:, :k] = np.eye(k)
     d = j.d.copy()
-    d[:, channels] = tau * d_f
-    meta = j.state_meta + tuple(
-        StateMeta("integrator", 0.0, f"int:{channel_tag}:{i}") for i in range(k)
+    d[:, :k] = tau * d_f
+    return StateSpace(
+        a=a,
+        b=b,
+        c=np.hstack([j.c, d_f]),
+        d=d,
+        input_labels=input_labels,
+        output_labels=j.output_labels,
+        state_meta=j.state_meta
+        + tuple(StateMeta("integrator", 0.0, f"int:{channel_tag}:{i}") for i in range(k)),
+        bus_ids=j.bus_ids,
+        integrator_states=tuple(range(nx, nx + k)),
     )
-    integrators = tuple(range(nx, nx + k))
-    return a, b, c, d, meta, integrators
 
 
 def build_jdp(j: StateSpace, tau: float) -> StateSpace:
     """Frequency-deviation model J_dp(s) = J(s) diag(((1+s tau)/s) I, I)."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
     n = j.n_inputs // 2
-    a, b, c, d, meta, integ = _append_integrators(j, tau, np.arange(n), "omega")
     labels_in = tuple(f"omega:{i}" for i in j.bus_ids) + j.input_labels[n:]
-    return StateSpace(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        input_labels=labels_in,
-        output_labels=j.output_labels,
-        state_meta=meta,
-        bus_ids=j.bus_ids,
-        integrator_states=integ,
-    )
+    return _append_integrators(j, tau, n, labels_in, "omega")
 
 
 def build_jdf(j: StateSpace, tau: float) -> StateSpace:
     """Derivative model J_df(s) = J(s) (1+s tau)/s on all channels."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    n = j.n_inputs // 2
-    a, b, c, d, meta, integ = _append_integrators(j, tau, np.arange(2 * n), "all")
     labels_in = tuple(f"omega:{i}" for i in j.bus_ids) + tuple(f"dVn:{i}" for i in j.bus_ids)
-    return StateSpace(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        input_labels=labels_in,
-        output_labels=j.output_labels,
-        state_meta=meta,
-        bus_ids=j.bus_ids,
-        integrator_states=integ,
-    )
+    return _append_integrators(j, tau, j.n_inputs, labels_in, "all")
 
 
 def build_polar_model(model: str, j: StateSpace, tau: float) -> StateSpace:

@@ -112,6 +112,30 @@ def test_passivity_sweep_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_passivity_integrator_only_csv_has_two_rows(tmp_path, capsys):
+    # Low-frequency III is J_LF behind integrators (A = 0): the grid's two
+    # end points give its exact minimum, so they are the only samples.
+    csv = tmp_path / "lf3.csv"
+    code = main(["passivity", "ieee9", "--model", "III", "--analysis", "lowfreq", "--csv", str(csv)])
+    assert code == EXIT_NON_PASSIVE
+    rows = csv.read_text().strip().splitlines()
+    assert rows[0] == "omega,min_eig"
+    assert [float(r.split(",")[0]) for r in rows[1:]] == pytest.approx([1e-2, 1e5])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_passivity_sweep_grid_emptied_by_pole_exclusion_exits_2(fmt, capsys):
+    code = main([
+        "passivity", "ieee9", "--model", "III", "--analysis", "lowfreq",
+        "--variant", "lossless,no-b,decoupled", "--sweep", "1e-8:5e-7:2", "--format", fmt,
+    ])
+    assert code == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no point left" in captured.err
+
+
 def test_passivity_uses_case_regulation_section(tmp_path, capsys):
     from dqpassivity import ieee9_text
 

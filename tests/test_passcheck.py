@@ -1,6 +1,7 @@
 """Passivity condition checks, dissipation simulation and classification."""
 
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -20,21 +21,28 @@ from dqpassivity import (
     SweepGrid,
     SystemParams,
     VariantFlags,
+    apply_qv_contribution,
     assemble_ydq,
     build_j_of_s,
     build_jdf,
     build_jdp,
     build_jlf_analytic,
+    build_lf_model,
+    build_polar_model,
     check_feedthrough,
     check_poles,
     check_residue_psd_hermitian,
     classify_model,
+    decouple,
+    derive_variant,
     eval_tf,
     hermitian_min_eig,
     random_multisine,
     simulate_dissipation,
+    solve_powerflow,
     sweep_psd,
 )
+from dqpassivity.passcheck import VARIANT_COLUMNS
 from conftest import random_solved_case
 
 TAU = 0.01
@@ -192,6 +200,64 @@ def test_sweep_singularity_names_frequency(ieee9_j2):
         sweep_psd(j3, bad)
 
 
+def test_sweep_rejects_grid_emptied_by_pole_exclusion(ieee9, ieee9_op, ieee9_j2):
+    lf3 = build_jdp(build_lf_model(build_jlf_analytic(ieee9, ieee9_op)), TAU)
+    for ss in (build_jdp(ieee9_j2, TAU), lf3):
+        with pytest.raises(ValueError, match="no point left"):
+            sweep_psd(ss, SweepGrid(1e-8, 5e-7, 2), poles=[0.0])
+    # One point left: an integrator-only model sweeps just that point.
+    rep = sweep_psd(lf3, SweepGrid(1e-7, 1e-5, 1), poles=[0.0])
+    assert rep.n_points == 1 and rep.worst_omega == pytest.approx(1e-5)
+
+
+def full_grid_min_eig(ss):
+    """Plain-numpy minimum of eig(G + G^H) over every default grid point."""
+    lam = math.inf
+    for w in SweepGrid().points(exclude=[0.0]):
+        g = ss.c @ np.linalg.solve(1j * w * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
+        lam = min(lam, float(np.linalg.eigvalsh(g + g.conj().T)[0]))
+    return lam
+
+
+def check_endpoint_sweep(rep, ss):
+    assert rep.n_points == 2 and len(rep.samples) == 2
+    assert [w for w, _ in rep.samples] == pytest.approx([1e-2, 1e5])
+    want = full_grid_min_eig(ss)
+    assert abs(rep.min_eig - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("model", ["III", "IV"])
+@pytest.mark.parametrize("column", [name for name, _ in VARIANT_COLUMNS])
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_integrator_only_sweep_endpoints_give_grid_minimum(ieee9, model, column, decoupled):
+    # A = 0: lambda_min(G + G^H) is concave in 1/omega, so the two end
+    # points of the grid carry the minimum over the whole grid.
+    flags = replace(dict(VARIANT_COLUMNS)[column], decoupled=decoupled)
+    variant = derive_variant(ieee9, flags)
+    jlf = build_jlf_analytic(variant, solve_powerflow(variant))
+    jlf = decouple(jlf) if decoupled else jlf
+    v = classify_model(ieee9, flags, model, "lowfreq", TAU, regulation=REG)
+    check_endpoint_sweep(v.cond2, build_polar_model(model, build_lf_model(jlf), TAU))
+    if v.regulated is not None:
+        jr = apply_qv_contribution(jlf, REG)
+        check_endpoint_sweep(v.regulated.sweep, build_polar_model(model, build_lf_model(jr), TAU))
+
+
+def test_integrator_only_sweep_endpoints_random_model():
+    rng = np.random.default_rng(8)
+    m, k = 6, 4
+    ss = StateSpace(
+        a=np.zeros((k, k)),
+        b=rng.normal(size=(k, m)),
+        c=rng.normal(size=(m, k)),
+        d=rng.normal(size=(m, m)) + 3.0 * np.eye(m),
+        input_labels=tuple(f"u{i}" for i in range(m)),
+        output_labels=tuple(f"y{i}" for i in range(m)),
+        state_meta=tuple(StateMeta("integrator", 0.0, f"int:{i}") for i in range(k)),
+    )
+    check_endpoint_sweep(sweep_psd(ss, SweepGrid(), poles=[0.0]), ss)
+
+
 # -- Feedthrough and residue predicates ---------------------------------------
 
 
@@ -341,6 +407,7 @@ def test_dissipation_matches_per_step_rk4_reference(ieee9_sim, network):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dissipation_reports_state_overflow():
     case = negative_resistance_case()
     case = replace(case, branches=(replace(case.branches[0], r=-50.0),))
@@ -351,6 +418,18 @@ def test_dissipation_reports_state_overflow():
         simulate_dissipation(ss, lambda t: np.zeros(4), t_end=t_end, dt=1e-5, x0=x0)
     t_fail = float(re.search(r"t=([0-9.eE+-]+)s", str(err.value)).group(1))
     assert 0.0 < t_fail <= t_end
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dissipation_reports_energy_overflow_before_state_overflow():
+    # On this horizon the states stay finite but their stored energy
+    # overflows; that must not come back as min_margin = -inf.
+    case = negative_resistance_case()
+    case = replace(case, branches=(replace(case.branches[0], r=-50.0),))
+    ss = assemble_ydq(case)
+    x0 = 0.1 * np.random.default_rng(15).normal(size=ss.n_states)
+    with pytest.raises(SimulationUnstableError, match="state overflow"):
+        simulate_dissipation(ss, lambda t: np.zeros(4), t_end=0.003, dt=1e-5, x0=x0)
 
 
 def test_dissipation_rejects_bad_x0_and_input_shape(ieee9_sim):

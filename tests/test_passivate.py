@@ -10,9 +10,11 @@ from dqpassivity import (
     VariantFlags,
     apply_qv_contribution,
     build_jlf_analytic,
+    decouple,
     derive_variant,
     min_eig_excluding_uniform_angle,
     min_uniform_kqv,
+    solve_powerflow,
     symmetric_part_eigenvalues,
 )
 
@@ -114,4 +116,63 @@ def test_min_uniform_kqv_infeasible():
         bus_ids=(1, 2),
     )
     with pytest.raises(InfeasibleRegulationError):
-        min_uniform_kqv(j, [2], k_cap=64.0)
+        min_uniform_kqv(j, [2])
+
+
+def regulated_min_eig(j, buses, k):
+    reg = RegulationSet.uniform(buses, k)
+    return min_eig_excluding_uniform_angle(apply_qv_contribution(j, reg).symmetric_part())
+
+
+def bisection_kqv(j, buses, tol=1e-6, k_cap=1e3):
+    """Reference: the doubling-and-bisection search that the closed form replaced."""
+
+    def lam(k):
+        return regulated_min_eig(j, buses, k)
+
+    if lam(0.0) >= -tol:
+        return 0.0
+    hi = 1.0
+    while lam(hi) < -tol:
+        hi *= 2.0
+        if hi > k_cap:
+            raise InfeasibleRegulationError(f"nothing up to {k_cap}")
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if lam(mid) >= -tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_min_uniform_kqv_matches_bisection(ieee9, ieee9_op, jlf):
+    tol = 1e-6
+    lossless = build_jlf_analytic(
+        derive_variant(ieee9, VariantFlags(lossless=True)), ieee9_op, check_operating_point=False
+    )
+    nob = derive_variant(ieee9, VariantFlags(no_shunt_b=True))
+    decoupled_nob = decouple(build_jlf_analytic(nob, solve_powerflow(nob)))
+    rng = np.random.default_rng(23)
+    subsets = [REG_BUSES, (5, 5, 8)]  # a repeated bus adds its contribution twice
+    for _ in range(30):
+        size = int(rng.integers(1, 10))
+        subsets.append(tuple(int(b) for b in rng.choice(np.arange(1, 10), size=size, replace=False)))
+    n_positive = 0
+    for j in (jlf, lossless, decoupled_nob):
+        for buses in subsets:
+            want = bisection_kqv(j, buses, tol)
+            kstar = min_uniform_kqv(j, buses, tol)
+            # The bisection returns the upper end of a bracket no wider than tol.
+            assert -1e-12 <= want - kstar <= tol + 1e-12
+            assert regulated_min_eig(j, buses, kstar) >= -tol - 1e-12
+            if kstar > 0:
+                n_positive += 1
+                assert regulated_min_eig(j, buses, kstar - 1e-7) < -tol
+    assert n_positive >= 30
+
+
+def test_min_uniform_kqv_rejects_unknown_bus(jlf):
+    with pytest.raises(ValueError, match="unknown bus 42"):
+        min_uniform_kqv(jlf, (1, 42))

@@ -71,6 +71,9 @@ VARIANT_COLUMNS = (
 # cost memory (about 4 MB more peak RSS at 1024 steps on the nine-bus case).
 _CHUNK_STEPS = 128
 
+# Imaginary-axis poles closer than this are one cluster with one residue.
+_CLUSTER_TOL = 1e-6
+
 
 class SimulationUnstableError(RuntimeError):
     """Fixed-step integration would be (or became) numerically unstable."""
@@ -122,48 +125,22 @@ class PoleReport:
         }
 
 
-def _structural_residue_at_zero(ss: StateSpace) -> np.ndarray:
-    """Residue of the origin pole for realizations with explicit integrators.
-
-    With states partitioned into (x, z), z the integrators driven directly
-    by the inputs, A = [[Ax, Axz], [0, 0]] and the spectral projector onto
-    the zero eigenspace gives residue (Cz - Cx Ax^-1 Axz) Bz exactly.
-    """
-    integ = list(ss.integrator_states)
-    keep = [i for i in range(ss.n_states) if i not in integ]
-    ax = ss.a[np.ix_(keep, keep)]
-    axz = ss.a[np.ix_(keep, integ)]
-    cx = ss.c[:, keep]
-    cz = ss.c[:, integ]
-    bz = ss.b[integ, :]
-    return (cz - cx @ np.linalg.solve(ax, axz)) @ bz
-
-
-def _projection_residue(ss: StateSpace, center: complex, cluster_tol: float) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eig(ss.a)
-    sel = np.abs(eigvals - center) <= cluster_tol
-    left = np.linalg.inv(eigvecs)[sel, :]
-    projector = eigvecs[:, sel] @ left
-    return ss.c @ projector @ ss.b
-
-def check_poles(ss: StateSpace, tol: float = 1e-9, cluster_tol: float = 1e-6) -> PoleReport:
+def check_poles(ss: StateSpace, tol: float = 1e-9) -> PoleReport:
     """Condition 1 (no RHP poles) and the pole-side part of condition 3.
 
-    Imaginary-axis eigenvalues are clustered within `cluster_tol`. A
+    Imaginary-axis eigenvalues are clustered within `_CLUSTER_TOL`. A
     cluster fails condition 3 outright when defective (Jordan block); for a
     first-order (semisimple) cluster the total residue lim (s-jw)G(s) is
-    attached for the PSD-Hermitian test. Exact-integrator realizations get
-    the structural residue at the origin, everything else an
-    eigenprojection.
+    attached for the PSD-Hermitian test. It is the sum over the cluster's
+    eigenvalues k of (C V)[:, k] (V^-1 B)[k, :], from the modal factors
+    that also give the poles; a singular V raises LinAlgError.
     """
-    if ss.n_states == 0:
-        return PoleReport(passed=True, unstable=(), imaginary_axis=())
-    eigs = ss.poles
+    eigs, cv, vib, _ = ss.modes
     unstable = tuple(complex(z) for z in eigs[eigs.real > tol])
     on_axis = eigs[np.abs(eigs.real) <= tol]
     clusters: list[list[complex]] = []
     for z in sorted(on_axis, key=lambda z: z.imag):
-        if clusters and abs(z.imag - clusters[-1][-1].imag) <= cluster_tol:
+        if clusters and abs(z.imag - clusters[-1][-1].imag) <= _CLUSTER_TOL:
             clusters[-1].append(z)
         else:
             clusters.append([z])
@@ -175,15 +152,15 @@ def check_poles(ss: StateSpace, tol: float = 1e-9, cluster_tol: float = 1e-6) ->
         sv = np.linalg.svd(ss.a - center * np.eye(ss.n_states), compute_uv=False)
         # Null directions of the cluster: standard numerical-rank cutoff,
         # widened to the cluster radius so near-coincident eigenvalues count.
-        rank_tol = max(10.0 * cluster_tol, float(sv[0]) * len(sv) * np.finfo(float).eps)
+        rank_tol = max(10.0 * _CLUSTER_TOL, float(sv[0]) * len(sv) * np.finfo(float).eps)
         geo = int(np.sum(sv <= rank_tol))
         semisimple = geo >= alg
         residue = None
         if semisimple:
-            if abs(omega) <= tol and ss.integrator_states:
-                residue = _structural_residue_at_zero(ss).astype(complex)
-            else:
-                residue = _projection_residue(ss, center, cluster_tol)
+            if vib is None:
+                raise np.linalg.LinAlgError("eigenvector matrix of A is singular")
+            sel = np.abs(eigs - center) <= _CLUSTER_TOL
+            residue = cv[:, sel] @ vib[sel, :]
         poles.append(
             ImaginaryAxisPole(
                 omega=omega,
@@ -211,8 +188,8 @@ class SweepGrid:
     pole_exclusion: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.omega_min <= 0 or self.omega_max <= self.omega_min:
-            raise ValueError("need 0 < omega_min < omega_max")
+        if not 0 < self.omega_min < self.omega_max < math.inf:
+            raise ValueError(f"need 0 < omega_min < omega_max < inf, got {self}")
         if self.points_per_decade < 1:
             raise ValueError("points_per_decade must be >= 1")
 
@@ -220,6 +197,8 @@ class SweepGrid:
         decades = math.log10(self.omega_max / self.omega_min)
         count = max(2, int(round(decades * self.points_per_decade)) + 1)
         omegas = np.logspace(math.log10(self.omega_min), math.log10(self.omega_max), count)
+        # logspace rounds its end points; the grid ends where it was asked to.
+        omegas[0], omegas[-1] = self.omega_min, self.omega_max
         for pole in exclude:
             omegas = omegas[np.abs(omegas - abs(pole)) > self.pole_exclusion]
         return omegas
@@ -635,21 +614,16 @@ def _state_space_checks(
     poles = check_poles(ss, tol=tol)
     imag_omegas = [p.omega for p in poles.imaginary_axis]
     sweep = sweep_psd(ss, grid, poles=imag_omegas, tol=tol)
-    residues: list[ResidueReport] = []
-    residues_ok = True
-    for p in poles.imaginary_axis:
-        if not p.semisimple:
-            residues.append(
-                ResidueReport(passed=False, hermitian_deviation=math.inf, min_eig=-math.inf, omega=p.omega)
-            )
-            residues_ok = False
-        else:
-            rep = check_residue_psd_hermitian(p.residue, tol=tol, omega=p.omega)
-            residues.append(rep)
-            residues_ok = residues_ok and rep.passed
+    # A defective cluster has no residue and fails condition 3 outright.
+    residues = tuple(
+        check_residue_psd_hermitian(p.residue, tol=tol, omega=p.omega)
+        if p.semisimple
+        else ResidueReport(passed=False, hermitian_deviation=math.inf, min_eig=-math.inf, omega=p.omega)
+        for p in poles.imaginary_axis
+    )
     feed = check_feedthrough(ss, op=op, tol=tol)
-    ok = poles.passed and sweep.passed and residues_ok and feed.psd
-    return poles, sweep, tuple(residues), feed, ok
+    ok = poles.passed and sweep.passed and all(r.passed for r in residues) and feed.psd
+    return poles, sweep, residues, feed, ok
 
 
 def classify_model(

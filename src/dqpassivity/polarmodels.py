@@ -104,8 +104,8 @@ def _append_integrators(
     Each filtered channel input u becomes x_int + tau*u where x_int
     integrates u, which appends k exact zero poles.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and > 0, got tau={tau}")
     nx = j.n_states
     b_f = j.b[:, :k]
     d_f = j.d[:, :k]
@@ -128,7 +128,6 @@ def _append_integrators(
         state_meta=j.state_meta
         + tuple(StateMeta("integrator", 0.0, f"int:{channel_tag}:{i}") for i in range(k)),
         bus_ids=j.bus_ids,
-        integrator_states=tuple(range(nx, nx + k)),
     )
 
 

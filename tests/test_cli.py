@@ -136,6 +136,23 @@ def test_passivity_sweep_grid_emptied_by_pole_exclusion_exits_2(fmt, capsys):
     assert "no point left" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--model", "II", "--analysis", "wideband", "--sweep", "1e-2:inf:20"], "omega_max=inf"),
+        (["--model", "II", "--analysis", "wideband", "--sweep", "nan:1e5:20"], "omega_min=nan"),
+        (["--model", "III", "--tau", "nan"], "tau=nan"),
+        (["--model", "III", "--tau", "inf"], "tau=inf"),
+        (["--model", "IV", "--analysis", "wideband", "--tau", "inf"], "tau=inf"),
+    ],
+)
+def test_passivity_non_finite_input_exits_2(args, field, capsys):
+    assert main(["passivity", "ieee9", *args]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_passivity_uses_case_regulation_section(tmp_path, capsys):
     from dqpassivity import ieee9_text
 

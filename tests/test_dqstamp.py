@@ -12,12 +12,20 @@ from dqpassivity import (
     ProprietyError,
     SingularFrequencyError,
     StateMeta,
+    StateSpace,
+    SweepGrid,
     SystemParams,
     assemble_ydq,
+    build_j_of_s,
+    build_jlf_analytic,
+    build_lf_model,
+    build_polar_model,
     eval_tf,
     storage_energy,
+    sweep_psd,
 )
-from conftest import random_case
+from dqpassivity.dqstamp import _MODAL_KAPPA_MAX
+from conftest import random_case, random_solved_case
 
 W0 = SystemParams().omega0
 
@@ -178,3 +186,67 @@ def test_state_ordering_and_meta(ieee9):
     assert ss.state_meta[0].label.startswith("i_D")
     assert ss.state_meta[1].label.startswith("i_Q")
     assert len(ss.state_meta) == ss.n_states
+
+
+# -- Modal evaluation against the dense resolvent ------------------------------
+
+
+def dense_tf(ss, s):
+    """Plain C (sI - A)^-1 B + D by one dense solve: the oracle for eval_tf."""
+    s = complex(s)
+    g = ss.c @ np.linalg.solve(s * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
+    return g.real if s.imag == 0.0 else g
+
+
+def _assert_matches_dense(ss, points):
+    for s in points:
+        want = dense_tf(ss, s)
+        got = eval_tf(ss, s)
+        assert np.isrealobj(got) == np.isrealobj(want)
+        scale = max(1.0, float(np.linalg.norm(want)))
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale, f"s = {s}"
+
+
+def test_eval_tf_modal_matches_dense_resolvent(ieee9, ieee9_op):
+    # Every realization kind the package sweeps: Y_DQ, J(s), wideband and
+    # low-frequency III/IV, and random admittances. s = 0 is a pole of the
+    # models behind integrators, so it is sampled only on the others.
+    axis = [1j * w for w in SweepGrid().points()]
+    ydq = assemble_ydq(ieee9)
+    j = build_j_of_s(ydq, ieee9_op)
+    lf = build_lf_model(build_jlf_analytic(ieee9, ieee9_op))
+    rng = np.random.default_rng(31)
+    no_origin_pole = [ydq, j] + [assemble_ydq(random_solved_case(rng)[0]) for _ in range(3)]
+    for ss in no_origin_pole:
+        _assert_matches_dense(ss, axis + [0.0, 50.0])
+    for model in ("III", "IV"):
+        for base in (j, lf):
+            _assert_matches_dense(build_polar_model(model, base, 0.01), axis + [50.0])
+
+
+def _jordan_model(n):
+    rng = np.random.default_rng(n)
+    return StateSpace(
+        a=-np.eye(n) + np.eye(n, k=1),  # one stable Jordan block at s = -1
+        b=rng.normal(size=(n, 2)),
+        c=rng.normal(size=(2, n)),
+        d=2.0 * np.eye(2),
+        input_labels=("u1", "u2"),
+        output_labels=("y1", "y2"),
+        state_meta=tuple(StateMeta("integrator", 0.0, f"x{i}") for i in range(n)),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_defective_a_takes_dense_fallback(n):
+    # The eigenvectors of a Jordan block are numerically parallel, so the
+    # modal factors are useless and eval_tf must solve densely instead.
+    ss = _jordan_model(n)
+    assert ss.modes[3] > _MODAL_KAPPA_MAX
+    grid = SweepGrid(points_per_decade=5)
+    for s in [1j * w for w in grid.points()] + [0.0, 2.5]:
+        np.testing.assert_array_equal(eval_tf(ss, s), dense_tf(ss, s))
+    rep = sweep_psd(ss, grid)
+    for w, lam in rep.samples:
+        g = dense_tf(ss, 1j * w)
+        assert lam == np.linalg.eigvalsh(g + g.conj().T)[0]

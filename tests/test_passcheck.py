@@ -42,8 +42,9 @@ from dqpassivity import (
     solve_powerflow,
     sweep_psd,
 )
-from dqpassivity.passcheck import VARIANT_COLUMNS
+from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
 from conftest import random_solved_case
+from test_cli import DATA, _compare_tree
 
 TAU = 0.01
 
@@ -143,6 +144,82 @@ def test_structural_residues(ieee9, ieee9_op, ieee9_j2):
     assert np.linalg.norm(s_dp[:n, :n] - jlf.j11) <= 1e-6 * np.linalg.norm(jlf.j11)
 
 
+def structural_residue_at_zero(ss, n_integrators):
+    """Closed-form origin residue of A = [[Ax, Axz], [0, 0]], z the last states.
+
+    With z the integrators driven directly by the inputs, the spectral
+    projector onto the zero eigenspace gives (Cz - Cx Ax^-1 Axz) Bz.
+    """
+    k = ss.n_states - n_integrators
+    axz = np.linalg.solve(ss.a[:k, :k], ss.a[:k, k:])
+    return (ss.c[:, k:] - ss.c[:, :k] @ axz) @ ss.b[k:, :]
+
+
+def projection_residue(ss, center):
+    """Residue of the cluster at `center` from a fresh eig and inv of A."""
+    eigvals, eigvecs = np.linalg.eig(ss.a)
+    sel = np.abs(eigvals - center) <= 1e-6
+    return ss.c @ eigvecs[:, sel] @ np.linalg.inv(eigvecs)[sel, :] @ ss.b
+
+
+def _assert_residue(ss, omega, want):
+    (got,) = [p.residue for p in check_poles(ss).imaginary_axis if abs(p.omega - omega) <= 1e-6]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("model, n_integrators", [("III", 9), ("IV", 18)])
+def test_origin_residue_matches_structural_formula(ieee9, ieee9_op, ieee9_j2, model, n_integrators):
+    lf = build_lf_model(build_jlf_analytic(ieee9, ieee9_op))
+    for base in (ieee9_j2, lf):
+        ss = build_polar_model(model, base, TAU)
+        _assert_residue(ss, 0.0, structural_residue_at_zero(ss, n_integrators))
+
+
+def test_axis_residues_match_projection(ieee9):
+    # The zero-resistance transformer branches put poles at +/- j omega0.
+    ydq = assemble_ydq(ieee9)
+    omegas = [p.omega for p in check_poles(ydq).imaginary_axis]
+    assert omegas == pytest.approx([-ieee9.system.omega0, ieee9.system.omega0])
+    for omega in omegas:
+        _assert_residue(ydq, omega, projection_residue(ydq, 1j * omega))
+
+
+def test_singular_eigenvectors_block_residues_not_evaluation(ieee9_j2, monkeypatch):
+    # With V singular the modal factors carry no V^-1 B: eval_tf falls back
+    # to the dense solve and a residue on the axis cannot be formed.
+    ss = build_jdp(ieee9_j2, TAU)
+
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "inv", singular)
+        _, _, vib, kappa = ss.modes
+    assert vib is None and kappa == math.inf
+    s = 1j * 20.0
+    dense = ss.c @ np.linalg.solve(s * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
+    np.testing.assert_array_equal(eval_tf(ss, s), dense)
+    with pytest.raises(np.linalg.LinAlgError):
+        check_poles(ss)
+
+
+def test_ieee9_realizations_use_modal_evaluation(ieee9):
+    # kappa_1(V) far below the dense-fallback threshold for every model the
+    # package builds on the nine-bus case, so the modal path is what runs.
+    for _, flags in VARIANT_COLUMNS:
+        variant = derive_variant(ieee9, flags)
+        op = solve_powerflow(variant)
+        ydq = assemble_ydq(variant)
+        j = build_j_of_s(ydq, op)
+        jlf = build_jlf_analytic(variant, op)
+        models = [ydq] + [build_polar_model(m, j, TAU) for m in MODELS[1:]]
+        for jl in (jlf, decouple(jlf)):
+            for jr in (jl, apply_qv_contribution(jl, REG)):
+                models += [build_polar_model(m, build_lf_model(jr), TAU) for m in MODELS[1:]]
+        for ss in models:
+            assert ss.modes[3] <= 1e3
+
+
 # -- Frequency sweep -----------------------------------------------------------
 
 
@@ -208,6 +285,23 @@ def test_sweep_rejects_grid_emptied_by_pole_exclusion(ieee9, ieee9_op, ieee9_j2)
     # One point left: an integrator-only model sweeps just that point.
     rep = sweep_psd(lf3, SweepGrid(1e-7, 1e-5, 1), poles=[0.0])
     assert rep.n_points == 1 and rep.worst_omega == pytest.approx(1e-5)
+
+
+def test_sweep_grid_ends_exactly_where_asked(ieee9, ieee9_op):
+    grid = SweepGrid(1e-7, 1e-5, 1)
+    assert grid.points()[0] == 1e-7 and grid.points()[-1] == 1e-5
+    lf3 = build_jdp(build_lf_model(build_jlf_analytic(ieee9, ieee9_op)), TAU)
+    rep = sweep_psd(lf3, grid, poles=[0.0])
+    assert rep.n_points == 1 and rep.worst_omega == 1e-5
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(1e-2, math.inf), (math.nan, 1e5), (1e-2, math.nan), (-math.inf, 1e5), (math.inf, math.inf)],
+)
+def test_sweep_grid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="omega_min.*omega_max"):
+        SweepGrid(*bounds)
 
 
 def full_grid_min_eig(ss):
@@ -532,3 +626,50 @@ def test_verdict_serializes(ieee9):
     v = classify_model(ieee9, model="II", analysis="lowfreq", regulation=REG)
     doc = json.dumps(v.to_dict())
     assert "passive-after-regulation" in doc
+
+
+def ieee9_cells():
+    """The 56 nine-bus verdict cells as (key, classify_model keyword arguments)."""
+    for model in MODELS:
+        yield f"{model}/wideband", dict(model=model, analysis="wideband")
+    for name, flags in VARIANT_COLUMNS:
+        yield f"I/lowfreq/{name}", dict(flags=flags, model="I", analysis="lowfreq")
+    for model in MODELS[1:]:
+        for name, flags in VARIANT_COLUMNS:
+            for coupling, dec in (("coupled", False), ("decoupled", True)):
+                for reg_name, reg in (("unregulated", None), ("regulated", REG)):
+                    kwargs = dict(flags=replace(flags, decoupled=dec), model=model, analysis="lowfreq")
+                    yield f"{model}/lowfreq/{name}/{coupling}/{reg_name}", dict(kwargs, regulation=reg)
+
+
+def _drop_zero_minimum_locations(got, expected):
+    """Remove worst_omega from both trees wherever the expected |min_eig| <= 1e-9."""
+    if not isinstance(expected, dict):
+        return
+    min_eig = expected.get("min_eig")
+    if "worst_omega" in expected and isinstance(min_eig, float) and abs(min_eig) <= 1e-9:
+        got.pop("worst_omega")
+        expected.pop("worst_omega")
+    for key, value in expected.items():
+        if isinstance(got, dict) and key in got:
+            _drop_zero_minimum_locations(got[key], value)
+
+
+def test_ieee9_verdict_documents(ieee9):
+    """Every nine-bus cell's to_dict() against tests/data/verdicts_ieee9.json.
+
+    The 56 cells are 4 wideband, 4 low-frequency I, and low-frequency II-IV
+    in the 4 variant columns, coupled and decoupled, without and with the
+    tables' regulation set (48). The file was written by the dense-resolvent
+    implementation that preceded the modal one. Floats are compared with the
+    golden-document tolerances (rel = abs = 1e-6), keys, verdicts, flags and
+    counts exactly. One exception: a sweep whose minimum has |min_eig| <= 1e-9
+    is numerically zero and has no defined location, so its worst_omega is
+    not compared.
+    """
+    expected = json.loads((DATA / "verdicts_ieee9.json").read_text())
+    got = {key: classify_model(ieee9, **kwargs).to_dict() for key, kwargs in ieee9_cells()}
+    assert list(got) == list(expected)
+    for key in expected:
+        _drop_zero_minimum_locations(got[key], expected[key])
+        _compare_tree(got[key], expected[key], key)

@@ -171,6 +171,14 @@ def test_negative_tau_rejected(ieee9_models):
             build_jdf(j2, tau)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_non_finite_tau_rejected(ieee9_models, tau):
+    _, j2 = ieee9_models
+    for build in (build_jdp, build_jdf):
+        with pytest.raises(ValueError, match="tau"):
+            build(j2, tau)
+
+
 def test_degenerate_operating_point_rejected(ieee9_op):
     from dataclasses import replace
 

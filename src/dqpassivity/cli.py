@@ -4,8 +4,8 @@ Subcommands: `pf` (power flow report), `passivity` (classify one model /
 variant combination), `tables` (reproduce the reference eigenvalue lists
 and the verdict grid for the bundled nine-bus network), `dump-model`
 (state-space matrix dump). Verdict exit codes: 0 passive, 10 non-passive,
-11 passive-after-regulation; case/input errors exit 2, computation errors
-exit 3.
+11 passive-after-regulation; case/input errors exit 2, power-flow and
+computation errors (numpy's LinAlgError included) exit 3.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def cmd_passivity(args: argparse.Namespace) -> int:
         grid=grid,
     )
     if args.csv:
-        if verdict.cond2 is not None and verdict.cond2.samples:
+        if verdict.cond2.samples:
             rows = ["omega,min_eig"]
             rows += [f"{float(w)!r},{float(lam)!r}" for w, lam in verdict.cond2.samples]
             Path(args.csv).write_text("\n".join(rows) + "\n")
@@ -165,26 +165,24 @@ def cmd_passivity(args: argparse.Namespace) -> int:
                 f"  cond1 poles: {'pass' if verdict.cond1.passed else 'FAIL'}"
                 f" ({len(verdict.cond1.imaginary_axis)} imaginary-axis pole group(s))"
             )
-        if verdict.cond2 is not None:
-            where = (
-                "static" if verdict.cond2.worst_omega is None
-                else f"omega={verdict.cond2.worst_omega:.4g}"
-            )
-            lines.append(
-                f"  cond2 sweep: {'pass' if verdict.cond2.passed else 'FAIL'}"
-                f" min_eig={verdict.cond2.min_eig:.6g} at {where}"
-            )
+        where = (
+            "static" if verdict.cond2.worst_omega is None
+            else f"omega={verdict.cond2.worst_omega:.4g}"
+        )
+        lines.append(
+            f"  cond2 sweep: {'pass' if verdict.cond2.passed else 'FAIL'}"
+            f" min_eig={verdict.cond2.min_eig:.6g} at {where}"
+        )
         for r in verdict.cond3:
             lines.append(
                 f"  cond3 residue @omega={r.omega}: {'pass' if r.passed else 'FAIL'}"
                 f" herm_dev={r.hermitian_deviation:.3g} min_eig={r.min_eig:.6g}"
             )
-        if verdict.feedthrough is not None:
-            f = verdict.feedthrough
-            lines.append(
-                f"  feedthrough: trace={f.trace:.6g} min_eig={f.min_eig:.6g}"
-                f" {'PSD' if f.psd else 'indefinite'}"
-            )
+        f = verdict.feedthrough
+        lines.append(
+            f"  feedthrough: trace={f.trace:.6g} min_eig={f.min_eig:.6g}"
+            f" {'PSD' if f.psd else 'indefinite'}"
+        )
         if verdict.regulated is not None:
             lines.append(
                 f"  regulated: flipped={verdict.regulated.flipped}"
@@ -359,15 +357,16 @@ def main(argv: list[str] | None = None) -> int:
     except CaseError as exc:
         print(f"case error: {exc}", file=sys.stderr)
         return EXIT_CASE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CASE_ERROR
     except PowerFlowError as exc:
         print(f"power flow error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE_ERROR
+    # LinAlgError subclasses ValueError, so this clause must come first.
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE_ERROR
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CASE_ERROR
 
 
 if __name__ == "__main__":

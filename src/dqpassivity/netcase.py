@@ -188,8 +188,8 @@ def validate_case(case: NetworkCase) -> None:
     for bus_id, kqv in case.regulation:
         if bus_id not in seen:
             raise CaseTopologyError(f"regulation entry references unknown bus {bus_id}")
-        if kqv < 0:
-            raise CaseValidationError(f"regulation at bus {bus_id}: k_qv must be >= 0")
+        if not (math.isfinite(kqv) and kqv >= 0):
+            raise CaseValidationError(f"regulation at bus {bus_id}: k_qv must be finite and >= 0")
     if case.system.omega0 <= 0 or case.system.base_mva <= 0:
         raise CaseValidationError("system base MVA and omega0 must be > 0")
     _check_connected(case)
@@ -230,9 +230,12 @@ _SECTIONS = ("system", "buses", "branches", "injections", "regulation")
 
 def _num(token: str, what: str, line: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise CaseParseError(f"field {what}: expected a number, got {token!r}", line) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise CaseParseError(f"field {what}: expected a finite number, got {token!r}", line)
+    return value
 
 
 def _int(token: str, what: str, line: int) -> int:

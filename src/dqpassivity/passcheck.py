@@ -74,6 +74,15 @@ _CHUNK_STEPS = 128
 # Imaginary-axis poles closer than this are one cluster with one residue.
 _CLUSTER_TOL = 1e-6
 
+# Verdict tolerance of the pole, sweep, residue and feedthrough checks. It is
+# absolute, whatever the scale of G; scaling it by ||G|| is ROADMAP item 5.
+_TOL = 1e-9
+
+# random_multisine: tones per channel, their log-uniform band (rad/s), peak amplitude.
+_MULTISINE_TONES = 5
+_MULTISINE_BAND = (10.0, 3000.0)
+_MULTISINE_AMPLITUDE = 0.1
+
 
 class SimulationUnstableError(RuntimeError):
     """Fixed-step integration would be (or became) numerically unstable."""
@@ -125,7 +134,7 @@ class PoleReport:
         }
 
 
-def check_poles(ss: StateSpace, tol: float = 1e-9) -> PoleReport:
+def check_poles(ss: StateSpace) -> PoleReport:
     """Condition 1 (no RHP poles) and the pole-side part of condition 3.
 
     Imaginary-axis eigenvalues are clustered within `_CLUSTER_TOL`. A
@@ -136,8 +145,8 @@ def check_poles(ss: StateSpace, tol: float = 1e-9) -> PoleReport:
     that also give the poles; a singular V raises LinAlgError.
     """
     eigs, cv, vib, _ = ss.modes
-    unstable = tuple(complex(z) for z in eigs[eigs.real > tol])
-    on_axis = eigs[np.abs(eigs.real) <= tol]
+    unstable = tuple(complex(z) for z in eigs[eigs.real > _TOL])
+    on_axis = eigs[np.abs(eigs.real) <= _TOL]
     clusters: list[list[complex]] = []
     for z in sorted(on_axis, key=lambda z: z.imag):
         if clusters and abs(z.imag - clusters[-1][-1].imag) <= _CLUSTER_TOL:
@@ -222,15 +231,12 @@ class SweepReport:
 
 
 def sweep_psd(
-    ss: StateSpace,
-    grid: SweepGrid | None = None,
-    poles: Sequence[float] = (),
-    tol: float = 1e-9,
+    ss: StateSpace, grid: SweepGrid | None = None, poles: Sequence[float] = ()
 ) -> SweepReport:
     """Condition 2: minimum eigenvalue of G(jw) + G^H(jw) across the grid.
 
     For real-coefficient models G^T(-jw) = G^H(jw), so sweeping w >= 0
-    covers the whole axis. Pass iff the global minimum stays above -tol.
+    covers the whole axis. Pass iff the global minimum stays above -_TOL.
     A zero-state model is G = D at every frequency: one point, no omega.
     A grid left without points by the pole exclusion is a ValueError.
 
@@ -247,7 +253,7 @@ def sweep_psd(
     """
     if ss.n_states == 0:
         lam = hermitian_min_eig(ss.d + ss.d.T)
-        return SweepReport(passed=lam >= -tol, min_eig=lam, worst_omega=None, n_points=1)
+        return SweepReport(passed=lam >= -_TOL, min_eig=lam, worst_omega=None, n_points=1)
     grid = grid if grid is not None else SweepGrid()
     omegas = grid.points(exclude=poles)
     if omegas.size == 0:
@@ -270,7 +276,7 @@ def sweep_psd(
             worst = lam
             worst_omega = float(w)
     return SweepReport(
-        passed=worst >= -tol,
+        passed=worst >= -_TOL,
         min_eig=worst,
         worst_omega=worst_omega,
         n_points=len(omegas),
@@ -306,9 +312,7 @@ class FeedthroughReport:
         return out
 
 
-def check_feedthrough(
-    ss: StateSpace, op: OperatingPoint | None = None, tol: float = 1e-9
-) -> FeedthroughReport:
+def check_feedthrough(ss: StateSpace, op: OperatingPoint | None = None) -> FeedthroughReport:
     """Necessary time-domain condition on the direct gain: D + D^T >= 0."""
     sym = ss.d + ss.d.T
     cross = None
@@ -319,7 +323,7 @@ def check_feedthrough(
         trace=float(np.trace(sym)),
         min_eig=min_eig,
         diagonal=tuple(float(v) for v in np.diag(sym)),
-        psd=min_eig >= -tol,
+        psd=min_eig >= -_TOL,
         cross_per_bus=cross,
     )
 
@@ -340,17 +344,15 @@ class ResidueReport:
         }
 
 
-def check_residue_psd_hermitian(
-    residue: np.ndarray, tol: float = 1e-9, omega: float | None = None
-) -> ResidueReport:
-    """Condition 3 residue test: Hermitian within tol (relative) and PSD."""
+def check_residue_psd_hermitian(residue: np.ndarray, omega: float | None = None) -> ResidueReport:
+    """Condition 3 residue test: Hermitian within _TOL (relative) and PSD."""
     r = np.asarray(residue, dtype=complex)
     norm = np.linalg.norm(r)
     dev = float(np.linalg.norm(r - r.conj().T) / norm) if norm > 0 else 0.0
     herm = 0.5 * (r + r.conj().T)
     lam = hermitian_min_eig(herm)
     return ResidueReport(
-        passed=dev <= tol and lam >= -tol,
+        passed=dev <= _TOL and lam >= -_TOL,
         hermitian_deviation=dev,
         min_eig=lam,
         omega=omega,
@@ -383,18 +385,12 @@ class MultisineInput:
         return np.sin(wt) @ a_cos.T + np.cos(wt) @ a_sin.T
 
 
-def random_multisine(
-    rng: np.random.Generator,
-    n_channels: int,
-    n_tones: int = 5,
-    omega_range: tuple[float, float] = (10.0, 3000.0),
-    amplitude: float = 0.1,
-) -> MultisineInput:
-    omegas = np.exp(rng.uniform(np.log(omega_range[0]), np.log(omega_range[1]), n_tones))
+def random_multisine(rng: np.random.Generator, n_channels: int) -> MultisineInput:
+    shape = (n_channels, _MULTISINE_TONES)
     return MultisineInput(
-        omegas=omegas,
-        amplitudes=rng.uniform(0.0, amplitude, (n_channels, n_tones)),
-        phases=rng.uniform(0.0, 2.0 * np.pi, (n_channels, n_tones)),
+        omegas=np.exp(rng.uniform(*np.log(_MULTISINE_BAND), _MULTISINE_TONES)),
+        amplitudes=rng.uniform(0.0, _MULTISINE_AMPLITUDE, shape),
+        phases=rng.uniform(0.0, 2.0 * np.pi, shape),
     )
 
 
@@ -578,10 +574,10 @@ class PassivityVerdict:
     no_shunt_b: bool
     decoupled: bool
     overall: str  # "passive" | "non-passive" | "passive-after-regulation"
-    cond1: PoleReport | None = None
-    cond2: SweepReport | None = None
+    cond2: SweepReport
+    feedthrough: FeedthroughReport
+    cond1: PoleReport | None = None  # None for zero-state models
     cond3: tuple[ResidueReport, ...] = ()
-    feedthrough: FeedthroughReport | None = None
     regulated: RegulatedReport | None = None
     notes: tuple[str, ...] = ()
 
@@ -596,32 +592,29 @@ class PassivityVerdict:
             },
             "overall": self.overall,
             "cond1_rhp_poles": self.cond1.to_dict() if self.cond1 else None,
-            "cond2_sweep": self.cond2.to_dict() if self.cond2 else None,
+            "cond2_sweep": self.cond2.to_dict(),
             "cond3_residues": [r.to_dict() for r in self.cond3],
-            "feedthrough": self.feedthrough.to_dict() if self.feedthrough else None,
+            "feedthrough": self.feedthrough.to_dict(),
             "regulated": self.regulated.to_dict() if self.regulated else None,
             "notes": list(self.notes),
         }
 
 
 def _state_space_checks(
-    ss: StateSpace,
-    grid: SweepGrid,
-    tol: float,
-    op: OperatingPoint | None,
+    ss: StateSpace, grid: SweepGrid, op: OperatingPoint | None
 ) -> tuple[PoleReport, SweepReport, tuple[ResidueReport, ...], FeedthroughReport, bool]:
     """Conditions 1-3 and the feedthrough certificate; the last item is the verdict."""
-    poles = check_poles(ss, tol=tol)
+    poles = check_poles(ss)
     imag_omegas = [p.omega for p in poles.imaginary_axis]
-    sweep = sweep_psd(ss, grid, poles=imag_omegas, tol=tol)
+    sweep = sweep_psd(ss, grid, poles=imag_omegas)
     # A defective cluster has no residue and fails condition 3 outright.
     residues = tuple(
-        check_residue_psd_hermitian(p.residue, tol=tol, omega=p.omega)
+        check_residue_psd_hermitian(p.residue, omega=p.omega)
         if p.semisimple
         else ResidueReport(passed=False, hermitian_deviation=math.inf, min_eig=-math.inf, omega=p.omega)
         for p in poles.imaginary_axis
     )
-    feed = check_feedthrough(ss, op=op, tol=tol)
+    feed = check_feedthrough(ss, op=op)
     ok = poles.passed and sweep.passed and all(r.passed for r in residues) and feed.psd
     return poles, sweep, residues, feed, ok
 
@@ -634,7 +627,6 @@ def classify_model(
     tau: float = 0.01,
     regulation: RegulationSet | None = None,
     grid: SweepGrid | None = None,
-    tol: float = 1e-9,
 ) -> PassivityVerdict:
     """Classify one (model, analysis, variant) combination of a network.
 
@@ -692,7 +684,7 @@ def classify_model(
             notes = ("static load-flow Jacobian J_LF",)
 
     poles, sweep, residues, feed, ok = _state_space_checks(
-        ss, grid, tol, op if model == "III" else None
+        ss, grid, op if model == "III" else None
     )
     regulated = None
     overall = "passive" if ok else "non-passive"
@@ -704,12 +696,12 @@ def classify_model(
             lam = min_eig_excluding_uniform_angle(jr.symmetric_part())
             regulated = RegulatedReport(
                 regulation=regulation.entries,
-                flipped=lam >= -tol,
+                flipped=lam >= -_TOL,
                 min_eig_excluding_structural=lam,
             )
         else:
             ss_r = build_polar_model(model, build_lf_model(jr), tau)
-            _, sweep_r, residues_r, _, flipped = _state_space_checks(ss_r, grid, tol, None)
+            _, sweep_r, residues_r, _, flipped = _state_space_checks(ss_r, grid, None)
             regulated = RegulatedReport(
                 regulation=regulation.entries,
                 flipped=flipped,

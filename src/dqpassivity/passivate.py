@@ -10,6 +10,7 @@ slightly off zero in the symmetric part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,8 +39,8 @@ class RegulationSet:
 
     def __post_init__(self) -> None:
         for bus, kqv in self.entries:
-            if kqv < 0:
-                raise ValueError(f"regulation at bus {bus}: k_qv must be >= 0")
+            if not (math.isfinite(kqv) and kqv >= 0):
+                raise ValueError(f"regulation at bus {bus}: k_qv={kqv} must be finite and >= 0")
 
     @classmethod
     def uniform(cls, buses: Iterable[int], kqv: float) -> "RegulationSet":

@@ -30,6 +30,14 @@ __all__ = [
     "symmetric_part_eigenvalues",
 ]
 
+# Newton stops below this max |P, Q| mismatch, after at most _MAX_ITER steps.
+_NEWTON_TOL = 1e-10
+_MAX_ITER = 50
+# Largest |S| mismatch (pu) at which an operating point solves a case.
+_MISMATCH_TOL = 1e-6
+# Symmetric-part eigenvalues below this magnitude print as 0.
+_SNAP = 1e-9
+
 
 class PowerFlowError(RuntimeError):
     """Newton iteration failed; carries the final mismatch."""
@@ -118,15 +126,13 @@ def _injection_targets(case: NetworkCase) -> tuple[np.ndarray, np.ndarray, list[
     return p, q, pv, pq, slack
 
 
-def solve_powerflow(
-    case: NetworkCase,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> OperatingPoint:
+def solve_powerflow(case: NetworkCase) -> OperatingPoint:
     """Newton-Raphson power flow from a flat start.
 
-    Converges to max|mismatch| < tol (well below the 1e-8 contract);
-    raises PowerFlowError on divergence or a singular iteration matrix.
+    Converges to max|mismatch| < `_NEWTON_TOL` (well below the 1e-8
+    contract); raises PowerFlowError on divergence or a singular iteration
+    matrix. The iteration matrix is the principal submatrix of `_jacobian`
+    on the non-slack angle rows and the PQ magnitude rows.
     """
     n = case.n_bus
     y = build_ybus(case)
@@ -139,33 +145,24 @@ def solve_powerflow(
             vm[case.bus_index(inj.bus)] = inj.vset
 
     ang_idx = [i for i in range(n) if i != slack]
-    mag_idx = list(pq)
+    idx = ang_idx + [n + i for i in pq]
     mismatch = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         v = vm * np.exp(1j * phi)
         s = v * np.conj(y @ v)
-        dp = p_sched - s.real
-        dq = q_sched - s.imag
-        rhs = np.concatenate([dp[ang_idx], dq[mag_idx]])
+        rhs = np.concatenate([p_sched - s.real, q_sched - s.imag])[idx]
         mismatch = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-        if mismatch < tol:
+        if mismatch < _NEWTON_TOL:
             break
-        j11, j12, j21, j22 = _jacobian_blocks(y, v, s)
-        jac = np.block(
-            [
-                [j11[np.ix_(ang_idx, ang_idx)], j12[np.ix_(ang_idx, mag_idx)]],
-                [j21[np.ix_(mag_idx, ang_idx)], j22[np.ix_(mag_idx, mag_idx)]],
-            ]
-        )
         try:
-            step = np.linalg.solve(jac, rhs)
+            step = np.linalg.solve(_jacobian(y, v, s)[np.ix_(idx, idx)], rhs)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular power-flow Jacobian: {exc}", mismatch) from exc
         phi[ang_idx] += step[: len(ang_idx)]
         # Magnitude corrections are in normalized V_n, so they scale |V|.
-        vm[mag_idx] *= 1.0 + step[len(ang_idx):]
+        vm[pq] *= 1.0 + step[len(ang_idx):]
     else:
-        raise PowerFlowError(f"no convergence after {max_iter} iterations", mismatch)
+        raise PowerFlowError(f"no convergence after {_MAX_ITER} iterations", mismatch)
     if mismatch > 1e-8:
         raise PowerFlowError("converged loop exited above the mismatch contract", mismatch)
 
@@ -190,37 +187,20 @@ def solve_powerflow(
     )
 
 
-def _jacobian_blocks(
-    y: np.ndarray, v: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Polar Jacobian blocks d(P,Q)/d(phi,V_n) with supplied diagonal P,Q.
+def _jacobian(y: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Polar Jacobian d(P, Q)/d(phi, V_n) as one 2n x 2n matrix, diagonal from the given S.
 
-    The off-diagonal entries are the textbook trigonometric forms from the
-    admittance matrix; the diagonal entries fold in the operating-point
-    injections (P, Q), which is exactly what the interface-matrix route
-    (E Y(0) + C) F produces at s = 0.
+    With M = diag(V) conj(Y) diag(conj V), the complex-matrix form is
+    dS/dphi = j (diag S - M) and dS/dV_n = M + diag S (Zimmerman, MATPOWER
+    Technical Note 2, 2010); the rows are [Re; Im] of [dS/dphi, dS/dV_n].
+    S is the supplied injections rather than V conj(Y V), so the diagonal
+    carries the operating point's own (P, Q), which is exactly what the
+    interface-matrix route (E Y(0) + C) F produces at s = 0.
     """
-    n = len(v)
-    vm = np.abs(v)
-    phi = np.angle(v)
-    g = y.real
-    b = y.imag
-    dphi = phi[:, None] - phi[None, :]
-    vv = vm[:, None] * vm[None, :]
-    cos = np.cos(dphi)
-    sin = np.sin(dphi)
-    h = vv * (g * sin - b * cos)  # dP/dphi off-diagonal form
-    m = vv * (g * cos + b * sin)  # dP/d|V| * |V| off-diagonal form
-    j11 = h.copy()
-    j12 = m.copy()
-    j21 = -m.copy()
-    j22 = h.copy()
-    dg = np.arange(n)
-    j11[dg, dg] = -s.imag - b.diagonal() * vm**2
-    j12[dg, dg] = s.real + g.diagonal() * vm**2
-    j21[dg, dg] = s.real - g.diagonal() * vm**2
-    j22[dg, dg] = s.imag - b.diagonal() * vm**2
-    return j11, j12, j21, j22
+    m = v[:, None] * np.conj(y) * np.conj(v)
+    ds = np.diag(s)
+    d = np.hstack((1j * (ds - m), m + ds))
+    return np.vstack((d.real, d.imag))
 
 
 @dataclass(frozen=True)
@@ -246,10 +226,7 @@ class JacobianLF:
 
 
 def build_jlf_analytic(
-    case: NetworkCase,
-    op: OperatingPoint,
-    check_operating_point: bool = True,
-    mismatch_tol: float = 1e-6,
+    case: NetworkCase, op: OperatingPoint, check_operating_point: bool = True
 ) -> JacobianLF:
     """Unreduced load-flow Jacobian of `case` at the operating point `op`.
 
@@ -268,15 +245,17 @@ def build_jlf_analytic(
     v = op.voltage_phasor()
     if check_operating_point:
         worst = float(np.max(np.abs(v * np.conj(y @ v) - (op.p + 1j * op.q))))
-        if worst > mismatch_tol:
+        if worst > _MISMATCH_TOL:
             raise ConsistencyError(
                 f"operating point does not solve this case (power mismatch {worst:.3e} pu); "
                 "pass check_operating_point=False to evaluate a simplified network at a "
                 "frozen operating point"
             )
-    s = op.p + 1j * op.q
-    j11, j12, j21, j22 = _jacobian_blocks(y, v, s)
-    return JacobianLF(j11=j11, j12=j12, j21=j21, j22=j22, bus_ids=case.bus_ids)
+    j = _jacobian(y, v, op.p + 1j * op.q)
+    n = case.n_bus
+    return JacobianLF(
+        j11=j[:n, :n], j12=j[:n, n:], j21=j[n:, :n], j22=j[n:, n:], bus_ids=case.bus_ids
+    )
 
 
 def decouple(j: JacobianLF) -> JacobianLF:
@@ -291,8 +270,8 @@ def decouple(j: JacobianLF) -> JacobianLF:
     )
 
 
-def symmetric_part_eigenvalues(j: JacobianLF, snap: float = 1e-9) -> np.ndarray:
-    """Sorted eigenvalues of J_LF + J_LF^T, tiny values snapped to 0 for display."""
+def symmetric_part_eigenvalues(j: JacobianLF) -> np.ndarray:
+    """Sorted eigenvalues of J_LF + J_LF^T, values below `_SNAP` set to 0 for display."""
     eigs = np.sort(np.linalg.eigvalsh(j.symmetric_part()))
-    eigs[np.abs(eigs) < snap] = 0.0
+    eigs[np.abs(eigs) < _SNAP] = 0.0
     return eigs

@@ -4,10 +4,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dqpassivity import cli
 from dqpassivity.cli import (
     EXIT_CASE_ERROR,
+    EXIT_COMPUTE_ERROR,
     EXIT_MISMATCH,
     EXIT_NON_PASSIVE,
     EXIT_OK,
@@ -144,6 +147,7 @@ def test_passivity_sweep_grid_emptied_by_pole_exclusion_exits_2(fmt, capsys):
         (["--model", "III", "--tau", "nan"], "tau=nan"),
         (["--model", "III", "--tau", "inf"], "tau=inf"),
         (["--model", "IV", "--analysis", "wideband", "--tau", "inf"], "tau=inf"),
+        (["--model", "II", "--reg", "5:nan"], "k_qv=nan"),
     ],
 )
 def test_passivity_non_finite_input_exits_2(args, field, capsys):
@@ -151,6 +155,17 @@ def test_passivity_non_finite_input_exits_2(args, field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+def test_linalg_failure_exits_3(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvector matrix of A is singular")
+
+    monkeypatch.setattr(cli, "classify_model", fail)
+    assert main(["passivity", "ieee9", "--model", "II"]) == EXIT_COMPUTE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "computation error" in captured.err
 
 
 def test_passivity_uses_case_regulation_section(tmp_path, capsys):

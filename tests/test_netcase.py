@@ -101,6 +101,23 @@ def test_bad_number_names_field():
         parse_case(bad)
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("1  2  0.0  0.1", "1  2  0.0  inf", "x"),
+        ("1  2  0.0  0.1", "1  2  nan  0.1", "r"),
+        ("pq     -0.5", "pq     nan", "p"),
+        ("pq     -0.5  0.0", "pq     -0.5  -inf", "q"),
+    ],
+    ids=["x=inf", "r=nan", "p=nan", "q=-inf"],
+)
+def test_non_finite_number_names_field_and_line(old, new, field):
+    bad = MINI.replace(old, new)
+    with pytest.raises(CaseParseError, match=f"field {field}: expected a finite number") as info:
+        parse_case(bad)
+    assert new in bad.splitlines()[info.value.line - 1]
+
+
 def test_slack_count_enforced():
     with pytest.raises(CaseValidationError, match="slack"):
         parse_case(MINI.replace("1  slack  -     -    1.0", "1  pq  0.0  0.0  -"))

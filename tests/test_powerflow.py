@@ -139,6 +139,43 @@ def test_finite_difference_oracle_random():
     assert np.max(np.abs(j - _fd_jacobian(case, op))) < 1e-5
 
 
+def _trig_jacobian(y, v, s):
+    """Textbook trigonometric polar Jacobian in (phi, V_n), diagonal from the supplied S."""
+    vm, phi = np.abs(v), np.angle(v)
+    g, b = y.real, y.imag
+    dphi = phi[:, None] - phi[None, :]
+    vv = np.outer(vm, vm)
+    h = vv * (g * np.sin(dphi) - b * np.cos(dphi))
+    m = vv * (g * np.cos(dphi) + b * np.sin(dphi))
+    j11, j12, j21, j22 = h.copy(), m.copy(), -m, h.copy()
+    dg = np.diag_indices(len(v))
+    j11[dg] = -s.imag - b.diagonal() * vm**2
+    j12[dg] = s.real + g.diagonal() * vm**2
+    j21[dg] = s.real - g.diagonal() * vm**2
+    j22[dg] = s.imag - b.diagonal() * vm**2
+    return np.block([[j11, j12], [j21, j22]])
+
+
+def test_jacobian_matches_trigonometric_form(ieee9, ieee9_op):
+    """The complex-form J_LF against the trigonometric one, frozen S included.
+
+    In the frozen-operating-point lossless evaluation the supplied S is not
+    the network's own V conj(Y V), so the diagonal must come from S.
+    """
+    rng = np.random.default_rng(23)
+    lossless = derive_variant(ieee9, VariantFlags(lossless=True))
+    inputs = [(ieee9, ieee9_op, True)]
+    inputs += [(*random_solved_case(rng), True) for _ in range(2)]
+    inputs += [(lossless, ieee9_op, False)]
+    for case, op, check in inputs:
+        y, v, s = build_ybus(case), op.voltage_phasor(), op.p + 1j * op.q
+        want = _trig_jacobian(y, v, s)
+        got = build_jlf_analytic(case, op, check_operating_point=check).full()
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.linalg.norm(want, 2))
+    # The frozen case, last above, supplies an S that the network does not produce.
+    assert np.max(np.abs(v * np.conj(y @ v) - s)) > 1e-3
+
+
 def test_lossless_jacobian_symmetry(ieee9):
     lossless = derive_variant(ieee9, VariantFlags(lossless=True))
     op = solve_powerflow(lossless)

@@ -65,13 +65,11 @@ from .polarmodels import (
     build_j_of_s,
     build_jdf,
     build_jdp,
-    build_lf_model,
     build_polar_model,
     interface_matrices,
 )
 from .powerflow import (
     ConsistencyError,
-    JacobianLF,
     OperatingPoint,
     PowerFlowError,
     build_jlf_analytic,

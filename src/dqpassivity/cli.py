@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reference
-from .dqstamp import assemble_ydq, export_matrices
+from .dqstamp import StateSpace, assemble_ydq, export_matrices
 from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, ieee9_text, parse_case
 from .passcheck import SweepGrid, classify_grid, classify_model
 from .passivate import RegulationSet, apply_qv_contribution
@@ -196,9 +196,11 @@ def cmd_passivity(args: argparse.Namespace) -> int:
     return _VERDICT_EXIT[verdict.overall]
 
 
-def _jacobian_dump(j) -> str:
+def _jacobian_dump(j: StateSpace) -> str:
+    n = len(j.bus_ids)
+    blocks = {"J11": j.d[:n, :n], "J12": j.d[:n, n:], "J21": j.d[n:, :n], "J22": j.d[n:, n:]}
     out = []
-    for name, block in (("J11", j.j11), ("J12", j.j12), ("J21", j.j21), ("J22", j.j22)):
+    for name, block in blocks.items():
         out.append(f"[{name}]  # {block.shape[0]} x {block.shape[1]}")
         for row in block:
             out.append("  ".join(f"{v: .16e}" for v in row))
@@ -212,6 +214,8 @@ def _jacobian_dump(j) -> str:
 def cmd_tables(args: argparse.Namespace) -> int:
     case = _read_case(args.case)
     tol = args.tolerance
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got tolerance={tol}")
     reg = RegulationSet.uniform(reference.REG_BUSES, reference.REG_KQV)
 
     op = solve_powerflow(case)

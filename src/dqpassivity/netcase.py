@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from numbers import Real
 
 __all__ = [
     "Bus",
@@ -136,6 +137,13 @@ def validate_case(case: NetworkCase) -> None:
         seen.add(i)
     if not case.buses:
         raise CaseValidationError("case has no buses")
+    elements = [(f"bus {b.id}", b) for b in case.buses] + [("system", case.system)]
+    elements += [(f"branch {b.from_bus}-{b.to_bus}", b) for b in case.branches]
+    elements += [(f"injection at bus {inj.bus}", inj) for inj in case.injections]
+    for where, element in elements:
+        for name, value in vars(element).items():
+            if isinstance(value, Real) and not math.isfinite(value):
+                raise CaseValidationError(f"{where}: {name}={value} must be finite")
     for bus in case.buses:
         if bus.vnom <= 0:
             raise CaseValidationError(f"bus {bus.id}: nominal |V| must be > 0")

@@ -28,7 +28,7 @@ import numpy as np
 from .dqstamp import SingularFrequencyError, StateSpace, assemble_ydq, eval_tf, storage_energy
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
-from .polarmodels import build_j_of_s, build_lf_model, build_polar_model
+from .polarmodels import build_j_of_s, build_polar_model
 from .powerflow import OperatingPoint, build_jlf_analytic, decouple, solve_powerflow
 
 __all__ = [
@@ -679,7 +679,7 @@ def classify_model(
         jlf = build_jlf_analytic(variant, op)
         if flags.decoupled:
             jlf = decouple(jlf)
-        ss = build_polar_model(model, build_lf_model(jlf), tau)
+        ss = build_polar_model(model, jlf, tau)
         if model == "II":
             notes = ("static load-flow Jacobian J_LF",)
 
@@ -693,14 +693,14 @@ def classify_model(
         # low-frequency Jacobian is bound here.
         jr = apply_qv_contribution(jlf, regulation)
         if model == "II":
-            lam = min_eig_excluding_uniform_angle(jr.symmetric_part())
+            lam = min_eig_excluding_uniform_angle(jr.d + jr.d.T)
             regulated = RegulatedReport(
                 regulation=regulation.entries,
                 flipped=lam >= -_TOL,
                 min_eig_excluding_structural=lam,
             )
         else:
-            ss_r = build_polar_model(model, build_lf_model(jr), tau)
+            ss_r = build_polar_model(model, jr, tau)
             _, sweep_r, residues_r, _, flipped = _state_space_checks(ss_r, grid, None)
             regulated = RegulatedReport(
                 regulation=regulation.entries,

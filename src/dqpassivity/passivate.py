@@ -11,12 +11,12 @@ slightly off zero in the symmetric part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .powerflow import JacobianLF
+from .dqstamp import StateSpace
 
 __all__ = [
     "RegulationSet",
@@ -50,15 +50,15 @@ class RegulationSet:
         return bool(self.entries)
 
 
-def apply_qv_contribution(j: JacobianLF, reg: RegulationSet) -> JacobianLF:
-    """Add each k_qv to the matching diagonal entry of J_LF22."""
-    j22 = j.j22.copy()
+def apply_qv_contribution(j: StateSpace, reg: RegulationSet) -> StateSpace:
+    """Copy of J_LF with each k_qv added to its J_LF22 diagonal entry, D[n + k, n + k]."""
+    d = j.d.copy()
     for bus, kqv in reg.entries:
         if bus not in j.bus_ids:
             raise ValueError(f"regulation references unknown bus {bus}")
-        k = j.bus_ids.index(bus)
-        j22[k, k] += kqv
-    return JacobianLF(j11=j.j11, j12=j.j12, j21=j.j21, j22=j22, bus_ids=j.bus_ids)
+        k = len(j.bus_ids) + j.bus_ids.index(bus)
+        d[k, k] += kqv
+    return replace(j, d=d)
 
 
 def _deflation_basis(n: int, dim: int) -> np.ndarray:
@@ -77,7 +77,7 @@ def min_eig_excluding_uniform_angle(sym: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(basis.T @ sym @ basis)))
 
 
-def min_uniform_kqv(j: JacobianLF, buses: Sequence[int], tol: float = 1e-6) -> float:
+def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 1e-6) -> float:
     """Smallest uniform k_qv at the given buses that passivates J_LF.
 
     Passivated means the symmetric part S = J + J^T of the regulated
@@ -99,10 +99,10 @@ def min_uniform_kqv(j: JacobianLF, buses: Sequence[int], tol: float = 1e-6) -> f
     unknown = [b for b in buses if b not in j.bus_ids]
     if unknown:
         raise ValueError(f"regulation references unknown bus {unknown[0]}")
-    n = j.n_bus
+    n = len(j.bus_ids)
     reg_rows, counts = np.unique([n + j.bus_ids.index(b) for b in buses], return_counts=True)
     other_rows = np.setdiff1d(np.arange(2 * n), reg_rows)
-    m = j.symmetric_part() + tol * np.eye(2 * n)
+    m = j.d + j.d.T + tol * np.eye(2 * n)
     w = _deflation_basis(n, other_rows.size)
     try:
         chol = np.linalg.cholesky(w.T @ m[np.ix_(other_rows, other_rows)] @ w)

@@ -12,10 +12,11 @@ it into, successively:
   on all channels, appending 2n integrators.
 
 At low frequency the network is replaced by its load-flow Jacobian: the
-zero-state model ``N(s) = J_LF`` of `build_lf_model` has the same (phi, V_n)
-to (P, Q) ports as J(s), so the same two builders turn it into the
-low-frequency models N_p(s) = `build_jdp` and N_df(s) = `build_jdf`, each
-with its simple pole at the origin carried by the appended integrators.
+zero-state model ``N(s) = J_LF`` that `powerflow.build_jlf_analytic`
+returns has the same (phi, V_n) to (P, Q) ports as J(s), so the same two
+builders turn it into the low-frequency models N_p(s) = `build_jdp` and
+N_df(s) = `build_jdf`, each with its simple pole at the origin carried by
+the appended integrators.
 `build_polar_model` maps the model names II, III and IV to these builders.
 """
 
@@ -24,13 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from .dqstamp import StateMeta, StateSpace
-from .powerflow import JacobianLF, OperatingPoint
+from .powerflow import OperatingPoint, _power_polar_ports
 
 __all__ = [
     "DegenerateOperatingPointError",
     "interface_matrices",
     "build_j_of_s",
-    "build_lf_model",
     "build_jdp",
     "build_jdf",
     "build_polar_model",
@@ -72,27 +72,6 @@ def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
         d=(e @ ydq.d + c) @ f,
         **_power_polar_ports(op.bus_ids),
         state_meta=ydq.state_meta,
-    )
-
-
-def build_lf_model(jlf: JacobianLF) -> StateSpace:
-    """Static low-frequency model N(s) = J_LF: zero states, D = J_LF, J(s)'s ports."""
-    m = 2 * jlf.n_bus
-    return StateSpace(
-        a=np.zeros((0, 0)),
-        b=np.zeros((0, m)),
-        c=np.zeros((m, 0)),
-        d=jlf.full(),
-        **_power_polar_ports(jlf.bus_ids),
-        state_meta=(),
-    )
-
-
-def _power_polar_ports(bus_ids: tuple[int, ...]) -> dict:
-    return dict(
-        input_labels=tuple(f"phi:{i}" for i in bus_ids) + tuple(f"Vn:{i}" for i in bus_ids),
-        output_labels=tuple(f"P:{i}" for i in bus_ids) + tuple(f"Q:{i}" for i in bus_ids),
-        bus_ids=bus_ids,
     )
 
 

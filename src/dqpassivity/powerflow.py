@@ -7,20 +7,21 @@ injections into the network (i = Y_bus v). J_LF is the full 2n x 2n
 sensitivity of every bus (P, Q) to every bus (phi, V_n), with no slack
 rows or columns removed; V_n is the voltage magnitude normalized by its
 quiescent value, so the magnitude columns of the textbook polar Jacobian
-are scaled by |V|_o.
+are scaled by |V|_o. It is carried as the static model N(s) = J_LF, a
+zero-state StateSpace with D = J_LF and the port labels of J(s).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dqstamp import StateSpace
 from .netcase import NetworkCase
 
 __all__ = [
     "OperatingPoint",
-    "JacobianLF",
     "PowerFlowError",
     "ConsistencyError",
     "build_ybus",
@@ -129,10 +130,10 @@ def _injection_targets(case: NetworkCase) -> tuple[np.ndarray, np.ndarray, list[
 def solve_powerflow(case: NetworkCase) -> OperatingPoint:
     """Newton-Raphson power flow from a flat start.
 
-    Converges to max|mismatch| < `_NEWTON_TOL` (well below the 1e-8
-    contract); raises PowerFlowError on divergence or a singular iteration
-    matrix. The iteration matrix is the principal submatrix of `_jacobian`
-    on the non-slack angle rows and the PQ magnitude rows.
+    Returns once max|mismatch| < `_NEWTON_TOL` (below the 1e-8 contract);
+    raises PowerFlowError if `_MAX_ITER` steps do not get there or an
+    iteration matrix is singular. The iteration matrix is the principal
+    submatrix of `_jacobian` on the non-slack angle and PQ magnitude rows.
     """
     n = case.n_bus
     y = build_ybus(case)
@@ -163,8 +164,6 @@ def solve_powerflow(case: NetworkCase) -> OperatingPoint:
         vm[pq] *= 1.0 + step[len(ang_idx):]
     else:
         raise PowerFlowError(f"no convergence after {_MAX_ITER} iterations", mismatch)
-    if mismatch > 1e-8:
-        raise PowerFlowError("converged loop exited above the mismatch contract", mismatch)
 
     v = vm * np.exp(1j * phi)
     i = y @ v
@@ -203,36 +202,15 @@ def _jacobian(y: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.vstack((d.real, d.imag))
 
 
-@dataclass(frozen=True)
-class JacobianLF:
-    """Unreduced low-frequency Jacobian in (phi, V_n) -> (P, Q) block form."""
-
-    j11: np.ndarray
-    j12: np.ndarray
-    j21: np.ndarray
-    j22: np.ndarray
-    bus_ids: tuple[int, ...]
-
-    @property
-    def n_bus(self) -> int:
-        return len(self.bus_ids)
-
-    def full(self) -> np.ndarray:
-        return np.block([[self.j11, self.j12], [self.j21, self.j22]])
-
-    def symmetric_part(self) -> np.ndarray:
-        full = self.full()
-        return full + full.T
-
-
 def build_jlf_analytic(
     case: NetworkCase, op: OperatingPoint, check_operating_point: bool = True
-) -> JacobianLF:
-    """Unreduced load-flow Jacobian of `case` at the operating point `op`.
+) -> StateSpace:
+    """Static model N(s) = J_LF of `case` at the operating point `op`.
 
-    All 2n rows and columns are kept (no slack deletion), V_n columns are
-    the d/d|V| columns scaled by |V|_o, and shunt/line-charging susceptance
-    is included. The diagonal terms use the operating point's own P_o, Q_o,
+    A zero-state StateSpace with D = J_LF and J(s)'s (phi, V_n) -> (P, Q)
+    ports. All 2n rows and columns are kept (no slack deletion), V_n
+    columns are the d/d|V| columns scaled by |V|_o, and shunt/line-charging
+    susceptance is included. The diagonal terms use the operating point's own P_o, Q_o,
     so the matrix equals the s = 0 evaluation of the interface-variable
     model built from the same operating point even when `op` was solved on
     a different (unsimplified) network; pass check_operating_point=False
@@ -251,27 +229,36 @@ def build_jlf_analytic(
                 "pass check_operating_point=False to evaluate a simplified network at a "
                 "frozen operating point"
             )
-    j = _jacobian(y, v, op.p + 1j * op.q)
-    n = case.n_bus
-    return JacobianLF(
-        j11=j[:n, :n], j12=j[:n, n:], j21=j[n:, :n], j22=j[n:, n:], bus_ids=case.bus_ids
+    m = 2 * case.n_bus
+    return StateSpace(
+        a=np.zeros((0, 0)),
+        b=np.zeros((0, m)),
+        c=np.zeros((m, 0)),
+        d=_jacobian(y, v, op.p + 1j * op.q),
+        **_power_polar_ports(case.bus_ids),
+        state_meta=(),
     )
 
 
-def decouple(j: JacobianLF) -> JacobianLF:
-    """Zero the off-diagonal blocks (the decoupled load-flow approximation)."""
-    n = j.n_bus
-    return JacobianLF(
-        j11=j.j11.copy(),
-        j12=np.zeros((n, n)),
-        j21=np.zeros((n, n)),
-        j22=j.j22.copy(),
-        bus_ids=j.bus_ids,
+def _power_polar_ports(bus_ids: tuple[int, ...]) -> dict:
+    return dict(
+        input_labels=tuple(f"phi:{i}" for i in bus_ids) + tuple(f"Vn:{i}" for i in bus_ids),
+        output_labels=tuple(f"P:{i}" for i in bus_ids) + tuple(f"Q:{i}" for i in bus_ids),
+        bus_ids=bus_ids,
     )
 
 
-def symmetric_part_eigenvalues(j: JacobianLF) -> np.ndarray:
+def decouple(j: StateSpace) -> StateSpace:
+    """Copy of J_LF with the off-diagonal blocks zeroed (the decoupled load flow)."""
+    n = len(j.bus_ids)
+    d = j.d.copy()
+    d[:n, n:] = 0.0
+    d[n:, :n] = 0.0
+    return replace(j, d=d)
+
+
+def symmetric_part_eigenvalues(j: StateSpace) -> np.ndarray:
     """Sorted eigenvalues of J_LF + J_LF^T, values below `_SNAP` set to 0 for display."""
-    eigs = np.sort(np.linalg.eigvalsh(j.symmetric_part()))
+    eigs = np.sort(np.linalg.eigvalsh(j.d + j.d.T))
     eigs[np.abs(eigs) < _SNAP] = 0.0
     return eigs

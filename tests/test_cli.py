@@ -231,6 +231,15 @@ def test_tables_tight_tolerance_fails(capsys):
     assert "expected" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tables_rejects_invalid_tolerance(value, capsys):
+    # nan printed [FAIL] rows yet exited 0, inf disabled the gate, -1 failed every row.
+    assert main(["tables", "--tolerance", value]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tolerance={float(value)}" in captured.err
+
+
 def test_dump_model(capsys):
     assert main(["dump-model", "ieee9", "--model", "I"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -18,7 +18,6 @@ from dqpassivity import (
     assemble_ydq,
     build_j_of_s,
     build_jlf_analytic,
-    build_lf_model,
     build_polar_model,
     eval_tf,
     storage_energy,
@@ -214,7 +213,7 @@ def test_eval_tf_modal_matches_dense_resolvent(ieee9, ieee9_op):
     axis = [1j * w for w in SweepGrid().points()]
     ydq = assemble_ydq(ieee9)
     j = build_j_of_s(ydq, ieee9_op)
-    lf = build_lf_model(build_jlf_analytic(ieee9, ieee9_op))
+    lf = build_jlf_analytic(ieee9, ieee9_op)
     rng = np.random.default_rng(31)
     no_origin_pole = [ydq, j] + [assemble_ydq(random_solved_case(rng)[0]) for _ in range(3)]
     for ss in no_origin_pole:

@@ -1,5 +1,9 @@
 """Case model, parser, serializer and variant derivation."""
 
+import math
+import re
+from dataclasses import replace
+
 import pytest
 
 from dqpassivity import (
@@ -11,6 +15,7 @@ from dqpassivity import (
     parse_case,
     serialize_case,
 )
+from dqpassivity.netcase import validate_case
 
 MINI = """
 [system]
@@ -116,6 +121,35 @@ def test_non_finite_number_names_field_and_line(old, new, field):
     with pytest.raises(CaseParseError, match=f"field {field}: expected a finite number") as info:
         parse_case(bad)
     assert new in bad.splitlines()[info.value.line - 1]
+
+
+@pytest.mark.parametrize(
+    "part, index, field, value, where",
+    [
+        ("buses", 0, "vnom", math.inf, "bus 1"),
+        ("buses", 0, "g_shunt", math.nan, "bus 1"),
+        ("buses", 1, "b_shunt", math.nan, "bus 2"),
+        ("branches", 0, "r", math.nan, "branch 4-1"),
+        ("branches", 0, "x", math.inf, "branch 4-1"),
+        ("branches", 1, "b_line", math.nan, "branch 7-2"),
+        ("branches", 1, "ratio", math.inf, "branch 7-2"),
+        ("injections", 3, "p", math.nan, "injection at bus 5"),
+        ("injections", 3, "q", -math.inf, "injection at bus 5"),
+        ("injections", 1, "vset", math.nan, "injection at bus 7"),
+        ("system", None, "base_mva", math.nan, "system"),
+        ("system", None, "omega0", math.inf, "system"),
+    ],
+)
+def test_validate_case_rejects_non_finite_number(ieee9, part, index, field, value, where):
+    """A case built in Python (not parsed) is checked for finite numbers too."""
+    if part == "system":
+        case = replace(ieee9, system=replace(ieee9.system, **{field: value}))
+    else:
+        items = list(getattr(ieee9, part))
+        items[index] = replace(items[index], **{field: value})
+        case = replace(ieee9, **{part: tuple(items)})
+    with pytest.raises(CaseValidationError, match=re.escape(f"{where}: {field}={value} must be finite")):
+        validate_case(case)
 
 
 def test_slack_count_enforced():

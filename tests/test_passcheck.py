@@ -27,7 +27,6 @@ from dqpassivity import (
     build_jdf,
     build_jdp,
     build_jlf_analytic,
-    build_lf_model,
     build_polar_model,
     check_feedthrough,
     check_poles,
@@ -133,7 +132,7 @@ def test_structural_residues(ieee9, ieee9_op, ieee9_j2):
     rep = check_poles(j4)
     residue = next(p.residue for p in rep.imaginary_axis if abs(p.omega) < 1e-9)
     assert np.linalg.norm(residue.imag) < 1e-12
-    assert np.linalg.norm(residue.real - jlf.full()) <= 1e-6 * np.linalg.norm(jlf.full())
+    assert np.linalg.norm(residue.real - jlf.d) <= 1e-6 * np.linalg.norm(jlf.d)
 
     j3 = build_jdp(ieee9_j2, TAU)
     s_dp = next(
@@ -141,7 +140,7 @@ def test_structural_residues(ieee9, ieee9_op, ieee9_j2):
     ).real
     n = 9
     assert np.linalg.norm(s_dp[:, n:]) < 1e-12
-    assert np.linalg.norm(s_dp[:n, :n] - jlf.j11) <= 1e-6 * np.linalg.norm(jlf.j11)
+    assert np.linalg.norm(s_dp[:n, :n] - jlf.d[:n, :n]) <= 1e-6 * np.linalg.norm(jlf.d[:n, :n])
 
 
 def structural_residue_at_zero(ss, n_integrators):
@@ -169,7 +168,7 @@ def _assert_residue(ss, omega, want):
 
 @pytest.mark.parametrize("model, n_integrators", [("III", 9), ("IV", 18)])
 def test_origin_residue_matches_structural_formula(ieee9, ieee9_op, ieee9_j2, model, n_integrators):
-    lf = build_lf_model(build_jlf_analytic(ieee9, ieee9_op))
+    lf = build_jlf_analytic(ieee9, ieee9_op)
     for base in (ieee9_j2, lf):
         ss = build_polar_model(model, base, TAU)
         _assert_residue(ss, 0.0, structural_residue_at_zero(ss, n_integrators))
@@ -215,7 +214,7 @@ def test_ieee9_realizations_use_modal_evaluation(ieee9):
         models = [ydq] + [build_polar_model(m, j, TAU) for m in MODELS[1:]]
         for jl in (jlf, decouple(jlf)):
             for jr in (jl, apply_qv_contribution(jl, REG)):
-                models += [build_polar_model(m, build_lf_model(jr), TAU) for m in MODELS[1:]]
+                models += [build_polar_model(m, jr, TAU) for m in MODELS[1:]]
         for ss in models:
             assert ss.modes[3] <= 1e3
 
@@ -278,7 +277,7 @@ def test_sweep_singularity_names_frequency(ieee9_j2):
 
 
 def test_sweep_rejects_grid_emptied_by_pole_exclusion(ieee9, ieee9_op, ieee9_j2):
-    lf3 = build_jdp(build_lf_model(build_jlf_analytic(ieee9, ieee9_op)), TAU)
+    lf3 = build_jdp(build_jlf_analytic(ieee9, ieee9_op), TAU)
     for ss in (build_jdp(ieee9_j2, TAU), lf3):
         with pytest.raises(ValueError, match="no point left"):
             sweep_psd(ss, SweepGrid(1e-8, 5e-7, 2), poles=[0.0])
@@ -290,7 +289,7 @@ def test_sweep_rejects_grid_emptied_by_pole_exclusion(ieee9, ieee9_op, ieee9_j2)
 def test_sweep_grid_ends_exactly_where_asked(ieee9, ieee9_op):
     grid = SweepGrid(1e-7, 1e-5, 1)
     assert grid.points()[0] == 1e-7 and grid.points()[-1] == 1e-5
-    lf3 = build_jdp(build_lf_model(build_jlf_analytic(ieee9, ieee9_op)), TAU)
+    lf3 = build_jdp(build_jlf_analytic(ieee9, ieee9_op), TAU)
     rep = sweep_psd(lf3, grid, poles=[0.0])
     assert rep.n_points == 1 and rep.worst_omega == 1e-5
 
@@ -331,10 +330,10 @@ def test_integrator_only_sweep_endpoints_give_grid_minimum(ieee9, model, column,
     jlf = build_jlf_analytic(variant, solve_powerflow(variant))
     jlf = decouple(jlf) if decoupled else jlf
     v = classify_model(ieee9, flags, model, "lowfreq", TAU, regulation=REG)
-    check_endpoint_sweep(v.cond2, build_polar_model(model, build_lf_model(jlf), TAU))
+    check_endpoint_sweep(v.cond2, build_polar_model(model, jlf, TAU))
     if v.regulated is not None:
         jr = apply_qv_contribution(jlf, REG)
-        check_endpoint_sweep(v.regulated.sweep, build_polar_model(model, build_lf_model(jr), TAU))
+        check_endpoint_sweep(v.regulated.sweep, build_polar_model(model, jr, TAU))
 
 
 def test_integrator_only_sweep_endpoints_random_model():
@@ -381,12 +380,12 @@ def test_residue_check_identity_and_tolerances():
 def test_residue_lossless_nob_decoupled_jlf_passes(ieee9):
     # The derivative model's origin residue for the fully simplified
     # network is the decoupled lossless no-B Jacobian: PSD Hermitian.
-    from dqpassivity import build_lf_model, decouple, derive_variant, solve_powerflow
+    from dqpassivity import decouple, derive_variant, solve_powerflow
 
     variant = derive_variant(ieee9, VariantFlags(lossless=True, no_shunt_b=True))
     op = solve_powerflow(variant)
     jlf = decouple(build_jlf_analytic(variant, op))
-    (origin,) = check_poles(build_jdf(build_lf_model(jlf), TAU)).imaginary_axis
+    (origin,) = check_poles(build_jdf(jlf, TAU)).imaginary_axis
     assert origin.omega == 0.0
     assert check_residue_psd_hermitian(origin.residue).passed
 
@@ -584,7 +583,7 @@ def test_classify_lowfreq_filtered_models_full_pipeline(ieee9, ieee9_op, model, 
     assert v.feedthrough is not None
     w = v.cond2.worst_omega
     gain = (1.0 + 1j * w * TAU) / (1j * w)
-    g = build_jlf_analytic(ieee9, ieee9_op).full().astype(complex)
+    g = build_jlf_analytic(ieee9, ieee9_op).d.astype(complex)
     g[:, :n_integrators] *= gain
     lam = np.linalg.eigvalsh(g + g.conj().T)
     scale = max(1.0, float(np.max(np.abs(lam))))
@@ -602,7 +601,7 @@ def test_classify_lowfreq_static_models_zero_state_pipeline(ieee9, ieee9_op, mod
     if model == "I":
         k = eval_tf(assemble_ydq(ieee9), 0.0)
     else:
-        k = build_jlf_analytic(ieee9, ieee9_op).full()
+        k = build_jlf_analytic(ieee9, ieee9_op).d
     assert v.cond2.min_eig == pytest.approx(np.linalg.eigvalsh(k + k.T)[0], abs=1e-12)
 
 

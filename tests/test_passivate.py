@@ -5,8 +5,8 @@ import pytest
 
 from dqpassivity import (
     InfeasibleRegulationError,
-    JacobianLF,
     RegulationSet,
+    StateSpace,
     VariantFlags,
     apply_qv_contribution,
     build_jlf_analytic,
@@ -29,7 +29,7 @@ def jlf(ieee9, ieee9_op):
 
 def test_apply_touches_only_named_diagonals(jlf):
     out = apply_qv_contribution(jlf, REG)
-    diff = out.full() - jlf.full()
+    diff = out.d - jlf.d
     touched = np.zeros((18, 18), dtype=bool)
     for b in REG_BUSES:
         k = jlf.bus_ids.index(b)
@@ -40,7 +40,26 @@ def test_apply_touches_only_named_diagonals(jlf):
 
 def test_apply_empty_is_identity(jlf):
     out = apply_qv_contribution(jlf, RegulationSet(entries=()))
-    assert np.array_equal(out.full(), jlf.full())
+    assert np.array_equal(out.d, jlf.d)
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        decouple,
+        lambda j: apply_qv_contribution(j, REG),
+        lambda j: apply_qv_contribution(j, RegulationSet(entries=())),
+    ],
+    ids=["decouple", "apply_qv_contribution", "apply_qv_contribution_empty"],
+)
+def test_d_transforms_return_new_models(jlf, transform):
+    """decouple and apply_qv_contribution copy D and leave their argument unchanged."""
+    before = jlf.d.copy()
+    out = transform(jlf)
+    assert not np.shares_memory(out.d, jlf.d)
+    assert np.array_equal(jlf.d, before)
+    assert out.n_states == 0 and out.bus_ids == jlf.bus_ids
+    assert out.input_labels == jlf.input_labels and out.output_labels == jlf.output_labels
 
 
 def test_apply_unknown_bus(jlf):
@@ -63,19 +82,17 @@ def test_null_vector_survives_regulation(jlf):
     null = np.concatenate([np.ones(9), np.zeros(9)])
     for k in (0.1, 0.65, 3.0):
         out = apply_qv_contribution(jlf, RegulationSet.uniform(REG_BUSES, k))
-        assert np.max(np.abs(out.full() @ null)) < 1e-10
+        assert np.max(np.abs(out.d @ null)) < 1e-10
 
 
 def test_deflated_min_eig_monotone_in_k(jlf):
     rng = np.random.default_rng(17)
     for _ in range(10):
         k1, k2 = np.sort(rng.uniform(0.0, 2.0, size=2))
-        lam1 = min_eig_excluding_uniform_angle(
-            apply_qv_contribution(jlf, RegulationSet.uniform(REG_BUSES, k1)).symmetric_part()
-        )
-        lam2 = min_eig_excluding_uniform_angle(
-            apply_qv_contribution(jlf, RegulationSet.uniform(REG_BUSES, k2)).symmetric_part()
-        )
+        d1 = apply_qv_contribution(jlf, RegulationSet.uniform(REG_BUSES, k1)).d
+        lam1 = min_eig_excluding_uniform_angle(d1 + d1.T)
+        d2 = apply_qv_contribution(jlf, RegulationSet.uniform(REG_BUSES, k2)).d
+        lam2 = min_eig_excluding_uniform_angle(d2 + d2.T)
         assert lam2 >= lam1 - 1e-12
 
 
@@ -86,9 +103,8 @@ def test_min_uniform_kqv_against_dense_scan(jlf):
     assert kstar == pytest.approx(0.6341409683, abs=1e-4)
     scan = None
     for k in np.arange(0.0, 0.66, 1e-4):
-        lam = min_eig_excluding_uniform_angle(
-            apply_qv_contribution(jlf, RegulationSet.uniform(REG_BUSES, float(k))).symmetric_part()
-        )
+        d = apply_qv_contribution(jlf, RegulationSet.uniform(REG_BUSES, float(k))).d
+        lam = min_eig_excluding_uniform_angle(d + d.T)
         if lam >= -1e-6:
             scan = float(k)
             break
@@ -108,11 +124,14 @@ def test_min_uniform_kqv_already_passive(ieee9):
 
 def test_min_uniform_kqv_infeasible():
     # A negative direction outside the regulated block can never be fixed.
-    j = JacobianLF(
-        j11=np.eye(2),
-        j12=np.zeros((2, 2)),
-        j21=np.zeros((2, 2)),
-        j22=np.diag([-1.0, 1.0]),
+    j = StateSpace(
+        a=np.zeros((0, 0)),
+        b=np.zeros((0, 4)),
+        c=np.zeros((4, 0)),
+        d=np.diag([1.0, 1.0, -1.0, 1.0]),
+        input_labels=("phi:1", "phi:2", "Vn:1", "Vn:2"),
+        output_labels=("P:1", "P:2", "Q:1", "Q:2"),
+        state_meta=(),
         bus_ids=(1, 2),
     )
     with pytest.raises(InfeasibleRegulationError):
@@ -121,7 +140,8 @@ def test_min_uniform_kqv_infeasible():
 
 def regulated_min_eig(j, buses, k):
     reg = RegulationSet.uniform(buses, k)
-    return min_eig_excluding_uniform_angle(apply_qv_contribution(j, reg).symmetric_part())
+    d = apply_qv_contribution(j, reg).d
+    return min_eig_excluding_uniform_angle(d + d.T)
 
 
 def bisection_kqv(j, buses, tol=1e-6, k_cap=1e3):

@@ -16,7 +16,6 @@ from dqpassivity import (
     build_jdf,
     build_jdp,
     build_jlf_analytic,
-    build_lf_model,
     check_poles,
     check_residue_psd_hermitian,
     decouple,
@@ -32,12 +31,12 @@ TAU = 0.01
 
 def n_p(jlf, tau):
     """N_p(s): J_LF with the (1 + s tau)/s filter on the angle channels."""
-    return build_jdp(build_lf_model(jlf), tau)
+    return build_jdp(jlf, tau)
 
 
 def n_df(jlf, tau):
     """N_df(s): J_LF with the (1 + s tau)/s filter on every channel."""
-    return build_jdf(build_lf_model(jlf), tau)
+    return build_jdf(jlf, tau)
 
 
 def origin_residue(model):
@@ -84,7 +83,7 @@ def test_j_of_s_matches_formula(ieee9_models, ieee9_op):
 
 def test_j_at_zero_equals_analytic_jacobian(ieee9, ieee9_op, ieee9_models):
     _, j2 = ieee9_models
-    jlf = build_jlf_analytic(ieee9, ieee9_op).full()
+    jlf = build_jlf_analytic(ieee9, ieee9_op).d
     got = eval_tf(j2, 0.0)
     assert np.linalg.norm(got - jlf) <= 1e-6 * np.linalg.norm(jlf)
 
@@ -225,8 +224,8 @@ def test_rational_lf_basics(ieee9, ieee9_op):
     jlf = build_jlf_analytic(ieee9, ieee9_op)
     np_model = n_p(jlf, TAU)
     ndf = n_df(jlf, TAU)
-    full = jlf.full()
-    n = jlf.n_bus
+    full = jlf.d
+    n = len(jlf.bus_ids)
     # N_df(s) * s/(1+s tau) = J_LF at any s != 0
     for s in (1.0, -2.0, complex(0.5, 3.0)):
         back = eval_tf(ndf, s) * s / (1.0 + s * TAU)
@@ -253,21 +252,21 @@ def test_np_hermitian_part_decoupled_lossless(ieee9):
             h = eval_tf(model, 1j * w)
             herm = h + h.conj().T
             expected = np.zeros_like(herm)
-            n = jlf.n_bus
-            expected[:n, :n] = 2 * tau * jlf.j11
-            expected[n:, n:] = jlf.j22 + jlf.j22.T
+            n = len(jlf.bus_ids)
+            expected[:n, :n] = 2 * tau * jlf.d[:n, :n]
+            expected[n:, n:] = jlf.d[n:, n:] + jlf.d[n:, n:].T
             assert np.allclose(herm, expected, atol=1e-10)
         small = eval_tf(n_p(jlf, 1e-8), 1j * w)
         herm_small = small + small.conj().T
-        assert np.max(np.abs(herm_small[: jlf.n_bus, : jlf.n_bus])) < 1e-6
+        assert np.max(np.abs(herm_small[: len(jlf.bus_ids), : len(jlf.bus_ids)])) < 1e-6
 
 
 def test_residue_at_origin(ieee9, ieee9_op):
     jlf = build_jlf_analytic(ieee9, ieee9_op)
-    n = jlf.n_bus
+    n = len(jlf.bus_ids)
     s_dp = origin_residue(n_p(jlf, TAU))
-    assert np.array_equal(s_dp[:n, :n], jlf.j11)
-    assert np.array_equal(s_dp[n:, :n], jlf.j21)
+    assert np.array_equal(s_dp[:n, :n], jlf.d[:n, :n])
+    assert np.array_equal(s_dp[n:, :n], jlf.d[n:, :n])
     assert np.linalg.norm(s_dp[:, n:]) == 0.0
     # Coupled network: the residue fails the Hermitian test.
     assert not check_residue_psd_hermitian(s_dp).passed
@@ -293,6 +292,6 @@ def test_realizations_on_random_case():
     ydq = assemble_ydq(case)
     j2 = build_j_of_s(ydq, op)
     assert abs(np.trace(j2.d + j2.d.T)) < 1e-10
-    jlf = build_jlf_analytic(case, op).full()
+    jlf = build_jlf_analytic(case, op).d
     got = eval_tf(j2, 0.0)
     assert np.linalg.norm(got - jlf) <= 1e-6 * np.linalg.norm(jlf)

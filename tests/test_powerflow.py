@@ -14,6 +14,8 @@ from dqpassivity import (
     PowerFlowError,
     SystemParams,
     VariantFlags,
+    assemble_ydq,
+    build_j_of_s,
     build_jlf_analytic,
     build_ybus,
     decouple,
@@ -87,7 +89,7 @@ def test_divergence_raises():
 
 
 def test_null_vector(ieee9, ieee9_op):
-    j = build_jlf_analytic(ieee9, ieee9_op).full()
+    j = build_jlf_analytic(ieee9, ieee9_op).d
     null = np.concatenate([np.ones(9), np.zeros(9)])
     assert np.max(np.abs(j @ null)) < 1e-10
 
@@ -96,7 +98,7 @@ def test_null_vector_random_cases():
     rng = np.random.default_rng(21)
     for _ in range(4):
         case, op = random_solved_case(rng)
-        j = build_jlf_analytic(case, op).full()
+        j = build_jlf_analytic(case, op).d
         n = case.n_bus
         null = np.concatenate([np.ones(n), np.zeros(n)])
         assert np.max(np.abs(j @ null)) < 1e-10
@@ -127,7 +129,7 @@ def _fd_jacobian(case, op, h=1e-6):
 
 
 def test_finite_difference_oracle(ieee9, ieee9_op):
-    j = build_jlf_analytic(ieee9, ieee9_op).full()
+    j = build_jlf_analytic(ieee9, ieee9_op).d
     fd = _fd_jacobian(ieee9, ieee9_op)
     assert np.max(np.abs(j - fd)) < 1e-5
 
@@ -135,7 +137,7 @@ def test_finite_difference_oracle(ieee9, ieee9_op):
 def test_finite_difference_oracle_random():
     rng = np.random.default_rng(22)
     case, op = random_solved_case(rng)
-    j = build_jlf_analytic(case, op).full()
+    j = build_jlf_analytic(case, op).d
     assert np.max(np.abs(j - _fd_jacobian(case, op))) < 1e-5
 
 
@@ -170,18 +172,31 @@ def test_jacobian_matches_trigonometric_form(ieee9, ieee9_op):
     for case, op, check in inputs:
         y, v, s = build_ybus(case), op.voltage_phasor(), op.p + 1j * op.q
         want = _trig_jacobian(y, v, s)
-        got = build_jlf_analytic(case, op, check_operating_point=check).full()
+        got = build_jlf_analytic(case, op, check_operating_point=check).d
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.linalg.norm(want, 2))
     # The frozen case, last above, supplies an S that the network does not produce.
     assert np.max(np.abs(v * np.conj(y @ v) - s)) > 1e-3
+
+
+def test_jlf_is_static_model_with_j_of_s_ports(ieee9, ieee9_op):
+    """N(s) = J_LF is a zero-state StateSpace with the ports of J(s)."""
+    rng = np.random.default_rng(24)
+    for case, op in [(ieee9, ieee9_op)] + [random_solved_case(rng) for _ in range(2)]:
+        jlf = build_jlf_analytic(case, op)
+        j = build_j_of_s(assemble_ydq(case), op)
+        assert jlf.n_states == 0 and jlf.state_meta == ()
+        assert jlf.d.shape == (2 * case.n_bus, 2 * case.n_bus)
+        assert jlf.input_labels == j.input_labels
+        assert jlf.output_labels == j.output_labels
+        assert jlf.bus_ids == j.bus_ids == case.bus_ids
 
 
 def test_lossless_jacobian_symmetry(ieee9):
     lossless = derive_variant(ieee9, VariantFlags(lossless=True))
     op = solve_powerflow(lossless)
     j = build_jlf_analytic(lossless, op)
-    assert np.max(np.abs(j.j11 - j.j11.T)) < 1e-10
-    assert np.max(np.abs(j.full() - j.full().T)) < 1e-10
+    assert np.max(np.abs(j.d[:9, :9] - j.d[:9, :9].T)) < 1e-10
+    assert np.max(np.abs(j.d - j.d.T)) < 1e-10
 
 
 def test_consistency_check(ieee9, ieee9_op):
@@ -190,17 +205,17 @@ def test_consistency_check(ieee9, ieee9_op):
         build_jlf_analytic(lossless, ieee9_op)
     # The frozen-operating-point evaluation is available explicitly.
     j = build_jlf_analytic(lossless, ieee9_op, check_operating_point=False)
-    assert j.full().shape == (18, 18)
+    assert j.d.shape == (18, 18)
 
 
 def test_decouple(ieee9, ieee9_op):
     j = build_jlf_analytic(ieee9, ieee9_op)
     d = decouple(j)
-    assert np.linalg.norm(d.j12) == 0.0
-    assert np.linalg.norm(d.j21) == 0.0
-    assert np.array_equal(d.j11, j.j11)
+    assert np.linalg.norm(d.d[:9, 9:]) == 0.0
+    assert np.linalg.norm(d.d[9:, :9]) == 0.0
+    assert np.array_equal(d.d[:9, :9], j.d[:9, :9])
     d2 = decouple(d)
-    assert np.array_equal(d2.full(), d.full())
+    assert np.array_equal(d2.d, d.d)
 
 
 def test_decoupled_lossless_nob_is_psd(ieee9):
@@ -208,6 +223,6 @@ def test_decoupled_lossless_nob_is_psd(ieee9):
     variant = derive_variant(ieee9, flags)
     op = solve_powerflow(variant)
     j = decouple(build_jlf_analytic(variant, op))
-    full = j.full()
+    full = j.d
     assert np.max(np.abs(full - full.T)) < 1e-10
     assert np.min(np.linalg.eigvalsh(full + full.T)) > -1e-9

@@ -193,6 +193,8 @@ def validate_case(case: NetworkCase) -> None:
             raise CaseValidationError(f"PV injection at bus {inj.bus} needs P and |V| setpoint")
         if inj.kind == "pq" and (inj.p is None or inj.q is None):
             raise CaseValidationError(f"PQ injection at bus {inj.bus} needs P and Q")
+        if inj.kind in ("slack", "pv") and inj.vset <= 0:
+            raise CaseValidationError(f"injection at bus {inj.bus}: vset={inj.vset} must be > 0")
     for bus_id, kqv in case.regulation:
         if bus_id not in seen:
             raise CaseTopologyError(f"regulation entry references unknown bus {bus_id}")

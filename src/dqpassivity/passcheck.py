@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .dqstamp import SingularFrequencyError, StateSpace, assemble_ydq, eval_tf, storage_energy
+from .dqstamp import StateSpace, assemble_ydq, eval_tf, storage_energy
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
 from .polarmodels import build_j_of_s, build_polar_model
@@ -194,7 +194,6 @@ class SweepGrid:
     omega_min: float = 1e-2
     omega_max: float = 1e5
     points_per_decade: int = 20
-    pole_exclusion: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0 < self.omega_min < self.omega_max < math.inf:
@@ -202,14 +201,12 @@ class SweepGrid:
         if self.points_per_decade < 1:
             raise ValueError("points_per_decade must be >= 1")
 
-    def points(self, exclude: Sequence[float] = ()) -> np.ndarray:
+    def points(self) -> np.ndarray:
         decades = math.log10(self.omega_max / self.omega_min)
         count = max(2, int(round(decades * self.points_per_decade)) + 1)
         omegas = np.logspace(math.log10(self.omega_min), math.log10(self.omega_max), count)
         # logspace rounds its end points; the grid ends where it was asked to.
         omegas[0], omegas[-1] = self.omega_min, self.omega_max
-        for pole in exclude:
-            omegas = omegas[np.abs(omegas - abs(pole)) > self.pole_exclusion]
         return omegas
 
 
@@ -230,15 +227,18 @@ class SweepReport:
         }
 
 
-def sweep_psd(
-    ss: StateSpace, grid: SweepGrid | None = None, poles: Sequence[float] = ()
-) -> SweepReport:
+def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     """Condition 2: minimum eigenvalue of G(jw) + G^H(jw) across the grid.
 
     For real-coefficient models G^T(-jw) = G^H(jw), so sweeping w >= 0
     covers the whole axis. Pass iff the global minimum stays above -_TOL.
     A zero-state model is G = D at every frequency: one point, no omega.
-    A grid left without points by the pole exclusion is a ValueError.
+
+    The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
+    as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
+    some |Im p|, and a grid left empty is a ValueError. So no point is
+    singular for `eval_tf`: an off-axis pole is more than _TOL >=
+    dqstamp._POLE_TOL from the axis, an on-axis one more than _CLUSTER_TOL.
 
     An integrator-only model (A = 0, as low-frequency III/IV) is evaluated
     at the first and last grid points only, which gives the grid minimum
@@ -255,32 +255,25 @@ def sweep_psd(
         lam = hermitian_min_eig(ss.d + ss.d.T)
         return SweepReport(passed=lam >= -_TOL, min_eig=lam, worst_omega=None, n_points=1)
     grid = grid if grid is not None else SweepGrid()
-    omegas = grid.points(exclude=poles)
+    axis = np.abs(ss.poles[np.abs(ss.poles.real) <= _TOL].imag)
+    omegas = grid.points()
+    omegas = omegas[(np.abs(omegas[:, None] - axis) > _CLUSTER_TOL).all(axis=1)]
     if omegas.size == 0:
-        raise ValueError(
-            f"{grid} has no point left after excluding the poles at omega={list(poles)}"
-        )
+        poles = np.unique(axis).tolist()
+        raise ValueError(f"{grid} has no point left after excluding the poles at omega={poles}")
     if not ss.a.any() and omegas.size > 2:
         omegas = omegas[[0, -1]]
-    worst = math.inf
-    worst_omega = None
-    samples: list[tuple[float, float]] = []
+    lams = []
     for w in omegas:
-        try:
-            g = eval_tf(ss, 1j * w)
-        except SingularFrequencyError as exc:
-            raise ValueError(f"transfer matrix singular at sweep point omega={w}: {exc}") from exc
-        lam = hermitian_min_eig(g + g.conj().T)
-        samples.append((float(w), lam))
-        if lam < worst:
-            worst = lam
-            worst_omega = float(w)
+        g = eval_tf(ss, 1j * w)
+        lams.append(hermitian_min_eig(g + g.conj().T))
+    k = int(np.argmin(lams))
     return SweepReport(
-        passed=worst >= -_TOL,
-        min_eig=worst,
-        worst_omega=worst_omega,
+        passed=lams[k] >= -_TOL,
+        min_eig=lams[k],
+        worst_omega=float(omegas[k]),
         n_points=len(omegas),
-        samples=tuple(samples),
+        samples=tuple(zip(omegas.tolist(), lams)),
     )
 
 
@@ -601,12 +594,11 @@ class PassivityVerdict:
 
 
 def _state_space_checks(
-    ss: StateSpace, grid: SweepGrid, op: OperatingPoint | None
+    ss: StateSpace, grid: SweepGrid | None, op: OperatingPoint | None
 ) -> tuple[PoleReport, SweepReport, tuple[ResidueReport, ...], FeedthroughReport, bool]:
     """Conditions 1-3 and the feedthrough certificate; the last item is the verdict."""
     poles = check_poles(ss)
-    imag_omegas = [p.omega for p in poles.imaginary_axis]
-    sweep = sweep_psd(ss, grid, poles=imag_omegas)
+    sweep = sweep_psd(ss, grid)
     # A defective cluster has no residue and fails condition 3 outright.
     residues = tuple(
         check_residue_psd_hermitian(p.residue, omega=p.omega)
@@ -630,9 +622,11 @@ def classify_model(
 ) -> PassivityVerdict:
     """Classify one (model, analysis, variant) combination of a network.
 
-    The variant network is re-solved so its operating point is
-    self-consistent. Every cell is realized as state space and goes through
-    one pipeline: poles, sweep, residues, feedthrough. The static
+    For the polar models II-IV the variant network is re-solved so its
+    operating point is self-consistent; the rectangular model I is the
+    network alone and solves no power flow, so it is classified even where
+    the loading has no solution. Every cell is realized as state space and
+    goes through one pipeline: poles, sweep, residues, feedthrough. The static
     low-frequency models are zero-state realizations, Y_DQ(0) for I and
     N(s) = J_LF for II, so their sweep is the symmetric-part spectrum of D
     and they report no pole check; III and IV are J_LF behind the channel
@@ -656,8 +650,7 @@ def classify_model(
         raise ValueError("the rectangular model needs no regulation")
 
     variant = derive_variant(case, flags)
-    op = solve_powerflow(variant)
-    grid = grid if grid is not None else SweepGrid()
+    op = None if model == "I" else solve_powerflow(variant)
     notes: tuple[str, ...] = ()
 
     if analysis == "wideband":

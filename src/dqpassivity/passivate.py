@@ -77,7 +77,7 @@ def min_eig_excluding_uniform_angle(sym: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(basis.T @ sym @ basis)))
 
 
-def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 1e-6) -> float:
+def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 0.0) -> float:
     """Smallest uniform k_qv at the given buses that passivates J_LF.
 
     Passivated means the symmetric part S = J + J^T of the regulated
@@ -93,6 +93,9 @@ def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 1e-6) -> f
     (Boyd & Vandenberghe, Convex Optimization, A.5.5), which gives k in
     closed form. When H is not, no k helps: the failing direction lies
     outside the regulated rows.
+
+    The default tol = 0 is the exact PSD boundary, which `classify_model`
+    accepts; with tol > 0 the spectrum may sit tol below zero, which it rejects.
     """
     if not buses:
         raise ValueError("need at least one regulating bus")

@@ -2,12 +2,23 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dqpassivity import cli
+import dqpassivity
+from dqpassivity import (
+    assemble_ydq,
+    build_j_of_s,
+    build_jdf,
+    build_jdp,
+    cli,
+    export_matrices,
+)
 from dqpassivity.cli import (
     EXIT_CASE_ERROR,
     EXIT_COMPUTE_ERROR,
@@ -18,6 +29,7 @@ from dqpassivity.cli import (
     _VERDICT_EXIT,
     main,
 )
+from dqpassivity.reference import EXPECTED_GRID
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,6 +82,46 @@ def test_passivity_csv_static_model_notes(tmp_path, capsys):
     assert code == EXIT_NON_PASSIVE
     assert not csv.exists()
     assert "frequency-independent" in capsys.readouterr().err
+
+
+def test_pf_nonpositive_vset_exits_2(tmp_path, capsys):
+    path = tmp_path / "neg_vset.case"
+    path.write_text(TWO_BUS.replace("1  slack  -     -  1.0", "1  slack  -     -  -1.04"))
+    assert main(["pf", str(path)]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bus 1: vset=-1.04 must be > 0" in captured.err
+
+
+def test_pf_diverging_case_exits_3(tmp_path, capsys):
+    path = tmp_path / "overloaded.case"
+    path.write_text(TWO_BUS.replace("2  pv     -0.5  -  1.0", "2  pq     -100  0.0  -"))
+    assert main(["pf", str(path)]) == EXIT_COMPUTE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "power flow error" in captured.err
+
+
+def test_missing_case_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.case"
+    assert main(["pf", str(missing)]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
+
+
+def test_module_entry_point_help():
+    src = str(Path(dqpassivity.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "dqpassivity", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert run.returncode == 0
+    assert "dump-model" in run.stdout
 
 
 def test_pf_malformed_file(tmp_path, capsys):
@@ -224,6 +276,14 @@ def test_tables_default_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_tables_json_reproduces_grid(capsys):
+    assert main(["tables", "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == []
+    grid = {m: {c: v["computed"] for c, v in cells.items()} for m, cells in doc["grid"].items()}
+    assert grid == EXPECTED_GRID
+
+
 def test_tables_tight_tolerance_fails(capsys):
     assert main(["tables", "--tolerance", "1e-6"]) == EXIT_MISMATCH
     out = capsys.readouterr().out
@@ -246,6 +306,14 @@ def test_dump_model(capsys):
     for block in ("[A]", "[B]", "[C]", "[D]", "[inputs]", "[states]"):
         assert block in out
     assert "v_D:1" in out
+
+
+@pytest.mark.parametrize("model", ["II", "III", "IV"])
+def test_dump_polar_model_matches_builders(model, ieee9, ieee9_op, capsys):
+    j = build_j_of_s(assemble_ydq(ieee9), ieee9_op)
+    ss = {"II": j, "III": build_jdp(j, 0.01), "IV": build_jdf(j, 0.01)}[model]
+    assert main(["dump-model", "ieee9", "--model", model]) == EXIT_OK
+    assert capsys.readouterr().out == export_matrices(ss) + "\n"
 
 
 def test_dump_jacobian_blocks(capsys):

@@ -7,15 +7,17 @@ from dataclasses import replace
 import pytest
 
 from dqpassivity import (
+    Branch,
     CaseParseError,
     CaseTopologyError,
     CaseValidationError,
+    Injection,
     VariantFlags,
     derive_variant,
     parse_case,
     serialize_case,
 )
-from dqpassivity.netcase import validate_case
+from dqpassivity.netcase import CaseError, validate_case
 
 MINI = """
 [system]
@@ -150,6 +152,63 @@ def test_validate_case_rejects_non_finite_number(ieee9, part, index, field, valu
         case = replace(ieee9, **{part: tuple(items)})
     with pytest.raises(CaseValidationError, match=re.escape(f"{where}: {field}={value} must be finite")):
         validate_case(case)
+
+
+def _replace_item(case, part, index, **changes):
+    items = list(getattr(case, part))
+    items[index] = replace(items[index], **changes)
+    return replace(case, **{part: tuple(items)})
+
+
+@pytest.mark.parametrize("value", ["0.0", "-1.04"])
+def test_parse_rejects_nonpositive_slack_vset(value):
+    bad = MINI.replace("1  slack  -     -    1.0", f"1  slack  -     -    {value}")
+    with pytest.raises(CaseValidationError, match=re.escape(f"bus 1: vset={float(value)} must be > 0")):
+        parse_case(bad)
+
+
+@pytest.mark.parametrize("index, bus", [(0, 4), (1, 7)], ids=["slack", "pv"])
+@pytest.mark.parametrize("value", [0.0, -1.04])
+def test_validate_case_rejects_nonpositive_vset(ieee9, index, bus, value):
+    case = _replace_item(ieee9, "injections", index, vset=value)
+    with pytest.raises(CaseValidationError, match=re.escape(f"bus {bus}: vset={value} must be > 0")):
+        validate_case(case)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda c: replace(c, branches=c.branches + (Branch(from_bus=5, to_bus=5, r=0.0, x=0.1),)),
+            "branch 5-5 is a self-loop",
+        ),
+        (lambda c: _replace_item(c, "injections", 3, kind="load"), "unknown kind 'load'"),
+        (
+            lambda c: replace(c, injections=c.injections + (Injection(bus=5, kind="pq", p=0.0, q=0.0),)),
+            "multiple injections at bus 5",
+        ),
+        (lambda c: _replace_item(c, "injections", 1, vset=None), "PV injection at bus 7 needs"),
+        (lambda c: _replace_item(c, "injections", 1, p=None), "PV injection at bus 7 needs"),
+        (lambda c: _replace_item(c, "injections", 3, q=None), "PQ injection at bus 5 needs"),
+        (lambda c: replace(c, regulation=((42, 0.5),)), "unknown bus 42"),
+        (lambda c: replace(c, system=replace(c.system, base_mva=0.0)), "base MVA"),
+        (lambda c: replace(c, system=replace(c.system, base_mva=-100.0)), "base MVA"),
+    ],
+    ids=[
+        "self-loop",
+        "unknown-kind",
+        "two-injections",
+        "pv-no-vset",
+        "pv-no-p",
+        "pq-no-q",
+        "unknown-regulation-bus",
+        "base-mva-zero",
+        "base-mva-negative",
+    ],
+)
+def test_validate_case_rejects_invalid_case(ieee9, mutate, message):
+    with pytest.raises(CaseError, match=re.escape(message)):
+        validate_case(mutate(ieee9))
 
 
 def test_slack_count_enforced():

@@ -14,6 +14,7 @@ from dqpassivity import (
     Injection,
     NetworkCase,
     ParasiticConfig,
+    PowerFlowError,
     RegulationSet,
     SimulationUnstableError,
     StateMeta,
@@ -42,7 +43,7 @@ from dqpassivity import (
     sweep_psd,
 )
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
-from conftest import random_solved_case
+from conftest import random_solved_case, two_bus_case
 from test_cli import DATA, _compare_tree
 
 TAU = 0.01
@@ -240,8 +241,7 @@ def test_sweep_resistor_network():
 
 def test_sweep_ydq_passes_and_j_fails(ieee9, ieee9_j2):
     ydq = assemble_ydq(ieee9)
-    poles = [p.omega for p in check_poles(ydq).imaginary_axis]
-    assert sweep_psd(ydq, SweepGrid(), poles=poles).passed
+    assert sweep_psd(ydq, SweepGrid()).passed
     rep = sweep_psd(ieee9_j2, SweepGrid())
     assert not rep.passed
     assert rep.min_eig < -1e-3
@@ -270,7 +270,7 @@ def test_indefinite_feedthrough_forces_high_frequency_failure(ieee9_j2):
 
 def test_sweep_singularity_names_frequency(ieee9_j2):
     j3 = build_jdp(ieee9_j2, TAU)
-    bad = SweepGrid(omega_min=1e-12, omega_max=1e-10, points_per_decade=1, pole_exclusion=0)
+    bad = SweepGrid(omega_min=1e-12, omega_max=1e-10, points_per_decade=1)
     # Grid points collide with the origin pole within eval tolerance.
     with pytest.raises(ValueError, match="omega"):
         sweep_psd(j3, bad)
@@ -280,9 +280,9 @@ def test_sweep_rejects_grid_emptied_by_pole_exclusion(ieee9, ieee9_op, ieee9_j2)
     lf3 = build_jdp(build_jlf_analytic(ieee9, ieee9_op), TAU)
     for ss in (build_jdp(ieee9_j2, TAU), lf3):
         with pytest.raises(ValueError, match="no point left"):
-            sweep_psd(ss, SweepGrid(1e-8, 5e-7, 2), poles=[0.0])
+            sweep_psd(ss, SweepGrid(1e-8, 5e-7, 2))
     # One point left: an integrator-only model sweeps just that point.
-    rep = sweep_psd(lf3, SweepGrid(1e-7, 1e-5, 1), poles=[0.0])
+    rep = sweep_psd(lf3, SweepGrid(1e-7, 1e-5, 1))
     assert rep.n_points == 1 and rep.worst_omega == pytest.approx(1e-5)
 
 
@@ -290,7 +290,7 @@ def test_sweep_grid_ends_exactly_where_asked(ieee9, ieee9_op):
     grid = SweepGrid(1e-7, 1e-5, 1)
     assert grid.points()[0] == 1e-7 and grid.points()[-1] == 1e-5
     lf3 = build_jdp(build_jlf_analytic(ieee9, ieee9_op), TAU)
-    rep = sweep_psd(lf3, grid, poles=[0.0])
+    rep = sweep_psd(lf3, grid)
     assert rep.n_points == 1 and rep.worst_omega == 1e-5
 
 
@@ -306,7 +306,7 @@ def test_sweep_grid_rejects_non_finite_bounds(bounds):
 def full_grid_min_eig(ss):
     """Plain-numpy minimum of eig(G + G^H) over every default grid point."""
     lam = math.inf
-    for w in SweepGrid().points(exclude=[0.0]):
+    for w in SweepGrid().points():
         g = ss.c @ np.linalg.solve(1j * w * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
         lam = min(lam, float(np.linalg.eigvalsh(g + g.conj().T)[0]))
     return lam
@@ -348,7 +348,7 @@ def test_integrator_only_sweep_endpoints_random_model():
         output_labels=tuple(f"y{i}" for i in range(m)),
         state_meta=tuple(StateMeta("integrator", 0.0, f"int:{i}") for i in range(k)),
     )
-    check_endpoint_sweep(sweep_psd(ss, SweepGrid(), poles=[0.0]), ss)
+    check_endpoint_sweep(sweep_psd(ss, SweepGrid()), ss)
 
 
 # -- Feedthrough and residue predicates ---------------------------------------
@@ -619,6 +619,35 @@ def test_classify_invalid_combinations(ieee9):
         classify_model(ieee9, VariantFlags(decoupled=True), model="I", analysis="lowfreq")
     with pytest.raises(ValueError):
         classify_model(ieee9, model="II", analysis="wideband", regulation=REG)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(model="V"), "unknown model 'V'"),
+        (dict(model="II", analysis="dc"), "unknown analysis 'dc'"),
+        (dict(model="I", analysis="lowfreq", regulation=REG), "needs no regulation"),
+    ],
+    ids=["unknown-model", "unknown-analysis", "regulated-model-i"],
+)
+def test_classify_rejects_bad_arguments(ieee9, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        classify_model(ieee9, **kwargs)
+
+
+def test_sweep_grid_rejects_zero_points_per_decade():
+    with pytest.raises(ValueError, match="points_per_decade"):
+        SweepGrid(points_per_decade=0)
+
+
+@pytest.mark.parametrize("analysis", ["wideband", "lowfreq"])
+def test_model_i_needs_no_operating_point(analysis):
+    # The rectangular model is the network alone: a loading with no power-flow
+    # solution still has a model-I verdict, while the polar models need one.
+    case = two_bus_case(load_p=-100)
+    assert classify_model(case, model="I", analysis=analysis).overall == "passive"
+    with pytest.raises(PowerFlowError):
+        classify_model(case, model="II", analysis=analysis)
 
 
 def test_verdict_serializes(ieee9):

@@ -10,6 +10,7 @@ from dqpassivity import (
     VariantFlags,
     apply_qv_contribution,
     build_jlf_analytic,
+    classify_model,
     decouple,
     derive_variant,
     min_eig_excluding_uniform_angle,
@@ -191,6 +192,32 @@ def test_min_uniform_kqv_matches_bisection(ieee9, ieee9_op, jlf):
                 n_positive += 1
                 assert regulated_min_eig(j, buses, kstar - 1e-7) < -tol
     assert n_positive >= 30
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        VariantFlags(),
+        VariantFlags(lossless=True),
+        VariantFlags(no_shunt_b=True),
+        VariantFlags(lossless=True, no_shunt_b=True),
+        VariantFlags(decoupled=True),
+        VariantFlags(lossless=True, decoupled=True),
+    ],
+    ids=["lossy_b", "lossless_b", "lossy_nob", "lossless_nob", "lossy_b/decoupled", "lossless_b/decoupled"],
+)
+def test_min_uniform_kqv_default_passes_classify_model(ieee9, flags):
+    # The default k is the exact PSD boundary, so regulating with it flips
+    # low-frequency model II under the verdict's own tolerance.
+    variant = derive_variant(ieee9, flags)
+    j = build_jlf_analytic(variant, solve_powerflow(variant))
+    j = decouple(j) if flags.decoupled else j
+    k = min_uniform_kqv(j, REG_BUSES)
+    assert k > 0
+    reg = RegulationSet.uniform(REG_BUSES, k)
+    v = classify_model(ieee9, flags, "II", "lowfreq", regulation=reg)
+    assert v.overall == "passive-after-regulation"
+    assert v.regulated.min_eig_excluding_structural >= -1e-9
 
 
 def test_min_uniform_kqv_rejects_unknown_bus(jlf):

@@ -86,7 +86,7 @@ def _parse_sweep(spec: str | None) -> SweepGrid | None:
         return None
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError("sweep grid must be min:max:points_per_decade")
+        raise ValueError(f"sweep grid must be min:max:points_per_decade, got {spec!r}")
     return SweepGrid(
         omega_min=float(parts[0]),
         omega_max=float(parts[1]),
@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CASE_ERROR
     except CaseError as exc:

@@ -10,7 +10,7 @@ cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
 from numbers import Real
 
@@ -225,19 +225,6 @@ def _check_connected(case: NetworkCase) -> None:
         raise CaseTopologyError(f"network graph is disconnected; unreachable buses {missing}")
 
 
-# --------------------------------------------------------------------------
-# Case file format: '[section]' headers with whitespace-separated rows.
-#   [system]    key = value lines (base_mva, omega0)
-#   [buses]     id vnom g_shunt b_shunt
-#   [branches]  from to r x b_line ratio
-#   [injections] bus kind p q vset      ('-' marks not-applicable)
-#   [regulation] bus k_qv               (optional)
-# '#' starts a comment. All quantities in per-unit on the declared base.
-# --------------------------------------------------------------------------
-
-_SECTIONS = ("system", "buses", "branches", "injections", "regulation")
-
-
 def _num(token: str, what: str, line: int) -> float:
     try:
         value = float(token)
@@ -259,14 +246,32 @@ def _opt(token: str, what: str, line: int) -> float | None:
     return None if token == "-" else _num(token, what, line)
 
 
+# Row sections in file order, each named after its NetworkCase field:
+# (row name, row type taking the columns positionally, columns), where a
+# column is (header, field name in parse errors, parser).
+_ROWS = {
+    "buses": ("bus", Bus, (
+        ("id", "bus id", _int), ("vnom", "vnom", _num),
+        ("g_shunt", "g_shunt", _num), ("b_shunt", "b_shunt", _num),
+    )),
+    "branches": ("branch", Branch, (
+        ("from", "from", _int), ("to", "to", _int), ("r", "r", _num),
+        ("x", "x", _num), ("b_line", "b_line", _num), ("ratio", "ratio", _num),
+    )),
+    "injections": ("injection", Injection, (
+        ("bus", "bus", _int), ("kind", "kind", lambda token, what, line: token.lower()),
+        ("p", "p", _opt), ("q", "q", _opt), ("vset", "vset", _opt),
+    )),
+    "regulation": ("regulation", lambda *row: row, (("bus", "bus", _int), ("k_qv", "k_qv", _num))),
+}
+
+
 def parse_case(text: str) -> NetworkCase:
     """Parse case-file text into a validated NetworkCase."""
+    system_keys = [f.name for f in fields(SystemParams)]
     section = None
-    sys_kv: dict[str, float] = {}
-    buses: list[Bus] = []
-    branches: list[Branch] = []
-    injections: list[Injection] = []
-    regulation: list[tuple[int, float]] = []
+    system: dict[str, float] = {}
+    rows: dict[str, list] = {name: [] for name in _ROWS}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -274,7 +279,7 @@ def parse_case(text: str) -> NetworkCase:
             continue
         if line.startswith("["):
             name = line.strip("[]").strip().lower()
-            if name not in _SECTIONS:
+            if name != "system" and name not in _ROWS:
                 raise CaseParseError(f"unknown section [{name}]", lineno)
             section = name
             continue
@@ -285,96 +290,37 @@ def parse_case(text: str) -> NetworkCase:
                 raise CaseParseError("system entries must be 'key = value'", lineno)
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            if key not in ("base_mva", "omega0"):
+            if key not in system_keys:
                 raise CaseParseError(f"unknown system key {key!r}", lineno)
-            sys_kv[key] = _num(value.strip(), key, lineno)
+            system[key] = _num(value.strip(), key, lineno)
             continue
-        tok = line.split()
-        if section == "buses":
-            if len(tok) != 4:
-                raise CaseParseError("bus rows need: id vnom g_shunt b_shunt", lineno)
-            buses.append(
-                Bus(
-                    id=_int(tok[0], "bus id", lineno),
-                    vnom=_num(tok[1], "vnom", lineno),
-                    g_shunt=_num(tok[2], "g_shunt", lineno),
-                    b_shunt=_num(tok[3], "b_shunt", lineno),
-                )
-            )
-        elif section == "branches":
-            if len(tok) != 6:
-                raise CaseParseError("branch rows need: from to r x b_line ratio", lineno)
-            branches.append(
-                Branch(
-                    from_bus=_int(tok[0], "from", lineno),
-                    to_bus=_int(tok[1], "to", lineno),
-                    r=_num(tok[2], "r", lineno),
-                    x=_num(tok[3], "x", lineno),
-                    b_line=_num(tok[4], "b_line", lineno),
-                    ratio=_num(tok[5], "ratio", lineno),
-                )
-            )
-        elif section == "injections":
-            if len(tok) != 5:
-                raise CaseParseError("injection rows need: bus kind p q vset", lineno)
-            injections.append(
-                Injection(
-                    bus=_int(tok[0], "bus", lineno),
-                    kind=tok[1].lower(),
-                    p=_opt(tok[2], "p", lineno),
-                    q=_opt(tok[3], "q", lineno),
-                    vset=_opt(tok[4], "vset", lineno),
-                )
-            )
-        elif section == "regulation":
-            if len(tok) != 2:
-                raise CaseParseError("regulation rows need: bus k_qv", lineno)
-            regulation.append((_int(tok[0], "bus", lineno), _num(tok[1], "k_qv", lineno)))
+        row_name, row_type, columns = _ROWS[section]
+        tokens = line.split()
+        if len(tokens) != len(columns):
+            headers = " ".join(header for header, _, _ in columns)
+            raise CaseParseError(f"{row_name} rows need: {headers}", lineno)
+        values = [parse(token, what, lineno) for token, (_, what, parse) in zip(tokens, columns)]
+        rows[section].append(row_type(*values))
 
-    case = NetworkCase(
-        system=SystemParams(
-            base_mva=sys_kv.get("base_mva", 100.0),
-            omega0=sys_kv.get("omega0", 2.0 * math.pi * 60.0),
-        ),
-        buses=tuple(buses),
-        branches=tuple(branches),
-        injections=tuple(injections),
-        regulation=tuple(regulation),
-    )
+    case = NetworkCase(system=SystemParams(**system), **{name: tuple(r) for name, r in rows.items()})
     validate_case(case)
     return case
 
 
+def _format(value: object) -> str:
+    return "-" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_case(case: NetworkCase) -> str:
-    """Render a case back into the canonical text format (parse round-trips)."""
+    """Render a case with the headers and columns that parse_case reads (parse round-trips)."""
     out = ["[system]"]
-    out.append(f"base_mva = {case.system.base_mva!r}")
-    out.append(f"omega0 = {case.system.omega0!r}")
-    out.append("")
-    out.append("[buses]")
-    out.append("# id  vnom  g_shunt  b_shunt")
-    for b in case.buses:
-        out.append(f"{b.id}  {b.vnom!r}  {b.g_shunt!r}  {b.b_shunt!r}")
-    out.append("")
-    out.append("[branches]")
-    out.append("# from  to  r  x  b_line  ratio")
-    for br in case.branches:
-        out.append(f"{br.from_bus}  {br.to_bus}  {br.r!r}  {br.x!r}  {br.b_line!r}  {br.ratio!r}")
-    out.append("")
-    out.append("[injections]")
-    out.append("# bus  kind  p  q  vset")
-
-    def opt(v: float | None) -> str:
-        return "-" if v is None else repr(v)
-
-    for inj in case.injections:
-        out.append(f"{inj.bus}  {inj.kind}  {opt(inj.p)}  {opt(inj.q)}  {opt(inj.vset)}")
-    if case.regulation:
-        out.append("")
-        out.append("[regulation]")
-        out.append("# bus  k_qv")
-        for bus_id, kqv in case.regulation:
-            out.append(f"{bus_id}  {kqv!r}")
+    out += [f"{f.name} = {getattr(case.system, f.name)!r}" for f in fields(SystemParams)]
+    for name, (_, _, columns) in _ROWS.items():
+        rows = getattr(case, name)
+        if name == "regulation" and not rows:  # the only optional section
+            continue
+        out += ["", f"[{name}]", "# " + "  ".join(header for header, _, _ in columns)]
+        out += ["  ".join(map(_format, row if isinstance(row, tuple) else astuple(row))) for row in rows]
     out.append("")
     return "\n".join(out)
 

@@ -146,16 +146,16 @@ def check_poles(ss: StateSpace) -> PoleReport:
     """
     eigs, cv, vib, _ = ss.modes
     unstable = tuple(complex(z) for z in eigs[eigs.real > _TOL])
-    on_axis = eigs[np.abs(eigs.real) <= _TOL]
-    clusters: list[list[complex]] = []
-    for z in sorted(on_axis, key=lambda z: z.imag):
-        if clusters and abs(z.imag - clusters[-1][-1].imag) <= _CLUSTER_TOL:
-            clusters[-1].append(z)
+    on_axis = np.flatnonzero(np.abs(eigs.real) <= _TOL)
+    clusters: list[list[int]] = []
+    for k in on_axis[np.argsort(eigs[on_axis].imag, kind="stable")]:
+        if clusters and eigs[k].imag - eigs[clusters[-1][-1]].imag <= _CLUSTER_TOL:
+            clusters[-1].append(k)
         else:
-            clusters.append([z])
+            clusters.append([k])
     poles: list[ImaginaryAxisPole] = []
     for group in clusters:
-        omega = float(np.mean([z.imag for z in group]))
+        omega = float(np.mean(eigs[group].imag))
         center = 1j * omega
         alg = len(group)
         sv = np.linalg.svd(ss.a - center * np.eye(ss.n_states), compute_uv=False)
@@ -168,7 +168,7 @@ def check_poles(ss: StateSpace) -> PoleReport:
         if semisimple:
             if vib is None:
                 raise np.linalg.LinAlgError("eigenvector matrix of A is singular")
-            sel = np.abs(eigs - center) <= _CLUSTER_TOL
+            sel = np.sort(group)
             residue = cv[:, sel] @ vib[sel, :]
         poles.append(
             ImaginaryAxisPole(

@@ -48,8 +48,10 @@ def interface_matrices(op: OperatingPoint) -> tuple[np.ndarray, np.ndarray, np.n
     injections into the feedthrough, and F maps (phi, V_n) deviations to
     (v_D, v_Q) deviations. Each is 2n x 2n, built from per-bus diagonals.
     """
-    if np.any(op.vm <= 0.0):
-        raise DegenerateOperatingPointError("operating point has |V| = 0 at some bus")
+    bad = np.asarray(op.bus_ids)[op.vm <= 0.0]
+    if bad.size:
+        buses = ", ".join(map(str, bad))
+        raise DegenerateOperatingPointError(f"operating point has |V| <= 0 at bus {buses}")
     vd = np.diag(op.v_d)
     vq = np.diag(op.v_q)
     idm = np.diag(op.i_d)

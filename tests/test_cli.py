@@ -110,6 +110,35 @@ def test_missing_case_path_exits_2(tmp_path, capsys):
     assert str(missing) in captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["pf", "{dir}"], ["pf", "ieee9", "--out", "{dir}"]],
+    ids=["case-is-directory", "out-is-directory"],
+)
+def test_unreadable_path_exits_2(args, tmp_path, capsys):
+    assert main([a.format(dir=tmp_path) for a in args]) == EXIT_CASE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["--variant", "foo"], "'foo'"),
+        (["--reg", "5"], "'5'"),
+        (["--reg", "5:x"], "'5:x'"),
+        (["--sweep", "1:2"], "'1:2'"),
+    ],
+)
+def test_passivity_bad_argument_exits_2(args, bad, capsys):
+    assert main(["passivity", "ieee9", "--model", "II", *args]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert bad in captured.err
+
+
 def test_module_entry_point_help():
     src = str(Path(dqpassivity.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

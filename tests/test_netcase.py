@@ -193,6 +193,17 @@ def test_validate_case_rejects_nonpositive_vset(ieee9, index, bus, value):
         (lambda c: replace(c, regulation=((42, 0.5),)), "unknown bus 42"),
         (lambda c: replace(c, system=replace(c.system, base_mva=0.0)), "base MVA"),
         (lambda c: replace(c, system=replace(c.system, base_mva=-100.0)), "base MVA"),
+        (lambda c: replace(c, buses=()), "case has no buses"),
+        (lambda c: _replace_item(c, "buses", 0, vnom=0.0), "bus 1: nominal |V| must be > 0"),
+        (lambda c: _replace_item(c, "branches", 3, r=-0.01), "branch 1-5: series R must be >= 0"),
+        (lambda c: _replace_item(c, "branches", 3, b_line=-0.1), "branch 1-5: line charging must be >= 0"),
+        (lambda c: _replace_item(c, "branches", 0, ratio=0.0), "branch 4-1: turns ratio must be > 0"),
+        (lambda c: _replace_item(c, "injections", 3, bus=42), "injection references unknown bus 42"),
+        (lambda c: _replace_item(c, "injections", 0, vset=None), "slack at bus 4 needs a |V| setpoint"),
+        (
+            lambda c: replace(c, regulation=((5, -0.1),)),
+            "regulation at bus 5: k_qv must be finite and >= 0",
+        ),
     ],
     ids=[
         "self-loop",
@@ -204,11 +215,116 @@ def test_validate_case_rejects_nonpositive_vset(ieee9, index, bus, value):
         "unknown-regulation-bus",
         "base-mva-zero",
         "base-mva-negative",
+        "no-buses",
+        "vnom-zero",
+        "negative-r",
+        "negative-b-line",
+        "ratio-zero",
+        "injection-unknown-bus",
+        "slack-no-vset",
+        "negative-k-qv",
     ],
 )
 def test_validate_case_rejects_invalid_case(ieee9, mutate, message):
     with pytest.raises(CaseError, match=re.escape(message)):
         validate_case(mutate(ieee9))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINI + "[foo]\n", "line 16: unknown section [foo]"),
+        ("1  1.0  0.0  0.0\n" + MINI, "line 1: data before any [section] header"),
+        (MINI.replace("base_mva = 100.0", "base_mva 100.0"), "line 3: system entries must be 'key = value'"),
+        (MINI.replace("base_mva = 100.0", "freq = 50"), "line 3: unknown system key 'freq'"),
+        (MINI.replace("2  1.0  0.0  0.0", "2  1.0  0.0"), "line 8: bus rows need: id vnom g_shunt b_shunt"),
+        (
+            MINI.replace("1  2  0.0  0.1  0.0  1.0", "1  2  0.0  0.1  0.0"),
+            "line 11: branch rows need: from to r x b_line ratio",
+        ),
+        (MINI.replace("0.0  -\n", "0.0\n"), "line 15: injection rows need: bus kind p q vset"),
+        (MINI + "[regulation]\n2  0.4  1\n", "line 17: regulation rows need: bus k_qv"),
+        (MINI.replace("2  1.0  0.0  0.0", "2.5  1.0  0.0  0.0"), "line 8: field bus id: expected an integer, got '2.5'"),
+        (MINI.replace("1  2  0.0  0.1", "1  b  0.0  0.1"), "line 11: field to: expected an integer, got 'b'"),
+        (
+            MINI.replace("base_mva = 100.0", "base_mva = abc"),
+            "line 3: field base_mva: expected a finite number, got 'abc'",
+        ),
+        (MINI.replace("2  1.0  0.0  0.0", "2  x  0.0  0.0"), "line 8: field vnom: expected a finite number, got 'x'"),
+        (MINI.replace("0.1  0.0  1.0", "0.1  nan  1.0"), "line 11: field b_line: expected a finite number, got 'nan'"),
+        (MINI.replace("0.0  -\n", "0.0  inf\n"), "line 15: field vset: expected a finite number, got 'inf'"),
+        (MINI + "[regulation]\n2  nan\n", "line 17: field k_qv: expected a finite number, got 'nan'"),
+    ],
+    ids=[
+        "unknown-section",
+        "data-before-header",
+        "system-without-equals",
+        "unknown-system-key",
+        "bus-arity",
+        "branch-arity",
+        "injection-arity",
+        "regulation-arity",
+        "non-integer-id",
+        "non-integer-to",
+        "system-number",
+        "bus-number",
+        "branch-number",
+        "injection-optional-number",
+        "regulation-number",
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(CaseParseError) as info:
+        parse_case(text)
+    assert str(info.value) == message
+    assert info.value.line == int(message.split()[1].rstrip(":"))
+
+
+IEEE9_SERIALIZED = """\
+[system]
+base_mva = 100.0
+omega0 = 376.99111843077515
+
+[buses]
+# id  vnom  g_shunt  b_shunt
+1  1.0  0.0  0.0
+2  1.0  0.0  0.0
+3  1.0  0.0  0.0
+4  1.0  0.0  0.0
+5  1.0  0.0  0.0
+6  1.0  0.0  0.0
+7  1.0  0.0  0.0
+8  1.0  0.0  0.0
+9  1.0  0.0  0.0
+
+[branches]
+# from  to  r  x  b_line  ratio
+4  1  0.0  0.0576  0.0  1.0
+7  2  0.0  0.0625  0.0  1.0
+9  3  0.0  0.0586  0.0  1.0
+1  5  0.01  0.085  0.176  1.0
+1  6  0.017  0.092  0.158  1.0
+5  2  0.032  0.161  0.306  1.0
+6  3  0.039  0.17  0.358  1.0
+2  8  0.0085  0.072  0.149  1.0
+8  3  0.0119  0.1008  0.209  1.0
+
+[injections]
+# bus  kind  p  q  vset
+4  slack  -  -  1.04
+7  pv  1.63  -  1.025
+9  pv  0.85  -  1.025
+5  pq  -1.25  -0.5  -
+6  pq  -0.9  -0.3  -
+8  pq  -1.0  -0.35  -
+"""
+
+
+def test_serialize_ieee9_golden(ieee9):
+    assert serialize_case(ieee9) == IEEE9_SERIALIZED
+    regulated = replace(ieee9, regulation=((1, 0.65), (5, 0.4)))
+    tail = "\n[regulation]\n# bus  k_qv\n1  0.65\n5  0.4\n"
+    assert serialize_case(regulated) == IEEE9_SERIALIZED + tail
 
 
 def test_slack_count_enforced():

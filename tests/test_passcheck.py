@@ -127,6 +127,28 @@ def test_double_integrator_defective():
     assert pole.residue is None
 
 
+def test_cluster_residue_sums_every_chained_member():
+    # Eigenvalues 0, +/-jw, +/-2jw chain into one cluster (gaps w <= 1e-6)
+    # that is wider than 1e-6 about its mean; each member's residue counts.
+    w = 0.9e-6
+    a = np.zeros((5, 5))
+    a[1, 2], a[2, 1] = w, -w
+    a[3, 4], a[4, 3] = 2 * w, -2 * w
+    ss = StateSpace(
+        a=a,
+        b=np.eye(5),
+        c=np.eye(5),
+        d=np.zeros((5, 5)),
+        input_labels=tuple(f"u{i}" for i in range(5)),
+        output_labels=tuple(f"y{i}" for i in range(5)),
+        state_meta=tuple(StateMeta("integrator", 0.0, f"x{i}") for i in range(5)),
+    )
+    (pole,) = check_poles(ss).imaginary_axis
+    assert pole.multiplicity == 5
+    assert pole.semisimple
+    assert np.allclose(pole.residue, np.eye(5), atol=1e-12)
+
+
 def test_structural_residues(ieee9, ieee9_op, ieee9_j2):
     jlf = build_jlf_analytic(ieee9, ieee9_op)
     j4 = build_jdf(ieee9_j2, TAU)

@@ -190,6 +190,17 @@ def test_degenerate_operating_point_rejected(ieee9_op):
         interface_matrices(broken)
 
 
+def test_degenerate_operating_point_names_buses(ieee9_op):
+    from dataclasses import replace
+
+    from dqpassivity import DegenerateOperatingPointError
+
+    vm = ieee9_op.vm.copy()
+    vm[[2, 6]] = [0.0, -1.0]
+    with pytest.raises(DegenerateOperatingPointError, match=r"\|V\| <= 0 at bus 3, 7$"):
+        interface_matrices(replace(ieee9_op, vm=vm))
+
+
 def test_jdp_diag_sign_follows_reactive_injection(ieee9_models, ieee9_op):
     # omega-channel diagonal of D3 + D3^T is exactly -2 tau Q_o per bus.
     _, j2 = ieee9_models

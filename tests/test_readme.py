@@ -1,9 +1,10 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example and case-file block agree with the code."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
-from dqpassivity import reference
+from dqpassivity import load_ieee9, reference, serialize_case
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +18,17 @@ def test_library_example(capsys):
     assert abs(first - reference.TABLE_EIGS["base"][0]) <= reference.EIG_TOL
     assert overall == "passive-after-regulation"
     assert abs(float(kqv) - 0.634) <= 1e-3
+
+
+def test_case_file_block_uses_serialized_headers():
+    """Each section's column comment starts with the header serialize_case writes."""
+    block = README.read_text().split("## Case file format", 1)[1].split("```")[1].splitlines()
+    written = serialize_case(replace(load_ieee9(), regulation=((5, 0.65),))).splitlines()
+    headers = {line: nxt for line, nxt in zip(written, written[1:]) if line.startswith("[")}
+    documented = {
+        line.split("#")[0].strip(): nxt for line, nxt in zip(block, block[1:]) if line.startswith("[")
+    }
+    assert documented.keys() == headers.keys()
+    for section, header in headers.items():
+        if header.startswith("#"):
+            assert documented[section].startswith(header), section

@@ -18,18 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import reference
-from .dqstamp import StateSpace, assemble_ydq, export_matrices
+from .dqstamp import StateSpace, export_matrices
 from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, ieee9_text, parse_case
-from .passcheck import SweepGrid, classify_grid, classify_model
+from .passcheck import SweepGrid, _realize, classify_grid, classify_model
 from .passivate import RegulationSet, apply_qv_contribution
-from .polarmodels import build_j_of_s, build_polar_model
-from .powerflow import (
-    PowerFlowError,
-    build_jlf_analytic,
-    decouple,
-    solve_powerflow,
-    symmetric_part_eigenvalues,
-)
+from .powerflow import PowerFlowError, build_jlf_analytic, solve_powerflow, symmetric_part_eigenvalues
 
 EXIT_OK = 0
 EXIT_CASE_ERROR = 2
@@ -66,17 +59,18 @@ def _parse_variant(spec: str | None) -> VariantFlags:
     )
 
 
-def _parse_reg(spec: str | None, case: NetworkCase) -> RegulationSet | None:
-    if spec:
+def _parse_reg(args: argparse.Namespace, case: NetworkCase) -> RegulationSet | None:
+    if args.reg:
         entries = []
-        for item in spec.split(","):
+        for item in args.reg.split(","):
             bus, _, k = item.partition(":")
             try:
                 entries.append((int(bus), float(k)))
             except ValueError:
                 raise ValueError(f"bad regulation entry {item!r}; expected bus:k_qv") from None
         return RegulationSet(entries=tuple(entries))
-    if case.regulation:
+    # The case file's set is the default only for the cells that take regulation.
+    if case.regulation and args.analysis == "lowfreq" and args.model != "I":
         return RegulationSet(entries=case.regulation)
     return None
 
@@ -137,7 +131,7 @@ def cmd_powerflow(args: argparse.Namespace) -> int:
 def cmd_passivity(args: argparse.Namespace) -> int:
     case = _read_case(args.case)
     flags = _parse_variant(args.variant)
-    reg = _parse_reg(args.reg, case)
+    reg = _parse_reg(args, case)
     grid = _parse_sweep(args.sweep)
     verdict = classify_model(
         case,
@@ -279,23 +273,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_dump_model(args: argparse.Namespace) -> int:
     case = _read_case(args.case)
     flags = _parse_variant(args.variant)
-    if flags.decoupled and args.model != "LF":
-        raise ValueError("the decoupled simplification applies to low-frequency models only")
-    variant = derive_variant(case, flags)
+    # The wideband realization that `passivity` judges, or the J_LF of low-frequency model II.
     if args.model == "LF":
-        op = solve_powerflow(variant)
-        jlf = build_jlf_analytic(variant, op)
-        if flags.decoupled:
-            jlf = decouple(jlf)
-        _emit(_jacobian_dump(jlf), args.out)
-        return EXIT_OK
-    ydq = assemble_ydq(variant)
-    if args.model == "I":
-        ss = ydq
+        _emit(_jacobian_dump(_realize(case, flags, "II", "lowfreq", args.tau)[2]), args.out)
     else:
-        op = solve_powerflow(variant)
-        ss = build_polar_model(args.model, build_j_of_s(ydq, op), args.tau)
-    _emit(export_matrices(ss), args.out)
+        _emit(export_matrices(_realize(case, flags, args.model, "wideband", args.tau)[0]), args.out)
     return EXIT_OK
 
 

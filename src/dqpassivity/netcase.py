@@ -270,6 +270,7 @@ def parse_case(text: str) -> NetworkCase:
     """Parse case-file text into a validated NetworkCase."""
     system_keys = [f.name for f in fields(SystemParams)]
     section = None
+    seen: set[str] = set()
     system: dict[str, float] = {}
     rows: dict[str, list] = {name: [] for name in _ROWS}
 
@@ -281,7 +282,10 @@ def parse_case(text: str) -> NetworkCase:
             name = line.strip("[]").strip().lower()
             if name != "system" and name not in _ROWS:
                 raise CaseParseError(f"unknown section [{name}]", lineno)
+            if name in seen:
+                raise CaseParseError(f"repeated section [{name}]", lineno)
             section = name
+            seen.add(name)
             continue
         if section is None:
             raise CaseParseError("data before any [section] header", lineno)
@@ -292,6 +296,8 @@ def parse_case(text: str) -> NetworkCase:
             key = key.strip().lower()
             if key not in system_keys:
                 raise CaseParseError(f"unknown system key {key!r}", lineno)
+            if key in system:
+                raise CaseParseError(f"repeated system key {key!r}", lineno)
             system[key] = _num(value.strip(), key, lineno)
             continue
         row_name, row_type, columns = _ROWS[section]

@@ -75,7 +75,7 @@ _CHUNK_STEPS = 128
 _CLUSTER_TOL = 1e-6
 
 # Verdict tolerance of the pole, sweep, residue and feedthrough checks. It is
-# absolute, whatever the scale of G; scaling it by ||G|| is ROADMAP item 5.
+# absolute, whatever the scale of G; scaling it by ||G|| is an open ROADMAP item.
 _TOL = 1e-9
 
 # random_multisine: tones per channel, their log-uniform band (rad/s), peak amplitude.
@@ -461,8 +461,11 @@ def simulate_dissipation(
     array that broadcasts to (2L + 1, n_inputs), so a constant vector
     works as well as a `MultisineInput`. Only x+ = phi x + gamma w stays
     a per-step loop; the supplied energy, the stored energy and the margin
-    are computed per chunk on the stored states.
+    are computed per chunk on the stored states. The run needs a finite
+    dt > 0 and a finite t_end of at least one step.
     """
+    if not (0.0 < dt < math.inf and math.isfinite(t_end) and t_end / dt > 0.5):
+        raise ValueError(f"need a finite dt > 0 and t_end of at least one step, got dt={dt}, t_end={t_end}")
     x = np.zeros(ss.n_states) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (ss.n_states,):
         raise ValueError("x0 has the wrong length")
@@ -611,6 +614,52 @@ def _state_space_checks(
     return poles, sweep, residues, feed, ok
 
 
+def _realize(
+    case: NetworkCase,
+    flags: VariantFlags,
+    model: str,
+    analysis: str,
+    tau: float,
+    regulation: RegulationSet | None = None,
+) -> tuple[StateSpace, OperatingPoint | None, StateSpace | None]:
+    """The cell's realization, its operating point (II-IV) and its J_LF.
+
+    J_LF is returned for low-frequency II-IV only, decoupled when the flags
+    ask for it and with `regulation` applied when one is given; the
+    realization is built from the unregulated J_LF. An invalid combination
+    raises ValueError before any power flow runs.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if analysis not in ("wideband", "lowfreq"):
+        raise ValueError(f"unknown analysis {analysis!r}")
+    if flags.decoupled and analysis != "lowfreq":
+        raise ValueError("the decoupled simplification applies to low-frequency models only")
+    if flags.decoupled and model == "I":
+        raise ValueError("the decoupled simplification does not apply to the rectangular model")
+    if regulation is not None and analysis != "lowfreq":
+        raise ValueError("regulation contributions apply to low-frequency models only")
+    if regulation is not None and model == "I":
+        raise ValueError("the rectangular model needs no regulation")
+
+    variant = derive_variant(case, flags)
+    op = None if model == "I" else solve_powerflow(variant)
+    if analysis == "wideband":
+        ydq = assemble_ydq(variant)
+        ss = ydq if model == "I" else build_polar_model(model, build_j_of_s(ydq, op), tau)
+        return ss, op, None
+    if model == "I":
+        ydq = assemble_ydq(variant)
+        m = ydq.n_inputs
+        zero_state = dict(a=np.zeros((0, 0)), b=np.zeros((0, m)), c=np.zeros((m, 0)), state_meta=())
+        return replace(ydq, d=eval_tf(ydq, 0.0), **zero_state), None, None
+    jlf = build_jlf_analytic(variant, op)
+    if flags.decoupled:
+        jlf = decouple(jlf)
+    ss = build_polar_model(model, jlf, tau)
+    return ss, op, apply_qv_contribution(jlf, regulation) if regulation else jlf
+
+
 def classify_model(
     case: NetworkCase,
     flags: VariantFlags = VariantFlags(),
@@ -636,64 +685,26 @@ def classify_model(
     persists under regulation, and for lossy networks sits slightly below
     zero in the symmetric part); III and IV re-run the pipeline.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if analysis not in ("wideband", "lowfreq"):
-        raise ValueError(f"unknown analysis {analysis!r}")
-    if flags.decoupled and analysis != "lowfreq":
-        raise ValueError("the decoupled simplification applies to low-frequency models only")
-    if flags.decoupled and model == "I":
-        raise ValueError("the decoupled simplification does not apply to the rectangular model")
-    if regulation is not None and analysis != "lowfreq":
-        raise ValueError("regulation contributions apply to low-frequency models only")
-    if regulation is not None and model == "I":
-        raise ValueError("the rectangular model needs no regulation")
-
-    variant = derive_variant(case, flags)
-    op = None if model == "I" else solve_powerflow(variant)
-    notes: tuple[str, ...] = ()
-
-    if analysis == "wideband":
-        ydq = assemble_ydq(variant)
-        ss = ydq if model == "I" else build_polar_model(model, build_j_of_s(ydq, op), tau)
-    elif model == "I":
-        ydq = assemble_ydq(variant)
-        m = ydq.n_inputs
-        ss = replace(
-            ydq,
-            a=np.zeros((0, 0)),
-            b=np.zeros((0, m)),
-            c=np.zeros((m, 0)),
-            d=eval_tf(ydq, 0.0),
-            state_meta=(),
-        )
-        notes = ("static rectangular model Y_DQ(0)",)
-    else:
-        jlf = build_jlf_analytic(variant, op)
-        if flags.decoupled:
-            jlf = decouple(jlf)
-        ss = build_polar_model(model, jlf, tau)
-        if model == "II":
-            notes = ("static load-flow Jacobian J_LF",)
-
-    poles, sweep, residues, feed, ok = _state_space_checks(
-        ss, grid, op if model == "III" else None
-    )
+    ss, op, jlf = _realize(case, flags, model, analysis, tau, regulation)
+    notes = {
+        ("I", "lowfreq"): ("static rectangular model Y_DQ(0)",),
+        ("II", "lowfreq"): ("static load-flow Jacobian J_LF",),
+    }.get((model, analysis), ())
+    poles, sweep, residues, feed, ok = _state_space_checks(ss, grid, op if model == "III" else None)
     regulated = None
     overall = "passive" if ok else "non-passive"
     if not ok and regulation:
-        # Regulation is accepted for low-frequency models II-IV only, so the
-        # low-frequency Jacobian is bound here.
-        jr = apply_qv_contribution(jlf, regulation)
+        # Regulation is accepted for low-frequency models II-IV only, so jlf
+        # is their regulated J_LF.
         if model == "II":
-            lam = min_eig_excluding_uniform_angle(jr.d + jr.d.T)
+            lam = min_eig_excluding_uniform_angle(jlf.d + jlf.d.T)
             regulated = RegulatedReport(
                 regulation=regulation.entries,
                 flipped=lam >= -_TOL,
                 min_eig_excluding_structural=lam,
             )
         else:
-            ss_r = build_polar_model(model, jr, tau)
+            ss_r = build_polar_model(model, jlf, tau)
             _, sweep_r, residues_r, _, flipped = _state_space_checks(ss_r, grid, None)
             regulated = RegulatedReport(
                 regulation=regulation.entries,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,20 @@ import pytest
 
 import dqpassivity
 from dqpassivity import (
+    VariantFlags,
     assemble_ydq,
     build_j_of_s,
     build_jdf,
     build_jdp,
+    build_jlf_analytic,
+    build_polar_model,
     cli,
+    decouple,
+    derive_variant,
     export_matrices,
+    ieee9_text,
+    serialize_case,
+    solve_powerflow,
 )
 from dqpassivity.cli import (
     EXIT_CASE_ERROR,
@@ -27,11 +36,14 @@ from dqpassivity.cli import (
     EXIT_OK,
     EXIT_REGULATED,
     _VERDICT_EXIT,
+    _jacobian_dump,
     main,
 )
 from dqpassivity.reference import EXPECTED_GRID
 
 DATA = Path(__file__).parent / "data"
+
+REG = "1:0.65,2:0.65,3:0.65,5:0.65,6:0.65,8:0.65"
 
 TWO_BUS = """
 [system]
@@ -389,3 +401,89 @@ def test_out_writes_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert len(doc["buses"]) == 9
     capsys.readouterr()
+
+
+def _network_variant(ieee9, variant):
+    names = (variant or "").split(",")
+    return derive_variant(ieee9, VariantFlags(lossless="lossless" in names, no_shunt_b="no-b" in names))
+
+
+@pytest.mark.parametrize("variant", [None, "lossless", "no-b", "lossless,no-b"])
+@pytest.mark.parametrize("model", ["I", "II", "III", "IV"])
+def test_dump_model_matches_hand_built_realization(model, variant, ieee9, capsys):
+    net = _network_variant(ieee9, variant)
+    ydq = assemble_ydq(net)
+    ss = ydq if model == "I" else build_polar_model(model, build_j_of_s(ydq, solve_powerflow(net)), 0.01)
+    argv = ["dump-model", "ieee9", "--model", model] + (["--variant", variant] if variant else [])
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == export_matrices(ss) + "\n"
+
+
+@pytest.mark.parametrize("decoupled", [False, True])
+@pytest.mark.parametrize("variant", [None, "lossless", "no-b", "lossless,no-b"])
+def test_dump_jacobian_matches_hand_built_jlf(variant, decoupled, ieee9, capsys):
+    net = _network_variant(ieee9, variant)
+    jlf = build_jlf_analytic(net, solve_powerflow(net))
+    if decoupled:
+        jlf = decouple(jlf)
+    spec = ",".join(filter(None, [variant, "decoupled" if decoupled else None]))
+    assert main(["dump-model", "ieee9", "--model", "LF"] + (["--variant", spec] if spec else [])) == EXIT_OK
+    assert capsys.readouterr().out == _jacobian_dump(jlf) + "\n"
+
+
+@pytest.mark.parametrize("model, variant", [("III", "lossless,decoupled"), ("IV", "lossless")])
+def test_passivity_human_report_of_regulated_filtered_model(model, variant, capsys):
+    # III and IV re-run the pipeline under regulation, so no structural minimum is printed.
+    code = main(["passivity", "ieee9", "--model", model, "--variant", variant, "--reg", REG])
+    assert code == EXIT_REGULATED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"model {model} (lowfreq) -> passive-after-regulation"
+    assert lines[-1] == "  regulated: flipped=True"
+
+
+def test_tables_grid_mismatch_exits_1(ieee9, tmp_path, capsys):
+    path = tmp_path / "b_line_x3.case"
+    tripled = tuple(replace(br, b_line=3 * br.b_line) for br in ieee9.branches)
+    path.write_text(serialize_case(replace(ieee9, branches=tripled)))
+    assert main(["tables", str(path)]) == EXIT_MISMATCH
+    out = capsys.readouterr().out
+    assert "[FAIL] grid II lossy_b/coupled: non-passive" in out
+    assert "  grid II/lossy_b/coupled: computed non-passive expected passive-after-regulation" in out
+
+
+def test_pf_singular_newton_matrix_exits_3(monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert main(["pf", "ieee9"]) == EXIT_COMPUTE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("power flow error: singular power-flow Jacobian: Singular matrix")
+
+
+@pytest.mark.parametrize(
+    "model, analysis",
+    [("I", "wideband"), ("II", "wideband"), ("III", "wideband"), ("IV", "wideband"), ("I", "lowfreq")],
+)
+def test_case_regulation_section_spares_cells_without_regulation(model, analysis, tmp_path, capsys):
+    # The file's set is only the default; these cells take no regulation.
+    path = tmp_path / "with_reg.case"
+    path.write_text(ieee9_text() + "\n[regulation]\n5 0.65\n6 0.65\n")
+    expected = EXPECTED_GRID[model]["wideband" if analysis == "wideband" else "lossy_b"]
+    argv = ["passivity", str(path), "--model", model, "--analysis", analysis]
+    assert main(argv) == _VERDICT_EXIT[expected]
+    assert capsys.readouterr().out.startswith(f"model {model} ({analysis}) -> {expected}\n")
+    assert main([*argv, "--reg", "5:0.65"]) == EXIT_CASE_ERROR
+    assert "regulation" in capsys.readouterr().err
+
+
+def test_regulation_naming_unknown_bus_rejected_on_passing_cell(capsys):
+    # The regulated J_LF is built with every cell, so a bad set fails even where no flip is needed.
+    argv = ["passivity", "ieee9", "--model", "II", "--variant", "lossless,no-b,decoupled"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main([*argv, "--reg", "99:1"]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: regulation references unknown bus 99\n"

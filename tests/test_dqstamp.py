@@ -249,3 +249,35 @@ def test_defective_a_takes_dense_fallback(n):
     for w, lam in rep.samples:
         g = dense_tf(ss, 1j * w)
         assert lam == np.linalg.eigvalsh(g + g.conj().T)[0]
+
+
+def _state_space(**overrides):
+    parts = dict(
+        a=np.zeros((1, 1)), b=np.zeros((1, 2)), c=np.zeros((2, 1)), d=np.zeros((2, 2)),
+        input_labels=("u0", "u1"), output_labels=("y0", "y1"),
+        state_meta=(StateMeta("inductor", 1.0, "x0"),),
+    )
+    return StateSpace(**{**parts, **overrides})
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(a=np.zeros((1, 2))), "A must be square"),
+        (dict(b=np.zeros((2, 2))), "B/C dimensions inconsistent with A"),
+        (dict(c=np.zeros((2, 2))), "B/C dimensions inconsistent with A"),
+        (dict(d=np.zeros((2, 3))), "D dimensions inconsistent with B/C"),
+        (dict(input_labels=("u0",)), "port label count inconsistent with B/C/D"),
+        (dict(output_labels=("y0", "y1", "y2")), "port label count inconsistent with B/C/D"),
+        (dict(state_meta=()), "every state needs exactly one meta entry"),
+    ],
+)
+def test_state_space_rejects_inconsistent_shapes(overrides, message):
+    _state_space()  # the base parts are consistent
+    with pytest.raises(ValueError, match=message):
+        _state_space(**overrides)
+
+
+def test_parasitics_reject_negative_series_resistance():
+    with pytest.raises(ValueError, match="r_series_cap must be >= 0"):
+        ParasiticConfig(r_series_cap=-1)

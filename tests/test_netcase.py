@@ -254,6 +254,8 @@ def test_validate_case_rejects_invalid_case(ieee9, mutate, message):
         (MINI.replace("0.1  0.0  1.0", "0.1  nan  1.0"), "line 11: field b_line: expected a finite number, got 'nan'"),
         (MINI.replace("0.0  -\n", "0.0  inf\n"), "line 15: field vset: expected a finite number, got 'inf'"),
         (MINI + "[regulation]\n2  nan\n", "line 17: field k_qv: expected a finite number, got 'nan'"),
+        (MINI.replace("omega0", "base_mva = 50.0\nomega0"), "line 4: repeated system key 'base_mva'"),
+        (MINI + "[buses]\n3  1.0  0.0  0.0\n", "line 16: repeated section [buses]"),
     ],
     ids=[
         "unknown-section",
@@ -271,6 +273,8 @@ def test_validate_case_rejects_invalid_case(ieee9, mutate, message):
         "branch-number",
         "injection-optional-number",
         "regulation-number",
+        "repeated-system-key",
+        "repeated-section",
     ],
 )
 def test_parse_error_messages(text, message):
@@ -383,3 +387,9 @@ def test_variant_idempotent(ieee9):
 
 def test_decoupled_flag_leaves_case_alone(ieee9):
     assert derive_variant(ieee9, VariantFlags(decoupled=True)) == ieee9
+
+
+def test_bus_index_of_unknown_id(ieee9):
+    assert ieee9.bus_index(ieee9.bus_ids[-1]) == ieee9.n_bus - 1
+    with pytest.raises(CaseTopologyError, match="unknown bus id 42"):
+        ieee9.bus_index(42)

@@ -11,6 +11,7 @@ import pytest
 from dqpassivity import (
     Branch,
     Bus,
+    DissipationReport,
     Injection,
     NetworkCase,
     ParasiticConfig,
@@ -553,6 +554,31 @@ def test_dissipation_rejects_bad_x0_and_input_shape(ieee9_sim):
     for bad in (lambda t: np.zeros(5), lambda t: np.zeros((3, 18))):
         with pytest.raises(ValueError, match="broadcast"):
             simulate_dissipation(ieee9_sim, bad, t_end=0.01, dt=2e-5)
+
+
+def test_dissipation_report_verdict_and_document(ieee9_sim):
+    rng = np.random.default_rng(14)
+    ss = assemble_ydq(negative_resistance_case())
+    lossy = simulate_dissipation(ss, lambda t: np.zeros(4), t_end=0.05, dt=1e-5, x0=0.1 * rng.normal(size=ss.n_states))
+    assert not lossy.passed
+    rest = simulate_dissipation(ieee9_sim, lambda t: np.zeros(18), t_end=0.01, dt=2e-5)
+    assert rest.passed and rest.min_margin == 0.0
+    assert rest.to_dict() == {
+        "min_margin": 0.0, "t_at_min": rest.t_at_min, "supplied": 0.0,
+        "stored_delta": 0.0, "n_steps": 500, "dt": 2e-5,
+    }
+    assert DissipationReport(**rest.to_dict()) == rest
+    json.dumps(lossy.to_dict())
+
+
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [(0.1, -1e-5), (0.1, 0.0), (1e-6, 1e-5), (0.1, math.nan), (0.1, math.inf), (math.inf, 1e-5), (-0.1, 1e-5)],
+    ids=["negative-dt", "zero-dt", "no-step", "nan-dt", "inf-dt", "inf-t_end", "negative-t_end"],
+)
+def test_dissipation_rejects_runs_without_steps(ieee9_sim, t_end, dt):
+    with pytest.raises(ValueError, match=re.escape(f"dt={dt}, t_end={t_end}")):
+        simulate_dissipation(ieee9_sim, lambda t: np.zeros(18), t_end=t_end, dt=dt)
 
 
 def test_multisine_vectorized_over_times():

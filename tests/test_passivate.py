@@ -223,3 +223,8 @@ def test_min_uniform_kqv_default_passes_classify_model(ieee9, flags):
 def test_min_uniform_kqv_rejects_unknown_bus(jlf):
     with pytest.raises(ValueError, match="unknown bus 42"):
         min_uniform_kqv(jlf, (1, 42))
+
+
+def test_min_uniform_kqv_needs_a_bus(jlf):
+    with pytest.raises(ValueError, match="need at least one regulating bus"):
+        min_uniform_kqv(jlf, [])

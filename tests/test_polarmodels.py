@@ -1,5 +1,7 @@
 """Interface-variable realizations and the low-frequency models built on J_LF."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from dqpassivity import (
     build_jdf,
     build_jdp,
     build_jlf_analytic,
+    build_polar_model,
     check_poles,
     check_residue_psd_hermitian,
     decouple,
@@ -306,3 +309,15 @@ def test_realizations_on_random_case():
     jlf = build_jlf_analytic(case, op).d
     got = eval_tf(j2, 0.0)
     assert np.linalg.norm(got - jlf) <= 1e-6 * np.linalg.norm(jlf)
+
+
+def test_j_of_s_rejects_mismatched_bus_orders(ieee9_models, ieee9_op):
+    ydq, _ = ieee9_models
+    reordered = ydq.bus_ids[1:] + ydq.bus_ids[:1]
+    with pytest.raises(ValueError, match="bus orders differ"):
+        build_j_of_s(ydq, replace(ieee9_op, bus_ids=reordered))
+
+
+def test_build_polar_model_rejects_unknown_name(ieee9_models):
+    with pytest.raises(ValueError, match="no polar model 'V'; choose II, III or IV"):
+        build_polar_model("V", ieee9_models[1], TAU)

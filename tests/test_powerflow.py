@@ -226,3 +226,21 @@ def test_decoupled_lossless_nob_is_psd(ieee9):
     full = j.d
     assert np.max(np.abs(full - full.T)) < 1e-10
     assert np.min(np.linalg.eigvalsh(full + full.T)) > -1e-9
+
+
+def test_jlf_rejects_foreign_operating_point(ieee9):
+    op = solve_powerflow(two_bus_case())
+    with pytest.raises(ConsistencyError, match="operating point bus set does not match the case"):
+        build_jlf_analytic(ieee9, op)
+    with pytest.raises(ConsistencyError, match="bus set"):
+        build_jlf_analytic(ieee9, op, check_operating_point=False)
+
+
+def test_singular_newton_matrix_raises(ieee9, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(PowerFlowError, match="singular power-flow Jacobian") as info:
+        solve_powerflow(ieee9)
+    assert math.isfinite(info.value.mismatch) and info.value.mismatch > 0

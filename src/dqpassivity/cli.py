@@ -20,7 +20,7 @@ import numpy as np
 from . import reference
 from .dqstamp import StateSpace, export_matrices
 from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, ieee9_text, parse_case
-from .passcheck import SweepGrid, _realize, classify_grid, classify_model
+from .passcheck import MODELS, SweepGrid, _realize, classify_grid, classify_model
 from .passivate import RegulationSet, apply_qv_contribution
 from .powerflow import PowerFlowError, build_jlf_analytic, solve_powerflow, symmetric_part_eigenvalues
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pass = sub.add_parser("passivity", help="classify one model/variant combination")
     p_pass.add_argument("case")
-    p_pass.add_argument("--model", choices=("I", "II", "III", "IV"), required=True)
+    p_pass.add_argument("--model", choices=MODELS, required=True)
     p_pass.add_argument("--analysis", choices=("wideband", "lowfreq"), default="lowfreq")
     p_pass.add_argument("--variant", help="comma list: lossless,no-b,decoupled")
     p_pass.add_argument("--tau", type=float, default=0.01)
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("case")
     p_dump.add_argument(
         "--model",
-        choices=("I", "II", "III", "IV", "LF"),
+        choices=(*MODELS, "LF"),
         default="I",
         help="state-space realization, or LF for the static load-flow Jacobian blocks",
     )

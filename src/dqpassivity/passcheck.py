@@ -25,10 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dqstamp import StateSpace, assemble_ydq, eval_tf, storage_energy
+from .dqstamp import _MODAL_KAPPA_MAX, StateSpace, assemble_ydq, eval_tf, storage_energy
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
-from .polarmodels import build_j_of_s, build_polar_model
+from .polarmodels import _check_tau, build_j_of_s, build_polar_model
 from .powerflow import OperatingPoint, build_jlf_analytic, decouple, solve_powerflow
 
 __all__ = [
@@ -138,13 +138,16 @@ def check_poles(ss: StateSpace) -> PoleReport:
     """Condition 1 (no RHP poles) and the pole-side part of condition 3.
 
     Imaginary-axis eigenvalues are clustered within `_CLUSTER_TOL`. A
-    cluster fails condition 3 outright when defective (Jordan block); for a
-    first-order (semisimple) cluster the total residue lim (s-jw)G(s) is
-    attached for the PSD-Hermitian test. It is the sum over the cluster's
-    eigenvalues k of (C V)[:, k] (V^-1 B)[k, :], from the modal factors
-    that also give the poles; a singular V raises LinAlgError.
+    cluster fails condition 3 outright when defective (Jordan block). A
+    defect is looked for, by the numerical rank of A - jwI, only when
+    kappa_1(V) is above the bound under which `eval_tf` trusts the modal
+    factors. For a first-order (semisimple) cluster the total residue
+    lim (s-jw)G(s) is attached for the PSD-Hermitian test. It is the sum
+    over the cluster's eigenvalues k of (C V)[:, k] (V^-1 B)[k, :], from
+    the modal factors that also give the poles; a singular V raises
+    LinAlgError.
     """
-    eigs, cv, vib, _ = ss.modes
+    eigs, cv, vib, kappa = ss.modes
     unstable = tuple(complex(z) for z in eigs[eigs.real > _TOL])
     on_axis = np.flatnonzero(np.abs(eigs.real) <= _TOL)
     clusters: list[list[int]] = []
@@ -156,13 +159,16 @@ def check_poles(ss: StateSpace) -> PoleReport:
     poles: list[ImaginaryAxisPole] = []
     for group in clusters:
         omega = float(np.mean(eigs[group].imag))
-        center = 1j * omega
         alg = len(group)
-        sv = np.linalg.svd(ss.a - center * np.eye(ss.n_states), compute_uv=False)
-        # Null directions of the cluster: standard numerical-rank cutoff,
-        # widened to the cluster radius so near-coincident eigenvalues count.
-        rank_tol = max(10.0 * _CLUSTER_TOL, float(sv[0]) * len(sv) * np.finfo(float).eps)
-        geo = int(np.sum(sv <= rank_tol))
+        if kappa <= _MODAL_KAPPA_MAX:
+            # Eigenvectors as well-conditioned as `eval_tf` trusts: A is diagonalizable.
+            geo = alg
+        else:
+            sv = np.linalg.svd(ss.a - 1j * omega * np.eye(ss.n_states), compute_uv=False)
+            # Null directions of the cluster: standard numerical-rank cutoff,
+            # widened to the cluster radius so near-coincident eigenvalues count.
+            rank_tol = max(10.0 * _CLUSTER_TOL, float(sv[0]) * len(sv) * np.finfo(float).eps)
+            geo = int(np.sum(sv <= rank_tol))
         semisimple = geo >= alg
         residue = None
         if semisimple:
@@ -469,6 +475,8 @@ def simulate_dissipation(
     x = np.zeros(ss.n_states) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (ss.n_states,):
         raise ValueError("x0 has the wrong length")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     e0 = storage_energy(x, ss.state_meta)  # also rejects non-physical states
     stable = ss.poles[ss.poles.real < 0]
     if stable.size and float(np.max(np.abs(stable))) * dt > 2.5:
@@ -514,9 +522,13 @@ def simulate_dissipation(
             # The margin is non-finite once a state, its energy or the supply is.
             finite = np.isfinite(xs[1:]).all(axis=1) & np.isfinite(margin)
             if not finite.all():
+                k_bad = int(np.argmin(finite))
+                # Step k reads the inputs at times[2k : 2k + 3].
+                bad_u = ~np.isfinite(w_all[: 2 * k_bad + 3]).all(axis=1)
+                if bad_u.any():
+                    raise ValueError(f"u is not finite at t={times[np.argmax(bad_u)]:.4g}s")
                 raise SimulationUnstableError(
-                    f"state overflow at t={t_steps[1 + np.argmin(finite)]:.4g}s; "
-                    "reduce the integration step"
+                    f"state overflow at t={t_steps[1 + k_bad]:.4g}s; reduce the integration step"
                 )
             k_min = int(np.argmin(margin))
             if margin[k_min] < min_margin:
@@ -641,6 +653,7 @@ def _realize(
         raise ValueError("regulation contributions apply to low-frequency models only")
     if regulation is not None and model == "I":
         raise ValueError("the rectangular model needs no regulation")
+    _check_tau(tau)
 
     variant = derive_variant(case, flags)
     op = None if model == "I" else solve_powerflow(variant)

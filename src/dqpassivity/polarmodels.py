@@ -77,6 +77,11 @@ def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
     )
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and > 0, got tau={tau}")
+
+
 def _append_integrators(
     j: StateSpace, tau: float, k: int, input_labels: tuple[str, ...], channel_tag: str
 ) -> StateSpace:
@@ -85,8 +90,7 @@ def _append_integrators(
     Each filtered channel input u becomes x_int + tau*u where x_int
     integrates u, which appends k exact zero poles.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be finite and > 0, got tau={tau}")
+    _check_tau(tau)
     nx = j.n_states
     b_f = j.b[:, :k]
     d_f = j.d[:, :k]

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["ieee9-tables", "mesh-wideband"])
+@pytest.mark.parametrize("workload", ["ieee9-tables", "mesh-wideband", "ieee9-dissipation"])
 def test_traced_bench_run_is_correct_and_wired(workload):
     # Moving a traced call behind a private helper can leave a layer counter at
     # zero that the workload predicts nonzero; the unit tests would not notice.

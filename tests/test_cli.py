@@ -241,6 +241,8 @@ def test_passivity_sweep_grid_emptied_by_pole_exclusion_exits_2(fmt, capsys):
         (["--model", "III", "--tau", "inf"], "tau=inf"),
         (["--model", "IV", "--analysis", "wideband", "--tau", "inf"], "tau=inf"),
         (["--model", "II", "--reg", "5:nan"], "k_qv=nan"),
+        (["--model", "II", "--tau", "-5"], "tau=-5.0"),
+        (["--model", "I", "--tau", "nan"], "tau=nan"),
     ],
 )
 def test_passivity_non_finite_input_exits_2(args, field, capsys):
@@ -248,6 +250,15 @@ def test_passivity_non_finite_input_exits_2(args, field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+@pytest.mark.parametrize("model, tau", [("LF", "nan"), ("I", "0")])
+def test_dump_model_bad_tau_exits_2(model, tau, capsys):
+    # Models I and LF build no filter, yet `tau` is checked for every model.
+    assert main(["dump-model", "ieee9", "--model", model, "--tau", tau]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tau={float(tau)}" in captured.err
 
 
 def test_linalg_failure_exits_3(monkeypatch, capsys):

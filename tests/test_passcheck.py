@@ -129,25 +129,30 @@ def test_double_integrator_defective():
 
 
 def test_cluster_residue_sums_every_chained_member():
-    # Eigenvalues 0, +/-jw, +/-2jw chain into one cluster (gaps w <= 1e-6)
+    # Eigenvalues 0, +/-jw, ..., +/-Kjw chain into one cluster (gaps w <= 1e-6)
     # that is wider than 1e-6 about its mean; each member's residue counts.
+    # At K = 12 the outer members lie 1e-5 from the mean, outside the rank
+    # cutoff of A - jwI, yet A is diagonalizable with kappa_1(V) = 2.
     w = 0.9e-6
-    a = np.zeros((5, 5))
-    a[1, 2], a[2, 1] = w, -w
-    a[3, 4], a[4, 3] = 2 * w, -2 * w
-    ss = StateSpace(
-        a=a,
-        b=np.eye(5),
-        c=np.eye(5),
-        d=np.zeros((5, 5)),
-        input_labels=tuple(f"u{i}" for i in range(5)),
-        output_labels=tuple(f"y{i}" for i in range(5)),
-        state_meta=tuple(StateMeta("integrator", 0.0, f"x{i}") for i in range(5)),
-    )
-    (pole,) = check_poles(ss).imaginary_axis
-    assert pole.multiplicity == 5
-    assert pole.semisimple
-    assert np.allclose(pole.residue, np.eye(5), atol=1e-12)
+    for k_max in (2, 12):
+        n = 2 * k_max + 1
+        a = np.zeros((n, n))
+        for k in range(1, k_max + 1):
+            a[2 * k - 1, 2 * k], a[2 * k, 2 * k - 1] = k * w, -k * w
+        ss = StateSpace(
+            a=a,
+            b=np.eye(n),
+            c=np.eye(n),
+            d=np.zeros((n, n)),
+            input_labels=tuple(f"u{i}" for i in range(n)),
+            output_labels=tuple(f"y{i}" for i in range(n)),
+            state_meta=tuple(StateMeta("integrator", 0.0, f"x{i}") for i in range(n)),
+        )
+        (pole,) = check_poles(ss).imaginary_axis
+        assert pole.multiplicity == n
+        assert pole.geometric_multiplicity == n
+        assert pole.semisimple
+        assert np.allclose(pole.residue, np.eye(n), atol=1e-12)
 
 
 def test_structural_residues(ieee9, ieee9_op, ieee9_j2):
@@ -554,6 +559,24 @@ def test_dissipation_rejects_bad_x0_and_input_shape(ieee9_sim):
     for bad in (lambda t: np.zeros(5), lambda t: np.zeros((3, 18))):
         with pytest.raises(ValueError, match="broadcast"):
             simulate_dissipation(ieee9_sim, bad, t_end=0.01, dt=2e-5)
+
+
+def test_dissipation_rejects_non_finite_x0_and_input(ieee9_sim):
+    # A NaN supplied by the caller is not an integration-step overflow.
+    x0 = np.zeros(ieee9_sim.n_states)
+    x0[3] = np.nan
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate_dissipation(ieee9_sim, lambda t: np.zeros(18), t_end=0.01, dt=2e-5, x0=x0)
+    with pytest.raises(ValueError, match=r"u is not finite at t=0s"):
+        simulate_dissipation(ieee9_sim, lambda t: np.full(18, np.nan), t_end=0.01, dt=2e-5)
+    # Goes non-finite in the second chunk of steps.
+    def late(t):
+        return np.where(np.asarray(t)[:, None] >= 0.004, np.inf, np.zeros(18))
+
+    with pytest.raises(ValueError, match="u is not finite") as err:
+        simulate_dissipation(ieee9_sim, late, t_end=0.01, dt=2e-5)
+    t_fail = float(re.search(r"t=([0-9.eE+-]+)s", str(err.value)).group(1))
+    assert abs(t_fail - 0.004) <= 1e-5
 
 
 def test_dissipation_report_verdict_and_document(ieee9_sim):

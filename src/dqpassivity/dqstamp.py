@@ -127,8 +127,8 @@ class ParasiticConfig:
     r_series_cap: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.r_series_cap < 0:
-            raise ValueError("r_series_cap must be >= 0")
+        if not 0 <= self.r_series_cap < np.inf:
+            raise ValueError(f"r_series_cap must be >= 0 and finite, got {self.r_series_cap}")
 
 
 def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -> StateSpace:

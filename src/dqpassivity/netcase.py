@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
-from numbers import Real
 
 __all__ = [
     "Bus",
@@ -142,7 +141,11 @@ def validate_case(case: NetworkCase) -> None:
     elements += [(f"injection at bus {inj.bus}", inj) for inj in case.injections]
     for where, element in elements:
         for name, value in vars(element).items():
-            if isinstance(value, Real) and not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:  # kinds and unset (None) values
+                continue
+            if not finite:
                 raise CaseValidationError(f"{where}: {name}={value} must be finite")
     for bus in case.buses:
         if bus.vnom <= 0:

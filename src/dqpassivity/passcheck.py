@@ -20,7 +20,7 @@ low-frequency failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -89,6 +89,42 @@ class SimulationUnstableError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# Report documents
+# ---------------------------------------------------------------------------
+
+# Field metadata for the exceptions to "a report's document is its fields":
+# {"key": name} renames the field in the document, and these two leave it out.
+_OMIT = {"omit": "always"}
+_OMIT_NONE = {"omit": "if None"}
+
+
+def _document(value):
+    """JSON-ready form of a report: its fields in declaration order, nested
+    reports recursively, tuples as lists and complex numbers as [re, im]."""
+    if is_dataclass(value):
+        doc = {}
+        for f in fields(value):
+            v = getattr(value, f.name)
+            omit = f.metadata.get("omit")
+            if omit == "always" or (omit == "if None" and v is None):
+                continue
+            doc[f.metadata.get("key", f.name)] = _document(v)
+        return doc
+    if isinstance(value, tuple):
+        return [_document(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
+class _Report:
+    """Gives a report dataclass its `to_dict()`: the document `_document` derives."""
+
+    def to_dict(self) -> dict:
+        return _document(self)
+
+
+# ---------------------------------------------------------------------------
 # Hermitian minimum eigenvalue
 # ---------------------------------------------------------------------------
 
@@ -104,34 +140,19 @@ def hermitian_min_eig(h: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ImaginaryAxisPole:
+class ImaginaryAxisPole(_Report):
     omega: float
     multiplicity: int
     geometric_multiplicity: int
     semisimple: bool
-    residue: np.ndarray | None  # None when defective
-
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "multiplicity": self.multiplicity,
-            "geometric_multiplicity": self.geometric_multiplicity,
-            "semisimple": self.semisimple,
-        }
+    residue: np.ndarray | None = field(metadata=_OMIT)  # None when defective
 
 
 @dataclass(frozen=True)
-class PoleReport:
+class PoleReport(_Report):
     passed: bool
-    unstable: tuple[complex, ...]
-    imaginary_axis: tuple[ImaginaryAxisPole, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "unstable_poles": [[p.real, p.imag] for p in self.unstable],
-            "imaginary_axis_poles": [p.to_dict() for p in self.imaginary_axis],
-        }
+    unstable: tuple[complex, ...] = field(metadata={"key": "unstable_poles"})
+    imaginary_axis: tuple[ImaginaryAxisPole, ...] = field(metadata={"key": "imaginary_axis_poles"})
 
 
 def check_poles(ss: StateSpace) -> PoleReport:
@@ -204,8 +225,8 @@ class SweepGrid:
     def __post_init__(self) -> None:
         if not 0 < self.omega_min < self.omega_max < math.inf:
             raise ValueError(f"need 0 < omega_min < omega_max < inf, got {self}")
-        if self.points_per_decade < 1:
-            raise ValueError("points_per_decade must be >= 1")
+        if not 1 <= self.points_per_decade < math.inf:
+            raise ValueError(f"points_per_decade must be finite and >= 1, got {self.points_per_decade}")
 
     def points(self) -> np.ndarray:
         decades = math.log10(self.omega_max / self.omega_min)
@@ -217,20 +238,12 @@ class SweepGrid:
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Report):
     passed: bool
     min_eig: float
     worst_omega: float | None  # None for static (frequency-independent) models
     n_points: int
-    samples: tuple[tuple[float, float], ...] = field(default=(), repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_eig": self.min_eig,
-            "worst_omega": self.worst_omega,
-            "n_points": self.n_points,
-        }
+    samples: tuple[tuple[float, float], ...] = field(default=(), repr=False, metadata=_OMIT)
 
 
 def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
@@ -289,7 +302,7 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
 
 
 @dataclass(frozen=True)
-class FeedthroughReport:
+class FeedthroughReport(_Report):
     trace: float
     min_eig: float
     diagonal: tuple[float, ...]
@@ -297,18 +310,7 @@ class FeedthroughReport:
     # i_Do v_Qo - i_Qo v_Do per bus (= -Q_o), the sign carrier for the
     # frequency-deviation model's diagonal; only set when an operating
     # point is supplied.
-    cross_per_bus: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "trace": self.trace,
-            "min_eig": self.min_eig,
-            "diagonal": list(self.diagonal),
-            "psd": self.psd,
-        }
-        if self.cross_per_bus is not None:
-            out["cross_per_bus"] = list(self.cross_per_bus)
-        return out
+    cross_per_bus: tuple[float, ...] | None = field(default=None, metadata=_OMIT_NONE)
 
 
 def check_feedthrough(ss: StateSpace, op: OperatingPoint | None = None) -> FeedthroughReport:
@@ -328,19 +330,11 @@ def check_feedthrough(ss: StateSpace, op: OperatingPoint | None = None) -> Feedt
 
 
 @dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(_Report):
     passed: bool
     hermitian_deviation: float
     min_eig: float
     omega: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "hermitian_deviation": self.hermitian_deviation,
-            "min_eig": self.min_eig,
-            "omega": self.omega,
-        }
 
 
 def check_residue_psd_hermitian(residue: np.ndarray, omega: float | None = None) -> ResidueReport:
@@ -394,7 +388,7 @@ def random_multisine(rng: np.random.Generator, n_channels: int) -> MultisineInpu
 
 
 @dataclass(frozen=True)
-class DissipationReport:
+class DissipationReport(_Report):
     min_margin: float
     t_at_min: float
     supplied: float  # integral of u^T y over the horizon
@@ -405,16 +399,6 @@ class DissipationReport:
     @property
     def passed(self) -> bool:
         return self.min_margin >= 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "t_at_min": self.t_at_min,
-            "supplied": self.supplied,
-            "stored_delta": self.stored_delta,
-            "n_steps": self.n_steps,
-            "dt": self.dt,
-        }
 
 
 def _rk4_step_map(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -553,59 +537,27 @@ def simulate_dissipation(
 
 
 @dataclass(frozen=True)
-class RegulatedReport:
+class RegulatedReport(_Report):
     regulation: tuple[tuple[int, float], ...]
     flipped: bool
-    min_eig_excluding_structural: float | None = None
-    residue: ResidueReport | None = None
-    sweep: SweepReport | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "regulation": [[b, k] for b, k in self.regulation],
-            "flipped": self.flipped,
-        }
-        if self.min_eig_excluding_structural is not None:
-            out["min_eig_excluding_structural"] = self.min_eig_excluding_structural
-        if self.residue is not None:
-            out["residue"] = self.residue.to_dict()
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.to_dict()
-        return out
+    min_eig_excluding_structural: float | None = field(default=None, metadata=_OMIT_NONE)
+    residue: ResidueReport | None = field(default=None, metadata=_OMIT_NONE)
+    sweep: SweepReport | None = field(default=None, metadata=_OMIT_NONE)
 
 
-@dataclass(frozen=True)
-class PassivityVerdict:
+@dataclass(frozen=True, kw_only=True)
+class PassivityVerdict(_Report):
     model: str
     analysis: str
-    lossless: bool
-    no_shunt_b: bool
-    decoupled: bool
+    variant: VariantFlags
     overall: str  # "passive" | "non-passive" | "passive-after-regulation"
-    cond2: SweepReport
+    # cond1 is None for zero-state models.
+    cond1: PoleReport | None = field(default=None, metadata={"key": "cond1_rhp_poles"})
+    cond2: SweepReport = field(metadata={"key": "cond2_sweep"})
+    cond3: tuple[ResidueReport, ...] = field(default=(), metadata={"key": "cond3_residues"})
     feedthrough: FeedthroughReport
-    cond1: PoleReport | None = None  # None for zero-state models
-    cond3: tuple[ResidueReport, ...] = ()
     regulated: RegulatedReport | None = None
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "analysis": self.analysis,
-            "variant": {
-                "lossless": self.lossless,
-                "no_shunt_b": self.no_shunt_b,
-                "decoupled": self.decoupled,
-            },
-            "overall": self.overall,
-            "cond1_rhp_poles": self.cond1.to_dict() if self.cond1 else None,
-            "cond2_sweep": self.cond2.to_dict(),
-            "cond3_residues": [r.to_dict() for r in self.cond3],
-            "feedthrough": self.feedthrough.to_dict(),
-            "regulated": self.regulated.to_dict() if self.regulated else None,
-            "notes": list(self.notes),
-        }
 
 
 def _state_space_checks(
@@ -649,9 +601,9 @@ def _realize(
         raise ValueError("the decoupled simplification applies to low-frequency models only")
     if flags.decoupled and model == "I":
         raise ValueError("the decoupled simplification does not apply to the rectangular model")
-    if regulation is not None and analysis != "lowfreq":
+    if regulation and analysis != "lowfreq":
         raise ValueError("regulation contributions apply to low-frequency models only")
-    if regulation is not None and model == "I":
+    if regulation and model == "I":
         raise ValueError("the rectangular model needs no regulation")
     _check_tau(tau)
 
@@ -730,9 +682,7 @@ def classify_model(
     return PassivityVerdict(
         model=model,
         analysis=analysis,
-        lossless=flags.lossless,
-        no_shunt_b=flags.no_shunt_b,
-        decoupled=flags.decoupled,
+        variant=flags,
         overall=overall,
         cond1=poles if ss.n_states else None,
         cond2=sweep,

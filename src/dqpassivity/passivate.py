@@ -97,6 +97,8 @@ def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 0.0) -> fl
     The default tol = 0 is the exact PSD boundary, which `classify_model`
     accepts; with tol > 0 the spectrum may sit tol below zero, which it rejects.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got tol={tol}")
     if not buses:
         raise ValueError("need at least one regulating bus")
     unknown = [b for b in buses if b not in j.bus_ids]

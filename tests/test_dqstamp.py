@@ -281,3 +281,10 @@ def test_state_space_rejects_inconsistent_shapes(overrides, message):
 def test_parasitics_reject_negative_series_resistance():
     with pytest.raises(ValueError, match="r_series_cap must be >= 0"):
         ParasiticConfig(r_series_cap=-1)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_parasitics_reject_non_finite_series_resistance(value):
+    # An infinite resistance would silently disconnect every shunt capacitor.
+    with pytest.raises(ValueError, match=f"r_series_cap must be >= 0 and finite, got {value}"):
+        ParasiticConfig(r_series_cap=value)

@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -43,6 +43,7 @@ from dqpassivity import (
     solve_powerflow,
     sweep_psd,
 )
+from dqpassivity import passcheck
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
 from conftest import random_solved_case, two_bus_case
 from test_cli import DATA, _compare_tree
@@ -711,6 +712,35 @@ def test_sweep_grid_rejects_zero_points_per_decade():
         SweepGrid(points_per_decade=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sweep_grid_rejects_non_finite_points_per_decade(value):
+    with pytest.raises(ValueError, match=f"points_per_decade must be finite.*{value}"):
+        SweepGrid(points_per_decade=value)
+
+
+@pytest.mark.parametrize("analysis", ["wideband", "lowfreq"])
+def test_empty_regulation_set_is_no_regulation(ieee9, analysis):
+    # Model I takes no regulation; an empty set is no regulation, not an error.
+    cell = dict(model="I", analysis=analysis)
+    empty = classify_model(ieee9, regulation=RegulationSet(()), **cell)
+    assert empty.to_dict() == classify_model(ieee9, **cell).to_dict()
+
+
+def test_verdict_carries_its_variant_flags(ieee9):
+    flags = VariantFlags(lossless=True, no_shunt_b=True, decoupled=True)
+    v = classify_model(ieee9, flags, model="III", analysis="lowfreq")
+    assert v.variant is flags
+    assert v.to_dict()["variant"] == {"lossless": True, "no_shunt_b": True, "decoupled": True}
+
+
+def test_reports_write_no_document_of_their_own():
+    # Every report's to_dict() is derived from its fields by one rule.
+    reports = [c for c in vars(passcheck).values() if is_dataclass(c) and hasattr(c, "to_dict")]
+    assert len(reports) >= 8
+    for cls in reports:
+        assert "to_dict" not in vars(cls), cls.__name__
+
+
 @pytest.mark.parametrize("analysis", ["wideband", "lowfreq"])
 def test_model_i_needs_no_operating_point(analysis):
     # The rectangular model is the network alone: a loading with no power-flow
@@ -772,3 +802,21 @@ def test_ieee9_verdict_documents(ieee9):
     for key in expected:
         _drop_zero_minimum_locations(got[key], expected[key])
         _compare_tree(got[key], expected[key], key)
+
+
+def _key_orders(tree, path=""):
+    """(path, key list) of every dict level in a JSON tree."""
+    if isinstance(tree, dict):
+        yield path, list(tree)
+        for key, value in tree.items():
+            yield from _key_orders(value, f"{path}/{key}")
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _key_orders(value, f"{path}[{i}]")
+
+
+def test_ieee9_verdict_documents_keep_key_order(ieee9):
+    """Every dict level of the 56 documents lists its keys in the golden order."""
+    expected = json.loads((DATA / "verdicts_ieee9.json").read_text())
+    got = {key: classify_model(ieee9, **kwargs).to_dict() for key, kwargs in ieee9_cells()}
+    assert list(_key_orders(got)) == list(_key_orders(expected))

@@ -123,6 +123,12 @@ def test_min_uniform_kqv_already_passive(ieee9):
     assert min_uniform_kqv(j, REG_BUSES) == 0.0
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_min_uniform_kqv_rejects_bad_tolerance(jlf, tol):
+    with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got tol={tol}"):
+        min_uniform_kqv(jlf, REG_BUSES, tol)
+
+
 def test_min_uniform_kqv_infeasible():
     # A negative direction outside the regulated block can never be fixed.
     j = StateSpace(

@@ -10,6 +10,15 @@ the assembled model is the multi-port admittance Y_DQ(s).
 State metadata carries the physical storage parameter (L or C in pu-s) of
 each state so the stored electromagnetic energy is a diagonal quadratic
 form, which is what the dissipation checks integrate against.
+
+The same stamping loop fills a private element table, attached to the
+model `assemble_ydq` returns. The network is balanced and has real
+coefficients, so in complex-vector form (Harnefors 2007)
+Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
+Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements.
+`sweep_psd` reads Y_DQ(jw) + Y_DQ^H(jw) from the table as two real
+symmetric blocks 2 Re Y(j(w -/+ omega0)). A model derived from this one
+(by `dataclasses.replace` or a builder) carries no table.
 """
 
 from __future__ import annotations
@@ -62,6 +71,39 @@ class StateMeta:
     label: str
 
 
+@dataclass(frozen=True, eq=False)
+class _Elements:
+    """The R-L-C elements of a network: Y(s) = K diag(y_e(s)) K^T.
+
+    Column e of K is element e's incidence, 1/ratio on a branch's from side.
+    Exactly one of l, c, g is nonzero per element: y_e(s) = 1/(r + s l) for
+    a dynamic branch, s c/(1 + s r c) for a capacitor behind its series
+    parasitic r, and g for a static branch or bus shunt conductance.
+    """
+
+    k: np.ndarray  # (n, m)
+    r: np.ndarray  # (m,)
+    l: np.ndarray  # (m,)
+    c: np.ndarray  # (m,)
+    g: np.ndarray  # (m,)
+    omega0: float
+
+    def sequence_hermitian_parts(self, omegas: np.ndarray) -> np.ndarray:
+        """The blocks 2 Re Y(j(w - omega0)) and 2 Re Y(j(w + omega0)) per w.
+
+        Shape (2, len(omegas), n, n); together they are unitarily similar to
+        Y_DQ(jw) + Y_DQ^H(jw), since Y is complex symmetric. The capacitor
+        form is finite at zero frequency, so w = omega0 needs no care unless
+        a lossless branch makes it a pole.
+        """
+        s = 1j * (np.asarray(omegas, dtype=float) + np.array([[-self.omega0], [self.omega0]]))[..., None]
+        rl, rc = self.l > 0, self.c > 0
+        y = np.zeros(s.shape[:2] + self.g.shape, dtype=complex) + self.g
+        y[..., rl] += 1.0 / (self.r[rl] + s * self.l[rl])
+        y[..., rc] += s * self.c[rc] / (1.0 + s * self.r[rc] * self.c[rc])
+        return (self.k * (2.0 * y.real)[..., None, :]) @ self.k.T
+
+
 @dataclass(eq=False)
 class StateSpace:
     """Real (A, B, C, D) with port labels and per-state physical metadata."""
@@ -74,6 +116,8 @@ class StateSpace:
     output_labels: tuple[str, ...]
     state_meta: tuple[StateMeta, ...]
     bus_ids: tuple[int, ...] = field(default=())
+    # Set by `assemble_ydq` only; `dataclasses.replace` leaves it None.
+    _elements: _Elements | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         nx = self.a.shape[0]
@@ -164,6 +208,16 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
     c = np.zeros((2 * n, nx))
     d = np.zeros((2 * n, 2 * n))
     meta: list[StateMeta] = []
+    # Element table: incidence columns and (r, l, c, g) per element.
+    cols: list[np.ndarray] = []
+    params: list[tuple[float, float, float, float]] = []
+
+    def element(incidence: tuple[tuple[int, float], ...], r: float, l: float, c: float, g: float) -> None:
+        col = np.zeros(n)
+        for i, v in incidence:
+            col[i] += v
+        cols.append(col)
+        params.append((r, l, c, g))
 
     def stamp_conductance(i: int, j: int, g: float) -> None:
         d[i, j] += g
@@ -172,6 +226,7 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
     row = 0
     for br in case.branches:
         k, m = idx[br.from_bus], idx[br.to_bus]
+        ends = ((k, 1.0 / br.ratio), (m, -1.0))
         if br.x <= 0:
             # Static resistive branch: pure feedthrough stamp.
             g = 1.0 / br.r
@@ -179,6 +234,7 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
             stamp_conductance(m, m, g)
             stamp_conductance(k, m, -g / br.ratio)
             stamp_conductance(m, k, -g / br.ratio)
+            element(ends, br.r, 0.0, 0.0, g)
             continue
         ind = br.x / w0
         rd, rq = row, row + 1
@@ -197,6 +253,7 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
         tag = f"{br.from_bus}-{br.to_bus}"
         meta.append(StateMeta("inductor", ind, f"i_D:{tag}"))
         meta.append(StateMeta("inductor", ind, f"i_Q:{tag}"))
+        element(ends, br.r, ind, 0.0, 0.0)
         row += 2
 
     for i in cap_buses:
@@ -215,15 +272,17 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
         bus_id = case.bus_ids[i]
         meta.append(StateMeta("capacitor", cap, f"v_D:{bus_id}"))
         meta.append(StateMeta("capacitor", cap, f"v_Q:{bus_id}"))
+        element(((i, 1.0),), r, 0.0, cap, 0.0)
         row += 2
 
     for i, bus in enumerate(case.buses):
         if bus.g_shunt != 0.0:
             stamp_conductance(i, i, bus.g_shunt)
+            element(((i, 1.0),), 0.0, 0.0, 0.0, bus.g_shunt)
 
     labels_in = tuple(f"v_D:{i}" for i in case.bus_ids) + tuple(f"v_Q:{i}" for i in case.bus_ids)
     labels_out = tuple(f"i_D:{i}" for i in case.bus_ids) + tuple(f"i_Q:{i}" for i in case.bus_ids)
-    return StateSpace(
+    ss = StateSpace(
         a=a,
         b=b,
         c=c,
@@ -233,6 +292,9 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
         state_meta=tuple(meta),
         bus_ids=case.bus_ids,
     )
+    r_e, l_e, c_e, g_e = np.array(params, dtype=float).reshape(-1, 4).T
+    ss._elements = _Elements(np.array(cols).reshape(-1, n).T, r_e, l_e, c_e, g_e, w0)
+    return ss
 
 
 def eval_tf(ss: StateSpace, s: complex) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import cached_property
 from importlib import resources
 
 __all__ = [
@@ -102,10 +103,18 @@ class NetworkCase:
     def bus_ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses)
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        # Built once per case; a repeated id keeps its first position.
+        positions: dict[int, int] = {}
+        for i, bus in enumerate(self.buses):
+            positions.setdefault(bus.id, i)
+        return positions
+
     def bus_index(self, bus_id: int) -> int:
         try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
+            return self._positions[bus_id]
+        except KeyError:
             raise CaseTopologyError(f"unknown bus id {bus_id}") from None
 
     def shunt_susceptance(self) -> list[float]:

@@ -16,6 +16,7 @@ from dqpassivity import (
     derive_variant,
     parse_case,
     serialize_case,
+    solve_powerflow,
 )
 from dqpassivity.netcase import CaseError, validate_case
 
@@ -393,3 +394,11 @@ def test_bus_index_of_unknown_id(ieee9):
     assert ieee9.bus_index(ieee9.bus_ids[-1]) == ieee9.n_bus - 1
     with pytest.raises(CaseTopologyError, match="unknown bus id 42"):
         ieee9.bus_index(42)
+    # The per-case lookups behind the shunt sum and the power flow raise the
+    # same error on an unvalidated case.
+    stray_branch = replace(ieee9, branches=ieee9.branches + (Branch(4, 42, 0.01, 0.1, 0.2),))
+    with pytest.raises(CaseTopologyError, match="unknown bus id 42"):
+        stray_branch.shunt_susceptance()
+    stray_load = replace(ieee9, injections=ieee9.injections + (Injection(42, "pq", p=-0.1, q=0.0),))
+    with pytest.raises(CaseTopologyError, match="unknown bus id 42"):
+        solve_powerflow(stray_load)

@@ -1,9 +1,11 @@
 """Passivity condition checks, dissipation simulation and classification."""
 
+import importlib.util
 import json
 import math
 import re
 from dataclasses import is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from dqpassivity import (
     decouple,
     derive_variant,
     eval_tf,
+    export_matrices,
     hermitian_min_eig,
     random_multisine,
     simulate_dissipation,
@@ -49,6 +52,7 @@ from conftest import random_solved_case, two_bus_case
 from test_cli import DATA, _compare_tree
 
 TAU = 0.01
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +279,85 @@ def test_sweep_ydq_passes_and_j_fails(ieee9, ieee9_j2):
     assert not rep.passed
     assert rep.min_eig < -1e-3
     assert rep.worst_omega is not None
+
+
+def _sequence_case(branches, buses=(Bus(id=1), Bus(id=2))):
+    return NetworkCase(
+        system=SystemParams(),
+        buses=buses,
+        branches=branches,
+        injections=(Injection(bus=1, kind="slack", vset=1.0),),
+    )
+
+
+W0 = SystemParams().omega0
+# omega0 is the first point: frequency 0 of the negative sequence.
+GRID_AT_W0 = SweepGrid(W0, 1e5, 10)
+SEQUENCE_CASES = {
+    "ieee9": lambda c: (c, None),
+    "ieee9-lossless": lambda c: (derive_variant(c, VariantFlags(lossless=True)), None),
+    "ieee9-lossless-grid-at-omega0": lambda c: (derive_variant(c, VariantFlags(lossless=True)), GRID_AT_W0),
+    "ieee9-no-shunt-b": lambda c: (derive_variant(c, VariantFlags(no_shunt_b=True)), None),
+    "random-0": lambda c: (random_solved_case(np.random.default_rng(0))[0], None),
+    "random-1": lambda c: (random_solved_case(np.random.default_rng(1))[0], None),
+    "random-2": lambda c: (random_solved_case(np.random.default_rng(2))[0], None),
+    "random-0-grid-at-omega0": lambda c: (random_solved_case(np.random.default_rng(0))[0], GRID_AT_W0),
+    "ratio": lambda c: (_sequence_case((Branch(1, 2, r=0.01, x=0.1, b_line=0.3, ratio=1.05),)), None),
+    "static-branch-and-g-shunt": lambda c: (
+        _sequence_case(
+            (Branch(1, 2, r=0.02, x=0.1, b_line=0.2), Branch(2, 3, r=0.5, x=0.0, ratio=1.05)),
+            (Bus(id=1), Bus(id=2, b_shunt=0.1), Bus(id=3, g_shunt=0.8)),
+        ),
+        None,
+    ),
+    "negative-resistance": lambda c: (negative_resistance_case(), None),
+}
+
+
+@pytest.mark.parametrize("name", SEQUENCE_CASES)
+def test_sequence_sweep_matches_modal_sweep(ieee9, name):
+    # The admittance of assemble_ydq sweeps in the sequence domain; a copy
+    # without its element table takes the per-point modal route.
+    case, grid = SEQUENCE_CASES[name](ieee9)
+    ydq = assemble_ydq(case)
+    modal_copy = replace(ydq)
+    assert ydq._elements is not None and modal_copy._elements is None
+    seq, modal = sweep_psd(ydq, grid), sweep_psd(modal_copy, grid)
+    assert seq.n_points == modal.n_points
+    assert [w for w, _ in seq.samples] == [w for w, _ in modal.samples]
+    for (w, lam_seq), (_, lam_modal) in zip(seq.samples, modal.samples):
+        g = eval_tf(ydq, 1j * w)
+        scale = max(1.0, float(np.linalg.norm(g + g.conj().T, 2)))
+        assert abs(lam_seq - lam_modal) <= 1e-9 * scale, w
+    assert seq.passed == modal.passed == (name != "negative-resistance")
+    if grid is not None:
+        # omega0 is swept unless a lossless branch has its poles at +/- j omega0.
+        assert (seq.samples[0][0] == W0) == all(br.r > 0 for br in case.branches)
+
+
+def test_derived_models_carry_no_element_table(ieee9, ieee9_op):
+    ydq = assemble_ydq(ieee9)
+    j = build_j_of_s(ydq, ieee9_op)
+    lowfreq_i = passcheck._realize(ieee9, VariantFlags(), "I", "lowfreq", TAU)[0]
+    derived = (j, build_jdp(j, TAU), build_jdf(j, TAU), replace(ydq, d=2.0 * ydq.d), lowfreq_i)
+    assert ydq._elements is not None
+    assert all(ss._elements is None for ss in derived)
+    assert export_matrices(ydq) == export_matrices(replace(ydq))
+
+
+def _synthcase():
+    spec = importlib.util.spec_from_file_location("synthcase", BENCH / "synthcase.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sequence_sweep_passes_stiff_passive_mesh():
+    # A passive R-L-C mesh with a stiff capacitor parasitic: the modal route
+    # rounds the minimum to -1.1e-9 and fails the absolute tolerance.
+    case = _synthcase().mesh_case(120, 1)
+    rep = sweep_psd(assemble_ydq(case, ParasiticConfig(r_series_cap=1e-7)))
+    assert rep.passed and rep.n_points == SweepGrid().points().size
 
 
 def test_sweep_conjugate_symmetry(ieee9_j2):

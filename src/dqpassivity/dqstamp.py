@@ -11,9 +11,11 @@ State metadata carries the physical storage parameter (L or C in pu-s) of
 each state so the stored electromagnetic energy is a diagonal quadratic
 form, which is what the dissipation checks integrate against.
 
-The same stamping loop fills a private element table, attached to the
-model `assemble_ydq` returns. The network is balanced and has real
-coefficients, so in complex-vector form (Harnefors 2007)
+One private element table describes the network: an incidence column and
+(r, L, C, g) per element. `assemble_ydq` derives A, B, C, D from it with
+array assignments and attaches it to the model it returns, and
+`powerflow.build_ybus` evaluates it at omega0. The network is balanced and
+has real coefficients, so in complex-vector form (Harnefors 2007)
 Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
 Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements.
 `sweep_psd` reads Y_DQ(jw) + Y_DQ^H(jw) from the table as two real
@@ -78,7 +80,8 @@ class _Elements:
     Column e of K is element e's incidence, 1/ratio on a branch's from side.
     Exactly one of l, c, g is nonzero per element: y_e(s) = 1/(r + s l) for
     a dynamic branch, s c/(1 + s r c) for a capacitor behind its series
-    parasitic r, and g for a static branch or bus shunt conductance.
+    parasitic r, and g for a static branch or bus shunt conductance. The
+    A, B, C, D of `assemble_ydq` and `powerflow.build_ybus` derive from it.
     """
 
     k: np.ndarray  # (n, m)
@@ -88,20 +91,72 @@ class _Elements:
     g: np.ndarray  # (m,)
     omega0: float
 
+    def element_admittances(self, s: complex | np.ndarray) -> np.ndarray:
+        """y_e(s) of every element at each s; shape s.shape + (m,)."""
+        s = np.asarray(s, dtype=complex)[..., None]
+        z = self.r + s * self.l
+        y = self.g + s * self.c / (1.0 + s * self.r * self.c)
+        y += np.divide(1.0, z, out=np.zeros_like(z), where=self.l > 0)
+        return y
+
+    def admittance(self, s: complex | np.ndarray) -> np.ndarray:
+        """Y(s) = K diag(y_e(s)) K^T at each s; shape s.shape + (n, n)."""
+        return (self.k * self.element_admittances(s)[..., None, :]) @ self.k.T
+
     def sequence_hermitian_parts(self, omegas: np.ndarray) -> np.ndarray:
         """The blocks 2 Re Y(j(w - omega0)) and 2 Re Y(j(w + omega0)) per w.
 
         Shape (2, len(omegas), n, n); together they are unitarily similar to
         Y_DQ(jw) + Y_DQ^H(jw), since Y is complex symmetric. The capacitor
         form is finite at zero frequency, so w = omega0 needs no care unless
-        a lossless branch makes it a pole.
+        a lossless branch makes it a pole. K is real, so the blocks are one
+        real product K diag(2 Re y_e) K^T, a quarter of the complex one.
         """
-        s = 1j * (np.asarray(omegas, dtype=float) + np.array([[-self.omega0], [self.omega0]]))[..., None]
-        rl, rc = self.l > 0, self.c > 0
-        y = np.zeros(s.shape[:2] + self.g.shape, dtype=complex) + self.g
-        y[..., rl] += 1.0 / (self.r[rl] + s * self.l[rl])
-        y[..., rc] += s * self.c[rc] / (1.0 + s * self.r[rc] * self.c[rc])
+        shifts = np.asarray(omegas, dtype=float) + np.array([[-self.omega0], [self.omega0]])
+        y = self.element_admittances(1j * shifts)
         return (self.k * (2.0 * y.real)[..., None, :]) @ self.k.T
+
+
+def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements, tuple[str, ...]]:
+    """The element table of `case`, and one label per element.
+
+    Branches come first (case order), then one capacitor per bus with
+    positive total shunt susceptance (bus order) behind `r_series_cap`,
+    then the bus shunt conductances. A branch with x = 0 is the static
+    conductance 1/r; x < 0, negative line charging or a negative bus shunt
+    susceptance raises ValueError, as `netcase.validate_case` does.
+    """
+    w0 = case.system.omega0
+    b_shunt = case.shunt_susceptance()
+    # One row per element: incidence head and its weight, then r, l, c, g.
+    rows: list[tuple[float, ...]] = []
+    tails, labels = [], []
+    for br in case.branches:
+        tag = f"{br.from_bus}-{br.to_bus}"
+        if br.x < 0:
+            raise ValueError(f"branch {tag}: series X must be >= 0")
+        if br.b_line < 0:
+            raise ValueError(f"branch {tag}: line charging must be >= 0")
+        # v_from enters through the off-nominal ratio on the from side.
+        g = 0.0 if br.x > 0 else 1.0 / br.r
+        rows.append((case.bus_index(br.from_bus), 1.0 / br.ratio, br.r, br.x / w0, 0.0, g))
+        tails.append(case.bus_index(br.to_bus))
+        labels.append(tag)
+    for i, (bus, b) in enumerate(zip(case.buses, b_shunt)):
+        if bus.b_shunt < 0:
+            raise ValueError(f"bus {bus.id}: negative shunt susceptance is not supported")
+        if b > 0:
+            rows.append((i, 1.0, r_series_cap, 0.0, b / w0, 0.0))
+            labels.append(str(bus.id))
+    for i, bus in enumerate(case.buses):
+        if bus.g_shunt != 0.0:
+            rows.append((i, 1.0, 0.0, 0.0, 0.0, bus.g_shunt))
+            labels.append(str(bus.id))
+    heads, weights, r, l, c, g = np.array(rows, dtype=float).reshape(-1, 6).T
+    k = np.zeros((case.n_bus, heads.size))
+    k[heads.astype(int), np.arange(heads.size)] = weights
+    k[tails, np.arange(len(tails))] -= 1.0
+    return _Elements(k, r, l, c, g, w0), tuple(labels)
 
 
 @dataclass(eq=False)
@@ -176,124 +231,68 @@ class ParasiticConfig:
 
 
 def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -> StateSpace:
-    """Stamp the network into the D-Q admittance model Y_DQ(s).
+    """The D-Q admittance model Y_DQ(s) of the network's element table.
 
     Inputs (over bus order): Delta v_D then Delta v_Q; outputs: the matching
-    current injections into the network. Branch inductor pairs come first in
-    the state vector (case branch order), capacitor pairs second (bus order),
-    D before Q inside a pair.
+    current injections into the network. Each dynamic element holds one
+    (D, Q) state pair, branch inductor currents first (case branch order),
+    capacitor voltages second (bus order), D before Q inside a pair. Per
+    axis, with u = K_e^T v the element voltage, an inductor obeys
+    L i' = u - r i and injects K_e i, a capacitor obeys r C v' = u - v and
+    injects K_e (u - v) / r; A adds the +/- omega0 coupling of the rotating
+    frame, and D = K diag(delta) K^T on both axes.
     """
     par = parasitics if parasitics is not None else ParasiticConfig()
-    n = case.n_bus
-    w0 = case.system.omega0
-    idx = {bus_id: i for i, bus_id in enumerate(case.bus_ids)}
-    b_shunt = case.shunt_susceptance()
-
-    if any(b < 0 for b in b_shunt):
-        raise ValueError("negative shunt susceptance is not supported")
-    has_caps = any(b > 0 for b in b_shunt)
-    if has_caps and par.r_series_cap <= 0:
+    n, w0 = case.n_bus, case.system.omega0
+    el, labels = _network_elements(case, par.r_series_cap)
+    is_cap = el.c > 0
+    if is_cap.any() and par.r_series_cap <= 0:
         raise ProprietyError(
             "shunt capacitance present with r_series_cap = 0: a capacitor directly "
             "across a voltage port differentiates its input and the admittance is "
             "not proper; configure a positive series parasitic resistance"
         )
+    dyn = np.flatnonzero((el.l > 0) | is_cap)
+    ind, r = el.l[dyn] > 0, el.r[dyn]
+    # Per axis tau x' = u - rho x and the element injects gamma x: tau = L,
+    # rho = r, gamma = 1 for an inductor; tau = r C, rho = 1, gamma = -1/r
+    # for a capacitor.
+    tau = np.where(ind, el.l[dyn], r * el.c[dyn])
+    gamma = np.ones(dyn.size)
+    gamma[~ind] = -1.0 / r[~ind]
+    delta = el.g.copy()
+    delta[is_cap] += 1.0 / el.r[is_cap]
 
-    dyn_branches = [br for br in case.branches if br.x > 0]
-    cap_buses = [i for i in range(n) if b_shunt[i] > 0]
-    nx = 2 * len(dyn_branches) + 2 * len(cap_buses)
-
+    nx = 2 * dyn.size
+    rd = np.arange(0, nx, 2)
     a = np.zeros((nx, nx))
+    a[rd, rd] = a[rd + 1, rd + 1] = -np.where(ind, r, 1.0) / tau
+    a[rd, rd + 1] = -w0
+    a[rd + 1, rd] = w0
     b = np.zeros((nx, 2 * n))
+    b[0::2, :n] = b[1::2, n:] = el.k[:, dyn].T / tau[:, None]
     c = np.zeros((2 * n, nx))
+    c[:n, 0::2] = c[n:, 1::2] = el.k[:, dyn] * gamma
     d = np.zeros((2 * n, 2 * n))
-    meta: list[StateMeta] = []
-    # Element table: incidence columns and (r, l, c, g) per element.
-    cols: list[np.ndarray] = []
-    params: list[tuple[float, float, float, float]] = []
-
-    def element(incidence: tuple[tuple[int, float], ...], r: float, l: float, c: float, g: float) -> None:
-        col = np.zeros(n)
-        for i, v in incidence:
-            col[i] += v
-        cols.append(col)
-        params.append((r, l, c, g))
-
-    def stamp_conductance(i: int, j: int, g: float) -> None:
-        d[i, j] += g
-        d[n + i, n + j] += g
-
-    row = 0
-    for br in case.branches:
-        k, m = idx[br.from_bus], idx[br.to_bus]
-        ends = ((k, 1.0 / br.ratio), (m, -1.0))
-        if br.x <= 0:
-            # Static resistive branch: pure feedthrough stamp.
-            g = 1.0 / br.r
-            stamp_conductance(k, k, g / br.ratio**2)
-            stamp_conductance(m, m, g)
-            stamp_conductance(k, m, -g / br.ratio)
-            stamp_conductance(m, k, -g / br.ratio)
-            element(ends, br.r, 0.0, 0.0, g)
-            continue
-        ind = br.x / w0
-        rd, rq = row, row + 1
-        a[rd, rd] = a[rq, rq] = -br.r / ind
-        a[rd, rq] = -w0
-        a[rq, rd] = w0
-        # v_from enters through the off-nominal ratio on the from side.
-        b[rd, k] += 1.0 / (br.ratio * ind)
-        b[rd, m] -= 1.0 / ind
-        b[rq, n + k] += 1.0 / (br.ratio * ind)
-        b[rq, n + m] -= 1.0 / ind
-        c[k, rd] += 1.0 / br.ratio
-        c[m, rd] -= 1.0
-        c[n + k, rq] += 1.0 / br.ratio
-        c[n + m, rq] -= 1.0
-        tag = f"{br.from_bus}-{br.to_bus}"
-        meta.append(StateMeta("inductor", ind, f"i_D:{tag}"))
-        meta.append(StateMeta("inductor", ind, f"i_Q:{tag}"))
-        element(ends, br.r, ind, 0.0, 0.0)
-        row += 2
-
-    for i in cap_buses:
-        cap = b_shunt[i] / w0
-        r = par.r_series_cap
-        rd, rq = row, row + 1
-        a[rd, rd] = a[rq, rq] = -1.0 / (r * cap)
-        a[rd, rq] = -w0
-        a[rq, rd] = w0
-        b[rd, i] = 1.0 / (r * cap)
-        b[rq, n + i] = 1.0 / (r * cap)
-        c[i, rd] = -1.0 / r
-        c[n + i, rq] = -1.0 / r
-        d[i, i] += 1.0 / r
-        d[n + i, n + i] += 1.0 / r
-        bus_id = case.bus_ids[i]
-        meta.append(StateMeta("capacitor", cap, f"v_D:{bus_id}"))
-        meta.append(StateMeta("capacitor", cap, f"v_Q:{bus_id}"))
-        element(((i, 1.0),), r, 0.0, cap, 0.0)
-        row += 2
-
-    for i, bus in enumerate(case.buses):
-        if bus.g_shunt != 0.0:
-            stamp_conductance(i, i, bus.g_shunt)
-            element(((i, 1.0),), 0.0, 0.0, 0.0, bus.g_shunt)
-
-    labels_in = tuple(f"v_D:{i}" for i in case.bus_ids) + tuple(f"v_Q:{i}" for i in case.bus_ids)
-    labels_out = tuple(f"i_D:{i}" for i in case.bus_ids) + tuple(f"i_Q:{i}" for i in case.bus_ids)
+    d[:n, :n] = d[n:, n:] = (el.k * delta) @ el.k.T
+    kinds = [("inductor", "i") if i else ("capacitor", "v") for i in ind.tolist()]
+    storage = np.where(ind, el.l[dyn], el.c[dyn]).tolist()
+    meta = tuple(
+        StateMeta(kind, x, f"{var}_{axis}:{labels[e]}")
+        for e, x, (kind, var) in zip(dyn.tolist(), storage, kinds)
+        for axis in "DQ"
+    )
     ss = StateSpace(
         a=a,
         b=b,
         c=c,
         d=d,
-        input_labels=labels_in,
-        output_labels=labels_out,
-        state_meta=tuple(meta),
+        input_labels=tuple(f"v_D:{i}" for i in case.bus_ids) + tuple(f"v_Q:{i}" for i in case.bus_ids),
+        output_labels=tuple(f"i_D:{i}" for i in case.bus_ids) + tuple(f"i_Q:{i}" for i in case.bus_ids),
+        state_meta=meta,
         bus_ids=case.bus_ids,
     )
-    r_e, l_e, c_e, g_e = np.array(params, dtype=float).reshape(-1, 4).T
-    ss._elements = _Elements(np.array(cols).reshape(-1, n).T, r_e, l_e, c_e, g_e, w0)
+    ss._elements = el
     return ss
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dqstamp import StateSpace
+from .dqstamp import StateSpace, _network_elements
 from .netcase import NetworkCase
 
 __all__ = [
@@ -86,23 +86,13 @@ class OperatingPoint:
 
 
 def build_ybus(case: NetworkCase) -> np.ndarray:
-    """Complex nodal admittance matrix at nominal frequency, shunts included."""
-    n = case.n_bus
-    idx = {bus_id: i for i, bus_id in enumerate(case.bus_ids)}
-    y = np.zeros((n, n), dtype=complex)
-    for br in case.branches:
-        k, m = idx[br.from_bus], idx[br.to_bus]
-        ys = 1.0 / complex(br.r, br.x)
-        a = br.ratio
-        y[k, k] += ys / a**2
-        y[m, m] += ys
-        y[k, m] -= ys / a
-        y[m, k] -= ys / a
-        y[k, k] += 1j * br.b_line / 2.0
-        y[m, m] += 1j * br.b_line / 2.0
-    for i, bus in enumerate(case.buses):
-        y[i, i] += complex(bus.g_shunt, bus.b_shunt)
-    return y
+    """Complex nodal admittance matrix at nominal frequency, shunts included.
+
+    The element table of `assemble_ydq` at s = j omega0 with no capacitor
+    parasitic, so each bus capacitor adds j omega0 C = j b. Raises
+    ValueError on the elements that table rejects.
+    """
+    return _network_elements(case, 0.0)[0].admittance(1j * case.system.omega0)
 
 
 def _injection_targets(case: NetworkCase) -> tuple[np.ndarray, np.ndarray, list[int], list[int], int]:

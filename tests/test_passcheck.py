@@ -48,7 +48,7 @@ from dqpassivity import (
 )
 from dqpassivity import passcheck
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
-from conftest import random_solved_case, two_bus_case
+from conftest import random_case, random_solved_case, two_bus_case
 from test_cli import DATA, _compare_tree
 
 TAU = 0.01
@@ -343,6 +343,31 @@ def test_derived_models_carry_no_element_table(ieee9, ieee9_op):
     assert ydq._elements is not None
     assert all(ss._elements is None for ss in derived)
     assert export_matrices(ydq) == export_matrices(replace(ydq))
+
+
+IDENTITY_CASES = {
+    "ieee9": lambda c: c,
+    "ratio": lambda c: SEQUENCE_CASES["ratio"](c)[0],
+    "static-branch-and-g-shunt": lambda c: SEQUENCE_CASES["static-branch-and-g-shunt"](c)[0],
+    "random-0": lambda c: random_case(np.random.default_rng(0)),
+    "random-1": lambda c: random_case(np.random.default_rng(1)),
+    "random-2": lambda c: random_case(np.random.default_rng(2)),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_CASES)
+def test_ydq_is_the_sequence_transform_of_the_element_table(ieee9, name):
+    # Y_DQ(jw) = U diag(Y(j(w - w0)), Y(j(w + w0))) U^H entry by entry, so a
+    # sign slip in any B or C block shows even where lambda_min does not move.
+    ydq = assemble_ydq(IDENTITY_CASES[name](ieee9))
+    eye = np.eye(len(ydq.bus_ids))
+    u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
+    zero = np.zeros_like(eye)
+    for w in (10.0, 200.0, 1000.0, 5e4):
+        y_neg, y_pos = ydq._elements.admittance(1j * np.array([w - W0, w + W0]))
+        want = u @ np.block([[y_neg, zero], [zero, y_pos]]) @ u.conj().T
+        got = eval_tf(ydq, 1j * w)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), w
 
 
 def _synthcase():

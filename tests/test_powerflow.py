@@ -1,6 +1,7 @@
 """Newton power flow and the unreduced load-flow Jacobian."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,49 @@ def test_two_bus_lossless_closed_form():
     delta = float(op.phi[0] - op.phi[1])
     assert delta == pytest.approx(math.asin(0.05), abs=1e-9)
     assert op.vm == pytest.approx([1.0, 1.0])
+
+
+def test_ybus_closed_form_with_off_nominal_ratio():
+    # Bus 1 is the tap side: y/a^2 there, y on bus 2, -y/a between them,
+    # half the line charging at each end, and each bus's own shunt.
+    r, x, b_line, a = 0.02, 0.1, 0.3, 1.05
+    case = NetworkCase(
+        system=SystemParams(),
+        buses=(Bus(id=1, g_shunt=0.04, b_shunt=0.05), Bus(id=2, g_shunt=0.07, b_shunt=0.2)),
+        branches=(Branch(from_bus=1, to_bus=2, r=r, x=x, b_line=b_line, ratio=a),),
+        injections=(Injection(bus=1, kind="slack", vset=1.0), Injection(bus=2, kind="pq", p=-0.5, q=0.0)),
+    )
+    y = 1.0 / complex(r, x)
+    want = np.array(
+        [
+            [y / a**2 + 0.5j * b_line + complex(0.04, 0.05), -y / a],
+            [-y / a, y + 0.5j * b_line + complex(0.07, 0.2)],
+        ]
+    )
+    assert np.allclose(build_ybus(case), want, rtol=1e-14, atol=0.0)
+
+
+def _replace_item(case, part, index, **changes):
+    items = list(getattr(case, part))
+    items[index] = replace(items[index], **changes)
+    return replace(case, **{part: tuple(items)})
+
+
+# Cases built in Python skip validate_case; the power flow and Y_DQ read
+# x and the shunt susceptance the same way and reject the same values.
+UNSUPPORTED_ELEMENTS = {
+    "negative-x": (lambda c: _replace_item(c, "branches", 3, x=-0.085), "branch 1-5: series X must be >= 0"),
+    "negative-b-shunt": (lambda c: _replace_item(c, "buses", 4, b_shunt=-0.1), "bus 5: negative shunt susceptance"),
+    "negative-b-line": (lambda c: _replace_item(c, "branches", 3, b_line=-0.1), "branch 1-5: line charging must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("build", [solve_powerflow, assemble_ydq])
+@pytest.mark.parametrize("name", UNSUPPORTED_ELEMENTS)
+def test_power_flow_and_ydq_reject_the_same_elements(ieee9, name, build):
+    edit, message = UNSUPPORTED_ELEMENTS[name]
+    with pytest.raises(ValueError, match=message):
+        build(edit(ieee9))
 
 
 def test_ieee9_converges_and_matches_textbook_flows(ieee9, ieee9_op):

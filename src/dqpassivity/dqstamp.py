@@ -124,7 +124,8 @@ def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements
     positive total shunt susceptance (bus order) behind `r_series_cap`,
     then the bus shunt conductances. A branch with x = 0 is the static
     conductance 1/r; x < 0, negative line charging or a negative bus shunt
-    susceptance raises ValueError, as `netcase.validate_case` does.
+    susceptance raises ValueError, as `netcase.validate_case` does, and so
+    does r = x = 0, which has no admittance.
     """
     w0 = case.system.omega0
     b_shunt = case.shunt_susceptance()
@@ -137,6 +138,8 @@ def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements
             raise ValueError(f"branch {tag}: series X must be >= 0")
         if br.b_line < 0:
             raise ValueError(f"branch {tag}: line charging must be >= 0")
+        if br.x == 0 and br.r == 0:
+            raise ValueError(f"branch {tag}: a branch with x = 0 is the static conductance 1/r and needs r != 0")
         # v_from enters through the off-nominal ratio on the from side.
         g = 0.0 if br.x > 0 else 1.0 / br.r
         rows.append((case.bus_index(br.from_bus), 1.0 / br.ratio, br.r, br.x / w0, 0.0, g))

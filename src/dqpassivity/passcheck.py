@@ -66,9 +66,11 @@ VARIANT_COLUMNS = (
 )
 
 
-# Steps per chunk of the dissipation integrator: inputs, supplied energy and
-# margins are vectorized over a chunk. Larger chunks save little time and
-# cost memory (about 4 MB more peak RSS at 1024 steps on the nine-bus case).
+# Steps per chunk of the dissipation integrator: inputs, states, supplied
+# energy and margins are vectorized over a chunk, and the states advance by
+# anchors every isqrt(_CHUNK_STEPS) = 11 steps (`_advance`). On the nine-bus
+# case (0.5 s at dt = 2e-5, one BLAS thread, shared 2-vCPU host) 1024 steps
+# took 61 ms instead of 84 ms but raised the peak RSS by 4.3 MB.
 _CHUNK_STEPS = 128
 
 # Grid points per stacked eigensolve of the sequence-domain sweep. On a 40-bus
@@ -448,6 +450,36 @@ def _rk4_step_map(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray, np
     return step[:, :n], step[:, n:], 0.5 * (supply + supply.T)
 
 
+def _advance(powers: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """States x_0 = x, ..., x_k of x_{j+1} = phi x_j + f_j for the k rows of f.
+
+    `powers` stacks phi^0 ... phi^s. Anchors every s steps advance as
+    x_{(i+1)s} = phi^s x_{is} + c_i, with every forcing
+    c_i = sum_r phi^(s-1-r) f_{is+r} from one product; the states between
+    anchors then follow one offset at a time, for all anchors at once. That
+    is about k/s + s products instead of k, and agrees with the per-step
+    recurrence to rounding.
+    """
+    s = powers.shape[0] - 1
+    k, n = f.shape
+    q = -(-k // s)
+    blocks = np.zeros((q, s, n))  # f padded with zero steps to q blocks of s
+    blocks.reshape(q * s, n)[:k] = f
+    # Row form: c_i^T = sum_r f_{is+r}^T (phi^(s-1-r))^T.
+    c = blocks.reshape(q, s * n) @ powers[s - 1 :: -1].transpose(0, 2, 1).reshape(s * n, n)
+    xs = np.empty((q * s + 1, n))
+    # Views of xs: anchor i is x_{is}; block i, offset r is x_{is+r}.
+    anchors, states = xs[::s], xs[:-1].reshape(q, s, n)
+    anchors[0] = x
+    phi_s = powers[s].T
+    for i in range(q):
+        anchors[i + 1] = anchors[i] @ phi_s + c[i]
+    phi = powers[1].T
+    for r in range(1, s):
+        states[:, r] = states[:, r - 1] @ phi + blocks[:, r - 1]
+    return xs[: k + 1]
+
+
 def simulate_dissipation(
     ss: StateSpace,
     u: Callable[[np.ndarray], np.ndarray],
@@ -469,9 +501,12 @@ def simulate_dissipation(
     in chunks of L = `_CHUNK_STEPS` steps: `u` is evaluated once per chunk on
     the array of its 2L + 1 step and half-step times and must return an
     array that broadcasts to (2L + 1, n_inputs), so a constant vector
-    works as well as a `MultisineInput`. Only x+ = phi x + gamma w stays
-    a per-step loop; the supplied energy, the stored energy and the margin
-    are computed per chunk on the stored states. The run needs a finite
+    works as well as a `MultisineInput`. Within a chunk the states follow
+    x+ = phi x + gamma w by an anchored recurrence (`_advance`): anchors
+    every s = isqrt(L) steps advance by phi^s, and the states between them
+    follow for all anchors at once, which agrees with the per-step loop to
+    rounding. The supplied energy, the stored energy and the margin are
+    computed per chunk on the stored states. The run needs a finite
     dt > 0 and a finite t_end of at least one step.
     """
     if not (0.0 < dt < math.inf and math.isfinite(t_end) and t_end / dt > 0.5):
@@ -482,9 +517,11 @@ def simulate_dissipation(
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
     e0 = storage_energy(x, ss.state_meta)  # also rejects non-physical states
-    stable = ss.poles[ss.poles.real < 0]
-    if stable.size and float(np.max(np.abs(stable))) * dt > 2.5:
-        worst = float(np.max(np.abs(stable)))
+    # The bound covers the imaginary axis too: a lossless branch's poles
+    # +-j omega0 have real part -0.0, and RK4 amplifies them once
+    # dt * omega0 > 2 sqrt(2).
+    worst = float(np.abs(ss.poles[ss.poles.real <= 0]).max(initial=0.0))
+    if worst * dt > 2.5:
         raise SimulationUnstableError(
             f"dt={dt} exceeds the explicit stability bound for the pole magnitude "
             f"{worst:.3e} rad/s; reduce the step below {2.5 / worst:.3e} s"
@@ -496,8 +533,13 @@ def simulate_dissipation(
     min_margin = math.inf
     t_at_min = 0.0
     t = 0.0
-    # Overflow is caught by the per-chunk finite check below.
+    # Overflow, in the states or in phi^s itself, is caught by the per-chunk
+    # finite check below.
     with np.errstate(over="ignore", invalid="ignore"):
+        powers = [np.eye(ss.n_states)]
+        for _ in range(math.isqrt(_CHUNK_STEPS)):
+            powers.append(phi @ powers[-1])
+        powers = np.array(powers)
         for first in range(0, n_steps, _CHUNK_STEPS):
             n_chunk = min(_CHUNK_STEPS, n_steps - first)
             # Step times are a running sum of dt, as a step-by-step integrator
@@ -515,11 +557,7 @@ def simulate_dissipation(
                     f"expected an array broadcastable to ({times.size}, {ss.n_inputs})"
                 ) from None
             w = np.hstack((w_all[0:-1:2], w_all[1::2], w_all[2::2]))
-            xs = np.empty((n_chunk + 1, ss.n_states))
-            xs[0] = x
-            xs[1:] = w @ gamma.T
-            for prev, nxt in zip(xs[:-1], xs[1:]):  # row views: updates xs in place
-                nxt += phi.dot(prev)
+            xs = _advance(powers, x, w @ gamma.T)
             z = np.hstack((xs[:-1], w))
             supplied_run = supplied + np.cumsum(((z @ q) * z).sum(axis=1))
             margin = supplied_run - (storage_energy(xs[1:], ss.state_meta) - e0)

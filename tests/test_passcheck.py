@@ -662,6 +662,56 @@ def test_dissipation_reports_energy_overflow_before_state_overflow():
         simulate_dissipation(ss, lambda t: np.zeros(4), t_end=0.003, dt=1e-5, x0=x0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dissipation_reports_overflow_of_the_step_powers():
+    # One RK4 step multiplies the state by about 4e30, so phi^s overflows
+    # when the anchored recurrence forms it.
+    ss = StateSpace(
+        a=np.array([[1e7]]), b=np.ones((1, 1)), c=np.ones((1, 1)), d=np.zeros((1, 1)),
+        input_labels=("u",), output_labels=("y",), state_meta=(StateMeta("inductor", 1.0, "i"),),
+    )
+    t_end = 200.0
+    with pytest.raises(SimulationUnstableError, match="state overflow") as err:
+        simulate_dissipation(ss, lambda t: np.zeros(1), t_end=t_end, dt=10.0, x0=np.ones(1))
+    t_fail = float(re.search(r"t=([0-9.eE+-]+)s", str(err.value)).group(1))
+    assert 0.0 < t_fail <= t_end
+
+
+@pytest.mark.parametrize("network", ["ieee9_sim", "negative_resistance"])
+def test_anchored_recurrence_matches_per_step_loop(ieee9_sim, network):
+    if network == "ieee9_sim":
+        ss, dt = ieee9_sim, 2e-5
+    else:
+        ss, dt = assemble_ydq(negative_resistance_case()), 1e-5
+    phi = passcheck._rk4_step_map(ss, dt)[0]
+    s = math.isqrt(passcheck._CHUNK_STEPS)
+    powers = np.array([np.linalg.matrix_power(phi, j) for j in range(s + 1)])
+    rng = np.random.default_rng(22)
+    # 1030 steps end on a short chunk of 1030 % 128 = 6 steps; 100 ends on
+    # a partial block after several anchors.
+    for k in (1, s - 1, s, s + 1, passcheck._CHUNK_STEPS, 1030 % passcheck._CHUNK_STEPS, 100):
+        x0 = rng.normal(size=ss.n_states)
+        f = 0.01 * rng.normal(size=(k, ss.n_states))
+        want = [x0]
+        for fj in f:
+            want.append(phi @ want[-1] + fj)
+        want = np.array(want)
+        got = passcheck._advance(powers, x0, f)
+        assert got.shape == (k + 1, ss.n_states)
+        # Relative to each state vector's largest entry.
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)), k
+
+
+def test_dissipation_step_guard_covers_imaginary_axis_poles(ieee9):
+    # The lossless, shunt-free network has only +-j omega0 poles (real part
+    # -0.0); RK4 at dt = 1e-2 amplifies them, and the run must say so.
+    ss = assemble_ydq(derive_variant(ieee9, VariantFlags(lossless=True, no_shunt_b=True)))
+    assert np.all(ss.poles.real == 0.0)
+    u = random_multisine(np.random.default_rng(23), ss.n_inputs)
+    with pytest.raises(SimulationUnstableError, match=r"reduce the step below 6\.631e-03 s"):
+        simulate_dissipation(ss, u, t_end=0.2, dt=1e-2)
+
+
 def test_dissipation_rejects_bad_x0_and_input_shape(ieee9_sim):
     with pytest.raises(ValueError, match="x0"):
         simulate_dissipation(ieee9_sim, lambda t: np.zeros(18), t_end=0.01, dt=2e-5, x0=np.zeros(3))

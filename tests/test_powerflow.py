@@ -78,6 +78,13 @@ def test_power_flow_and_ydq_reject_the_same_elements(ieee9, name, build):
         build(edit(ieee9))
 
 
+@pytest.mark.parametrize("build", [build_ybus, solve_powerflow, assemble_ydq])
+def test_short_circuit_branch_is_rejected_by_name(build):
+    # x = 0 makes the branch the conductance 1/r, which r = 0 leaves undefined.
+    with pytest.raises(ValueError, match=r"branch 1-2: a branch with x = 0 .* needs r != 0"):
+        build(two_bus_case(r=0.0, x=0.0))
+
+
 def test_ieee9_converges_and_matches_textbook_flows(ieee9, ieee9_op):
     op = ieee9_op
     y = build_ybus(ieee9)

@@ -1,7 +1,7 @@
 """Small-signal D-Q transmission-network models and passivity analysis.
 
-Builds the wide-band D-Q admittance of an R-L-C network by per-element
-stamping, re-expresses it in the polar interface variables used by power
+Derives the wide-band D-Q admittance Y_DQ of an R-L-C network from one
+element table, re-expresses it in the polar interface variables used by power
 control (bus angle / frequency deviation, normalized voltage magnitude
 and its derivative, active and reactive power), and mechanically tests
 each formulation against the positive-real passivity conditions. The

@@ -5,7 +5,10 @@ variant combination), `tables` (reproduce the reference eigenvalue lists
 and the verdict grid for the bundled nine-bus network), `dump-model`
 (state-space matrix dump). Verdict exit codes: 0 passive, 10 non-passive,
 11 passive-after-regulation; case/input errors exit 2, power-flow and
-computation errors (numpy's LinAlgError included) exit 3.
+computation errors (numpy's LinAlgError included) exit 3. `main` writes
+every report once, from the (exit code, JSON document, text) each `cmd_*`
+returns: the document under `--format json`, else the text, to stdout or
+to `--out`.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import reference
-from .dqstamp import StateSpace, export_matrices
-from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, ieee9_text, parse_case
+from .dqstamp import StateSpace, _matrix_blocks, export_matrices
+from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, load_ieee9, parse_case
 from .passcheck import MODELS, SweepGrid, _realize, classify_grid, classify_model
 from .passivate import RegulationSet, apply_qv_contribution
 from .powerflow import PowerFlowError, build_jlf_analytic, solve_powerflow, symmetric_part_eigenvalues
@@ -39,9 +43,7 @@ _VERDICT_EXIT = {
 
 
 def _read_case(path: str) -> NetworkCase:
-    if path == "ieee9":
-        return parse_case(ieee9_text())
-    return parse_case(Path(path).read_text())
+    return load_ieee9() if path == "ieee9" else parse_case(Path(path).read_text())
 
 
 def _parse_variant(spec: str | None) -> VariantFlags:
@@ -78,14 +80,12 @@ def _parse_reg(args: argparse.Namespace, case: NetworkCase) -> RegulationSet | N
 def _parse_sweep(spec: str | None) -> SweepGrid | None:
     if not spec:
         return None
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"sweep grid must be min:max:points_per_decade, got {spec!r}")
-    return SweepGrid(
-        omega_min=float(parts[0]),
-        omega_max=float(parts[1]),
-        points_per_decade=int(parts[2]),
-    )
+    try:
+        lo, hi, ppd = spec.split(":")
+        numbers = float(lo), float(hi), int(ppd)
+    except ValueError:
+        raise ValueError(f"sweep grid must be min:max:points_per_decade, got {spec!r}") from None
+    return SweepGrid(*numbers)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -96,39 +96,25 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def cmd_powerflow(args: argparse.Namespace) -> int:
-    case = _read_case(args.case)
-    op = solve_powerflow(case)
-    if args.format == "json":
-        doc = {
-            "buses": [
-                {
-                    "bus": int(b),
-                    "vm": float(op.vm[i]),
-                    "phi": float(op.phi[i]),
-                    "v_d": float(op.v_d[i]),
-                    "v_q": float(op.v_q[i]),
-                    "i_d": float(op.i_d[i]),
-                    "i_q": float(op.i_q[i]),
-                    "p": float(op.p[i]),
-                    "q": float(op.q[i]),
-                }
-                for i, b in enumerate(op.bus_ids)
-            ]
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-        return EXIT_OK
+def cmd_powerflow(args: argparse.Namespace) -> tuple[int, dict, str]:
+    op = solve_powerflow(_read_case(args.case))
+    names = [f.name for f in fields(op)[1:]]  # the per-bus arrays after bus_ids
+    doc = {
+        "buses": [
+            {"bus": int(b), **{name: float(getattr(op, name)[i]) for name in names}}
+            for i, b in enumerate(op.bus_ids)
+        ]
+    }
     lines = [f"{'bus':>4} {'|V|':>9} {'phi[rad]':>10} {'P':>9} {'Q':>9} {'i_D':>9} {'i_Q':>9}"]
     for i, b in enumerate(op.bus_ids):
         lines.append(
             f"{b:>4} {op.vm[i]:>9.5f} {op.phi[i]:>10.6f} {op.p[i]:>9.5f}"
             f" {op.q[i]:>9.5f} {op.i_d[i]:>9.5f} {op.i_q[i]:>9.5f}"
         )
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return EXIT_OK, doc, "\n".join(lines)
 
 
-def cmd_passivity(args: argparse.Namespace) -> int:
+def cmd_passivity(args: argparse.Namespace) -> tuple[int, dict, str]:
     case = _read_case(args.case)
     flags = _parse_variant(args.variant)
     reg = _parse_reg(args, case)
@@ -149,63 +135,49 @@ def cmd_passivity(args: argparse.Namespace) -> int:
             Path(args.csv).write_text("\n".join(rows) + "\n")
         else:
             print("note: model is frequency-independent, no sweep CSV written", file=sys.stderr)
-    doc = verdict.to_dict()
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        lines = [f"model {verdict.model} ({verdict.analysis}) -> {verdict.overall}"]
-        if verdict.cond1 is not None:
-            lines.append(
-                f"  cond1 poles: {'pass' if verdict.cond1.passed else 'FAIL'}"
-                f" ({len(verdict.cond1.imaginary_axis)} imaginary-axis pole group(s))"
-            )
-        where = (
-            "static" if verdict.cond2.worst_omega is None
-            else f"omega={verdict.cond2.worst_omega:.4g}"
-        )
+    lines = [f"model {verdict.model} ({verdict.analysis}) -> {verdict.overall}"]
+    if verdict.cond1 is not None:
         lines.append(
-            f"  cond2 sweep: {'pass' if verdict.cond2.passed else 'FAIL'}"
-            f" min_eig={verdict.cond2.min_eig:.6g} at {where}"
+            f"  cond1 poles: {'pass' if verdict.cond1.passed else 'FAIL'}"
+            f" ({len(verdict.cond1.imaginary_axis)} imaginary-axis pole group(s))"
         )
-        for r in verdict.cond3:
-            lines.append(
-                f"  cond3 residue @omega={r.omega}: {'pass' if r.passed else 'FAIL'}"
-                f" herm_dev={r.hermitian_deviation:.3g} min_eig={r.min_eig:.6g}"
-            )
-        f = verdict.feedthrough
+    where = (
+        "static" if verdict.cond2.worst_omega is None
+        else f"omega={verdict.cond2.worst_omega:.4g}"
+    )
+    lines.append(
+        f"  cond2 sweep: {'pass' if verdict.cond2.passed else 'FAIL'}"
+        f" min_eig={verdict.cond2.min_eig:.6g} at {where}"
+    )
+    for r in verdict.cond3:
         lines.append(
-            f"  feedthrough: trace={f.trace:.6g} min_eig={f.min_eig:.6g}"
-            f" {'PSD' if f.psd else 'indefinite'}"
+            f"  cond3 residue @omega={r.omega}: {'pass' if r.passed else 'FAIL'}"
+            f" herm_dev={r.hermitian_deviation:.3g} min_eig={r.min_eig:.6g}"
         )
-        if verdict.regulated is not None:
-            lines.append(
-                f"  regulated: flipped={verdict.regulated.flipped}"
-                + (
-                    f" min_eig(excl. structural)={verdict.regulated.min_eig_excluding_structural:.6g}"
-                    if verdict.regulated.min_eig_excluding_structural is not None
-                    else ""
-                )
+    f = verdict.feedthrough
+    lines.append(
+        f"  feedthrough: trace={f.trace:.6g} min_eig={f.min_eig:.6g}"
+        f" {'PSD' if f.psd else 'indefinite'}"
+    )
+    if verdict.regulated is not None:
+        lines.append(
+            f"  regulated: flipped={verdict.regulated.flipped}"
+            + (
+                f" min_eig(excl. structural)={verdict.regulated.min_eig_excluding_structural:.6g}"
+                if verdict.regulated.min_eig_excluding_structural is not None
+                else ""
             )
-        _emit("\n".join(lines), args.out)
-    return _VERDICT_EXIT[verdict.overall]
+        )
+    return _VERDICT_EXIT[verdict.overall], verdict.to_dict(), "\n".join(lines)
 
 
 def _jacobian_dump(j: StateSpace) -> str:
     n = len(j.bus_ids)
-    blocks = {"J11": j.d[:n, :n], "J12": j.d[:n, n:], "J21": j.d[n:, :n], "J22": j.d[n:, n:]}
-    out = []
-    for name, block in blocks.items():
-        out.append(f"[{name}]  # {block.shape[0]} x {block.shape[1]}")
-        for row in block:
-            out.append("  ".join(f"{v: .16e}" for v in row))
-        out.append("")
-    out.append("[buses]")
-    out.append("  ".join(str(b) for b in j.bus_ids))
-    out.append("")
-    return "\n".join(out)
+    blocks = (("J11", j.d[:n, :n]), ("J12", j.d[:n, n:]), ("J21", j.d[n:, :n]), ("J22", j.d[n:, n:]))
+    return "\n".join([*_matrix_blocks(blocks), "[buses]", "  ".join(map(str, j.bus_ids)), ""])
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
+def cmd_tables(args: argparse.Namespace) -> tuple[int, dict, str]:
     case = _read_case(args.case)
     tol = args.tolerance
     if not 0 <= tol < np.inf:
@@ -259,26 +231,20 @@ def cmd_tables(args: argparse.Namespace) -> int:
             if not ok:
                 failures.append(f"grid {model}/{cell}: computed {got_v} expected {expected}")
 
-    if args.format == "json":
-        doc["failures"] = failures
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        if failures:
-            lines.append("mismatches:")
-            lines.extend(f"  {f}" for f in failures)
-        _emit("\n".join(lines), args.out)
-    return EXIT_MISMATCH if failures else EXIT_OK
+    doc["failures"] = failures
+    if failures:
+        lines.append("mismatches:")
+        lines.extend(f"  {f}" for f in failures)
+    return EXIT_MISMATCH if failures else EXIT_OK, doc, "\n".join(lines)
 
 
-def cmd_dump_model(args: argparse.Namespace) -> int:
+def cmd_dump_model(args: argparse.Namespace) -> tuple[int, None, str]:
     case = _read_case(args.case)
     flags = _parse_variant(args.variant)
     # The wideband realization that `passivity` judges, or the J_LF of low-frequency model II.
     if args.model == "LF":
-        _emit(_jacobian_dump(_realize(case, flags, "II", "lowfreq", args.tau)[2]), args.out)
-    else:
-        _emit(export_matrices(_realize(case, flags, args.model, "wideband", args.tau)[0]), args.out)
-    return EXIT_OK
+        return EXIT_OK, None, _jacobian_dump(_realize(case, flags, "II", "lowfreq", args.tau)[2])
+    return EXIT_OK, None, export_matrices(_realize(case, flags, args.model, "wideband", args.tau)[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,13 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("human", "json"), default="human")
-        p.add_argument("--out", help="write the report to this path")
-
     p_pf = sub.add_parser("pf", help="solve the power flow and report the operating point")
     p_pf.add_argument("case", help="case file path, or 'ieee9' for the bundled fixture")
-    add_common(p_pf)
     p_pf.set_defaults(func=cmd_powerflow)
 
     p_pass = sub.add_parser("passivity", help="classify one model/variant combination")
@@ -306,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pass.add_argument("--reg", help="regulation set bus:k_qv,... (defaults to the case file's)")
     p_pass.add_argument("--sweep", help="sweep grid min:max:points_per_decade")
     p_pass.add_argument("--csv", help="write sweep samples (omega, min_eig) to this CSV path")
-    add_common(p_pass)
     p_pass.set_defaults(func=cmd_passivity)
 
     p_tab = sub.add_parser("tables", help="reproduce the reference eigenvalue lists and verdict grid")
@@ -314,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--tolerance", type=float, default=reference.EIG_TOL)
     p_tab.add_argument("--tau", type=float, default=0.01)
     p_tab.add_argument("--csv", help="write the computed lists as (table, index, eigenvalue) CSV")
-    add_common(p_tab)
     p_tab.set_defaults(func=cmd_tables)
 
     p_dump = sub.add_parser("dump-model", help="dump model matrices as labeled text")
@@ -327,8 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dump.add_argument("--variant", help="comma list: lossless,no-b (LF also accepts decoupled)")
     p_dump.add_argument("--tau", type=float, default=0.01)
-    add_common(p_dump)
     p_dump.set_defaults(func=cmd_dump_model)
+
+    for p in (p_pf, p_pass, p_tab):
+        p.add_argument("--format", choices=("human", "json"), default="human")
+    for p in (p_pf, p_pass, p_tab, p_dump):
+        p.add_argument("--out", help="write the report to this path")
     return parser
 
 
@@ -336,7 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, text = args.func(args)
+        # dump-model has no document, and so no --format.
+        _emit(json.dumps(doc, indent=2) if doc is not None and args.format == "json" else text, args.out)
+        return code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CASE_ERROR

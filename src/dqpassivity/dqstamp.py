@@ -25,6 +25,7 @@ symmetric blocks 2 Re Y(j(w -/+ omega0)). A model derived from this one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -117,27 +118,42 @@ class _Elements:
         return (self.k * (2.0 * y.real)[..., None, :]) @ self.k.T
 
 
+def _require_finite(where: str, element: object, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(element, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: {name}={value} must be finite")
+
+
 def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements, tuple[str, ...]]:
     """The element table of `case`, and one label per element.
 
     Branches come first (case order), then one capacitor per bus with
     positive total shunt susceptance (bus order) behind `r_series_cap`,
     then the bus shunt conductances. A branch with x = 0 is the static
-    conductance 1/r; x < 0, negative line charging or a negative bus shunt
-    susceptance raises ValueError, as `netcase.validate_case` does, and so
-    does r = x = 0, which has no admittance.
+    conductance 1/r. As `netcase.validate_case` does, ValueError names the
+    element and field of a non-finite value read here, an omega0 <= 0, a
+    turns ratio <= 0, x < 0, negative line charging or a negative bus shunt
+    susceptance; r = x = 0, which has no admittance, raises too. The
+    parse-only rules x > 0 and r >= 0 do not apply.
     """
     w0 = case.system.omega0
+    _require_finite("system", case.system, ("omega0",))
+    if w0 <= 0:
+        raise ValueError("system: omega0 must be > 0")
     b_shunt = case.shunt_susceptance()
     # One row per element: incidence head and its weight, then r, l, c, g.
     rows: list[tuple[float, ...]] = []
     tails, labels = [], []
     for br in case.branches:
         tag = f"{br.from_bus}-{br.to_bus}"
+        _require_finite(f"branch {tag}", br, ("r", "x", "b_line", "ratio"))
         if br.x < 0:
             raise ValueError(f"branch {tag}: series X must be >= 0")
         if br.b_line < 0:
             raise ValueError(f"branch {tag}: line charging must be >= 0")
+        if br.ratio <= 0:
+            raise ValueError(f"branch {tag}: turns ratio must be > 0")
         if br.x == 0 and br.r == 0:
             raise ValueError(f"branch {tag}: a branch with x = 0 is the static conductance 1/r and needs r != 0")
         # v_from enters through the off-nominal ratio on the from side.
@@ -146,6 +162,7 @@ def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements
         tails.append(case.bus_index(br.to_bus))
         labels.append(tag)
     for i, (bus, b) in enumerate(zip(case.buses, b_shunt)):
+        _require_finite(f"bus {bus.id}", bus, ("g_shunt", "b_shunt"))
         if bus.b_shunt < 0:
             raise ValueError(f"bus {bus.id}: negative shunt susceptance is not supported")
         if b > 0:
@@ -336,20 +353,19 @@ def storage_energy(x: np.ndarray, meta: tuple[StateMeta, ...]) -> float | np.nda
     return 0.5 * (x * x) @ storage
 
 
+def _matrix_blocks(blocks: tuple[tuple[str, np.ndarray], ...]) -> list[str]:
+    """Per (name, matrix): a `[name]  # r x c` header, one row per line, a blank line."""
+    lines = []
+    for name, mat in blocks:
+        lines.append(f"[{name}]  # {mat.shape[0]} x {mat.shape[1]}")
+        lines += ["  ".join(f"{v: .16e}" for v in row) for row in mat]
+        lines.append("")
+    return lines
+
+
 def export_matrices(ss: StateSpace) -> str:
     """Labeled row-major text dump of the model matrices for external cross-checks."""
-    chunks = []
-    for name, mat in (("A", ss.a), ("B", ss.b), ("C", ss.c), ("D", ss.d)):
-        chunks.append(f"[{name}]  # {mat.shape[0]} x {mat.shape[1]}")
-        for row in np.atleast_2d(mat):
-            chunks.append("  ".join(f"{v: .16e}" for v in row))
-        chunks.append("")
-    chunks.append("[inputs]")
-    chunks.append("  ".join(ss.input_labels))
-    chunks.append("[outputs]")
-    chunks.append("  ".join(ss.output_labels))
-    chunks.append("[states]")
-    for m in ss.state_meta:
-        chunks.append(f"{m.label}  {m.kind}  {m.storage!r}")
-    chunks.append("")
-    return "\n".join(chunks)
+    lines = _matrix_blocks((("A", ss.a), ("B", ss.b), ("C", ss.c), ("D", ss.d)))
+    lines += ["[inputs]", "  ".join(ss.input_labels), "[outputs]", "  ".join(ss.output_labels), "[states]"]
+    lines += [f"{m.label}  {m.kind}  {m.storage!r}" for m in ss.state_meta]
+    return "\n".join([*lines, ""])

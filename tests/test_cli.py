@@ -141,6 +141,8 @@ def test_unreadable_path_exits_2(args, tmp_path, capsys):
         (["--reg", "5"], "'5'"),
         (["--reg", "5:x"], "'5:x'"),
         (["--sweep", "1:2"], "'1:2'"),
+        (["--sweep", "1:10:2.5"], "'1:10:2.5'"),
+        (["--sweep", "1:x:2"], "'1:x:2'"),
     ],
 )
 def test_passivity_bad_argument_exits_2(args, bad, capsys):
@@ -406,12 +408,39 @@ def test_tables_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_out_writes_file(tmp_path, capsys):
-    target = tmp_path / "op.json"
-    assert main(["pf", "ieee9", "--format", "json", "--out", str(target)]) == EXIT_OK
-    doc = json.loads(target.read_text())
-    assert len(doc["buses"]) == 9
-    capsys.readouterr()
+REPORTS = {
+    f"{name}-{fmt}": [*argv, "--format", fmt]
+    for name, argv in [
+        ("pf", ["pf", "ieee9"]),
+        ("passivity", ["passivity", "ieee9", "--model", "II", "--analysis", "lowfreq", "--reg", REG]),
+        ("tables", ["tables"]),
+    ]
+    for fmt in ("human", "json")
+}
+REPORTS["dump-model"] = ["dump-model", "ieee9", "--model", "LF"]
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_out_writes_file(name, tmp_path, capsys):
+    # One output path: --out holds exactly the report stdout would carry.
+    argv = REPORTS[name]
+    code = main(argv)
+    report = capsys.readouterr().out
+    target = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    assert target.read_text() + "\n" == report
+    if "json" in argv:
+        json.loads(report)
+
+
+def test_dump_model_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-model", "ieee9", "--model", "I", "--format", "json"])
+    assert exc.value.code == 2  # argparse's usage error
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format json" in captured.err
 
 
 def _network_variant(ieee9, variant):

@@ -78,6 +78,30 @@ def test_power_flow_and_ydq_reject_the_same_elements(ieee9, name, build):
         build(edit(ieee9))
 
 
+# The values no element table can carry: each would divide by zero, build a
+# Y_bus with a negative turns ratio, or put a NaN or inf into the model.
+NON_PHYSICAL_ELEMENTS = {
+    "zero-ratio": (lambda c: _replace_item(c, "branches", 3, ratio=0.0), "branch 1-5: turns ratio must be > 0"),
+    "negative-ratio": (lambda c: _replace_item(c, "branches", 3, ratio=-1.0), "branch 1-5: turns ratio must be > 0"),
+    "nan-ratio": (lambda c: _replace_item(c, "branches", 3, ratio=math.nan), "branch 1-5: ratio=nan must be finite"),
+    "nan-r": (lambda c: _replace_item(c, "branches", 3, r=math.nan), "branch 1-5: r=nan must be finite"),
+    "inf-x": (lambda c: _replace_item(c, "branches", 3, x=math.inf), "branch 1-5: x=inf must be finite"),
+    "nan-b-line": (lambda c: _replace_item(c, "branches", 3, b_line=math.nan), "branch 1-5: b_line=nan must be finite"),
+    "inf-g-shunt": (lambda c: _replace_item(c, "buses", 4, g_shunt=math.inf), "bus 5: g_shunt=inf must be finite"),
+    "nan-b-shunt": (lambda c: _replace_item(c, "buses", 4, b_shunt=math.nan), "bus 5: b_shunt=nan must be finite"),
+    "zero-omega0": (lambda c: replace(c, system=replace(c.system, omega0=0.0)), "system: omega0 must be > 0"),
+    "inf-omega0": (lambda c: replace(c, system=replace(c.system, omega0=math.inf)), "system: omega0=inf must be finite"),
+}
+
+
+@pytest.mark.parametrize("build", [build_ybus, solve_powerflow, assemble_ydq])
+@pytest.mark.parametrize("name", NON_PHYSICAL_ELEMENTS)
+def test_non_physical_element_is_rejected_by_name(ieee9, name, build):
+    edit, message = NON_PHYSICAL_ELEMENTS[name]
+    with pytest.raises(ValueError, match=message):
+        build(edit(ieee9))
+
+
 @pytest.mark.parametrize("build", [build_ybus, solve_powerflow, assemble_ydq])
 def test_short_circuit_branch_is_rejected_by_name(build):
     # x = 0 makes the branch the conductance 1/r, which r = 0 leaves undefined.

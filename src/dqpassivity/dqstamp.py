@@ -25,13 +25,12 @@ symmetric blocks 2 Re Y(j(w -/+ omega0)). A model derived from this one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .netcase import NetworkCase
+from .netcase import NetworkCase, _check_elements
 
 __all__ = [
     "StateMeta",
@@ -118,53 +117,28 @@ class _Elements:
         return (self.k * (2.0 * y.real)[..., None, :]) @ self.k.T
 
 
-def _require_finite(where: str, element: object, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(element, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{where}: {name}={value} must be finite")
-
-
 def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements, tuple[str, ...]]:
     """The element table of `case`, and one label per element.
 
     Branches come first (case order), then one capacitor per bus with
     positive total shunt susceptance (bus order) behind `r_series_cap`,
     then the bus shunt conductances. A branch with x = 0 is the static
-    conductance 1/r. As `netcase.validate_case` does, ValueError names the
-    element and field of a non-finite value read here, an omega0 <= 0, a
-    turns ratio <= 0, x < 0, negative line charging or a negative bus shunt
-    susceptance; r = x = 0, which has no admittance, raises too. The
-    parse-only rules x > 0 and r >= 0 do not apply.
+    conductance 1/r. `netcase._check_elements`, the one list of element
+    rules, checks the case first.
     """
+    _check_elements(case)
     w0 = case.system.omega0
-    _require_finite("system", case.system, ("omega0",))
-    if w0 <= 0:
-        raise ValueError("system: omega0 must be > 0")
     b_shunt = case.shunt_susceptance()
     # One row per element: incidence head and its weight, then r, l, c, g.
     rows: list[tuple[float, ...]] = []
     tails, labels = [], []
     for br in case.branches:
-        tag = f"{br.from_bus}-{br.to_bus}"
-        _require_finite(f"branch {tag}", br, ("r", "x", "b_line", "ratio"))
-        if br.x < 0:
-            raise ValueError(f"branch {tag}: series X must be >= 0")
-        if br.b_line < 0:
-            raise ValueError(f"branch {tag}: line charging must be >= 0")
-        if br.ratio <= 0:
-            raise ValueError(f"branch {tag}: turns ratio must be > 0")
-        if br.x == 0 and br.r == 0:
-            raise ValueError(f"branch {tag}: a branch with x = 0 is the static conductance 1/r and needs r != 0")
         # v_from enters through the off-nominal ratio on the from side.
         g = 0.0 if br.x > 0 else 1.0 / br.r
         rows.append((case.bus_index(br.from_bus), 1.0 / br.ratio, br.r, br.x / w0, 0.0, g))
         tails.append(case.bus_index(br.to_bus))
-        labels.append(tag)
+        labels.append(f"{br.from_bus}-{br.to_bus}")
     for i, (bus, b) in enumerate(zip(case.buses, b_shunt)):
-        _require_finite(f"bus {bus.id}", bus, ("g_shunt", "b_shunt"))
-        if bus.b_shunt < 0:
-            raise ValueError(f"bus {bus.id}: negative shunt susceptance is not supported")
         if b > 0:
             rows.append((i, 1.0, r_series_cap, 0.0, b / w0, 0.0))
             labels.append(str(bus.id))

@@ -25,6 +25,7 @@ __all__ = [
     "CaseParseError",
     "CaseValidationError",
     "CaseTopologyError",
+    "validate_case",
     "parse_case",
     "serialize_case",
     "derive_variant",
@@ -135,63 +136,81 @@ class VariantFlags:
     decoupled: bool = False
 
 
+def _require_finite(element: object, where: str) -> None:
+    """Raise naming the field of a non-finite number and `where.format(element)`,
+    a label built only then."""
+    for name, value in vars(element).items():
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # kinds and unset (None) values
+            continue
+        if not finite:
+            raise CaseValidationError(f"{where.format(element)}: {name}={value} must be finite")
+
+
+def _check_elements(case: NetworkCase) -> None:
+    """Raise unless every element of `case` has a place in an element table.
+
+    The one list of rules that every path into the model applies
+    (`validate_case` and `dqstamp._network_elements`): finite numbers in
+    the system, the buses and the branches; omega0 > 0; unique bus ids;
+    b_shunt >= 0; and per branch no self-loop, x >= 0, b_line >= 0,
+    ratio > 0 and not r = x = 0 (x = 0 makes it the conductance 1/r).
+    """
+    _require_finite(case.system, "system")
+    if case.system.omega0 <= 0:
+        raise CaseValidationError("system: omega0 must be > 0")
+    for i, bus in enumerate(case.buses):
+        if case._positions[bus.id] != i:  # a repeat of an earlier id
+            raise CaseValidationError(f"duplicate bus id {bus.id}")
+        _require_finite(bus, "bus {0.id}")
+        if bus.b_shunt < 0:
+            raise CaseValidationError(f"bus {bus.id}: negative shunt susceptance is not supported")
+    for br in case.branches:
+        _require_finite(br, "branch {0.from_bus}-{0.to_bus}")
+        if br.from_bus == br.to_bus:
+            raise CaseTopologyError(f"branch {br.from_bus}-{br.to_bus} is a self-loop")
+        if br.x < 0:
+            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: series X must be >= 0")
+        if br.b_line < 0:
+            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: line charging must be >= 0")
+        if br.ratio <= 0:
+            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: turns ratio must be > 0")
+        if br.x == 0 and br.r == 0:
+            raise CaseValidationError(
+                f"branch {br.from_bus}-{br.to_bus}: a branch with x = 0 is the static conductance 1/r and needs r != 0"
+            )
+
+
 def validate_case(case: NetworkCase) -> None:
-    """Raise if any case invariant fails."""
-    ids = [b.id for b in case.buses]
-    seen = set()
-    for i in ids:
-        if i in seen:
-            raise CaseValidationError(f"duplicate bus id {i}")
-        seen.add(i)
+    """Raise if any case invariant fails: the element rules of `_check_elements`,
+    the case-file rules x > 0 and r >= 0, vnom > 0, base MVA > 0, the
+    injections, the regulation entries, known branch ends and connectivity."""
+    # Before _check_elements, so r = x = 0 reads as x <= 0; a NaN passes both tests.
+    for br in case.branches:
+        if br.r < 0:
+            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: series R must be >= 0")
+        if br.x <= 0:
+            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: series X must be > 0")
+    _check_elements(case)
     if not case.buses:
         raise CaseValidationError("case has no buses")
-    elements = [(f"bus {b.id}", b) for b in case.buses] + [("system", case.system)]
-    elements += [(f"branch {b.from_bus}-{b.to_bus}", b) for b in case.branches]
-    elements += [(f"injection at bus {inj.bus}", inj) for inj in case.injections]
-    for where, element in elements:
-        for name, value in vars(element).items():
-            try:
-                finite = math.isfinite(value)
-            except TypeError:  # kinds and unset (None) values
-                continue
-            if not finite:
-                raise CaseValidationError(f"{where}: {name}={value} must be finite")
+    if case.system.base_mva <= 0:
+        raise CaseValidationError("system: base MVA must be > 0")
+    seen = set(case.bus_ids)
     for bus in case.buses:
         if bus.vnom <= 0:
             raise CaseValidationError(f"bus {bus.id}: nominal |V| must be > 0")
-        if bus.b_shunt < 0:
-            raise CaseValidationError(
-                f"bus {bus.id}: negative shunt susceptance is not supported"
-            )
     for br in case.branches:
         for end in (br.from_bus, br.to_bus):
             if end not in seen:
-                raise CaseTopologyError(
-                    f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}"
-                )
-        if br.from_bus == br.to_bus:
-            raise CaseTopologyError(f"branch {br.from_bus}-{br.to_bus} is a self-loop")
-        if br.r < 0:
-            raise CaseValidationError(
-                f"branch {br.from_bus}-{br.to_bus}: series R must be >= 0"
-            )
-        if br.x <= 0:
-            raise CaseValidationError(
-                f"branch {br.from_bus}-{br.to_bus}: series X must be > 0"
-            )
-        if br.b_line < 0:
-            raise CaseValidationError(
-                f"branch {br.from_bus}-{br.to_bus}: line charging must be >= 0"
-            )
-        if br.ratio <= 0:
-            raise CaseValidationError(
-                f"branch {br.from_bus}-{br.to_bus}: turns ratio must be > 0"
-            )
+                raise CaseTopologyError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}")
     slacks = [inj for inj in case.injections if inj.kind == "slack"]
     if len(slacks) != 1:
         raise CaseValidationError(f"expected exactly one slack injection, got {len(slacks)}")
     inj_buses = set()
     for inj in case.injections:
+        _require_finite(inj, "injection at bus {0.bus}")
         if inj.bus not in seen:
             raise CaseTopologyError(f"injection references unknown bus {inj.bus}")
         if inj.bus in inj_buses:
@@ -212,8 +231,6 @@ def validate_case(case: NetworkCase) -> None:
             raise CaseTopologyError(f"regulation entry references unknown bus {bus_id}")
         if not (math.isfinite(kqv) and kqv >= 0):
             raise CaseValidationError(f"regulation at bus {bus_id}: k_qv must be finite and >= 0")
-    if case.system.omega0 <= 0 or case.system.base_mva <= 0:
-        raise CaseValidationError("system base MVA and omega0 must be > 0")
     _check_connected(case)
 
 

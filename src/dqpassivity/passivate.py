@@ -54,11 +54,15 @@ def apply_qv_contribution(j: StateSpace, reg: RegulationSet) -> StateSpace:
     """Copy of J_LF with each k_qv added to its J_LF22 diagonal entry, D[n + k, n + k]."""
     d = j.d.copy()
     for bus, kqv in reg.entries:
-        if bus not in j.bus_ids:
-            raise ValueError(f"regulation references unknown bus {bus}")
-        k = len(j.bus_ids) + j.bus_ids.index(bus)
+        k = _q_row(j, bus)
         d[k, k] += kqv
     return replace(j, d=d)
+
+
+def _q_row(j: StateSpace, bus: int) -> int:
+    if bus not in j.bus_ids:
+        raise ValueError(f"regulation references unknown bus {bus}")
+    return len(j.bus_ids) + j.bus_ids.index(bus)
 
 
 def _deflation_basis(n: int, dim: int) -> np.ndarray:
@@ -101,11 +105,8 @@ def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 0.0) -> fl
         raise ValueError(f"tol must be finite and >= 0, got tol={tol}")
     if not buses:
         raise ValueError("need at least one regulating bus")
-    unknown = [b for b in buses if b not in j.bus_ids]
-    if unknown:
-        raise ValueError(f"regulation references unknown bus {unknown[0]}")
+    reg_rows, counts = np.unique([_q_row(j, b) for b in buses], return_counts=True)
     n = len(j.bus_ids)
-    reg_rows, counts = np.unique([n + j.bus_ids.index(b) for b in buses], return_counts=True)
     other_rows = np.setdiff1d(np.arange(2 * n), reg_rows)
     m = j.d + j.d.T + tol * np.eye(2 * n)
     w = _deflation_basis(n, other_rows.size)

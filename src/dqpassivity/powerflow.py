@@ -241,6 +241,8 @@ def _power_polar_ports(bus_ids: tuple[int, ...]) -> dict:
 def decouple(j: StateSpace) -> StateSpace:
     """Copy of J_LF with the off-diagonal blocks zeroed (the decoupled load flow)."""
     n = len(j.bus_ids)
+    if j.d.shape != (2 * n, 2 * n):
+        raise ValueError(f"decouple needs D of shape 2n x 2n for the n = {n} bus_ids, got {j.d.shape}")
     d = j.d.copy()
     d[:n, n:] = 0.0
     d[n:, :n] = 0.0

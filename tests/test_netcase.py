@@ -194,6 +194,7 @@ def test_validate_case_rejects_nonpositive_vset(ieee9, index, bus, value):
         (lambda c: replace(c, regulation=((42, 0.5),)), "unknown bus 42"),
         (lambda c: replace(c, system=replace(c.system, base_mva=0.0)), "base MVA"),
         (lambda c: replace(c, system=replace(c.system, base_mva=-100.0)), "base MVA"),
+        (lambda c: replace(c, system=replace(c.system, omega0=0.0)), "system: omega0 must be > 0"),
         (lambda c: replace(c, buses=()), "case has no buses"),
         (lambda c: _replace_item(c, "buses", 0, vnom=0.0), "bus 1: nominal |V| must be > 0"),
         (lambda c: _replace_item(c, "branches", 3, r=-0.01), "branch 1-5: series R must be >= 0"),
@@ -216,6 +217,7 @@ def test_validate_case_rejects_nonpositive_vset(ieee9, index, bus, value):
         "unknown-regulation-bus",
         "base-mva-zero",
         "base-mva-negative",
+        "omega0-zero",
         "no-buses",
         "vnom-zero",
         "negative-r",

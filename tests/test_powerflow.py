@@ -13,6 +13,7 @@ from dqpassivity import (
     Injection,
     NetworkCase,
     PowerFlowError,
+    StateSpace,
     SystemParams,
     VariantFlags,
     assemble_ydq,
@@ -79,7 +80,8 @@ def test_power_flow_and_ydq_reject_the_same_elements(ieee9, name, build):
 
 
 # The values no element table can carry: each would divide by zero, build a
-# Y_bus with a negative turns ratio, or put a NaN or inf into the model.
+# Y_bus with a negative turns ratio, put a NaN or inf into the model, or
+# (a repeated bus id, a self-loop) describe no network at all.
 NON_PHYSICAL_ELEMENTS = {
     "zero-ratio": (lambda c: _replace_item(c, "branches", 3, ratio=0.0), "branch 1-5: turns ratio must be > 0"),
     "negative-ratio": (lambda c: _replace_item(c, "branches", 3, ratio=-1.0), "branch 1-5: turns ratio must be > 0"),
@@ -91,6 +93,11 @@ NON_PHYSICAL_ELEMENTS = {
     "nan-b-shunt": (lambda c: _replace_item(c, "buses", 4, b_shunt=math.nan), "bus 5: b_shunt=nan must be finite"),
     "zero-omega0": (lambda c: replace(c, system=replace(c.system, omega0=0.0)), "system: omega0 must be > 0"),
     "inf-omega0": (lambda c: replace(c, system=replace(c.system, omega0=math.inf)), "system: omega0=inf must be finite"),
+    "duplicate-bus-id": (lambda c: replace(c, buses=c.buses + (Bus(id=5, b_shunt=0.3),)), "duplicate bus id 5"),
+    "self-loop": (
+        lambda c: replace(c, branches=c.branches + (Branch(5, 5, r=0.01, x=0.1, ratio=0.5),)),
+        "branch 5-5 is a self-loop",
+    ),
 }
 
 
@@ -291,6 +298,21 @@ def test_decouple(ieee9, ieee9_op):
     assert np.array_equal(d.d[:9, :9], j.d[:9, :9])
     d2 = decouple(d)
     assert np.array_equal(d2.d, d.d)
+
+
+def test_decouple_needs_bus_ids_that_size_d():
+    # Without bus_ids the split would fall at n = 0 and return D unchanged.
+    j = StateSpace(
+        a=np.zeros((0, 0)),
+        b=np.zeros((0, 4)),
+        c=np.zeros((4, 0)),
+        d=np.arange(16.0).reshape(4, 4),
+        input_labels=("phi:1", "phi:2", "Vn:1", "Vn:2"),
+        output_labels=("P:1", "P:2", "Q:1", "Q:2"),
+        state_meta=(),
+    )
+    with pytest.raises(ValueError, match=r"n = 0 bus_ids, got \(4, 4\)"):
+        decouple(j)
 
 
 def test_decoupled_lossless_nob_is_psd(ieee9):

@@ -24,7 +24,7 @@ import numpy as np
 from . import reference
 from .dqstamp import StateSpace, _matrix_blocks, export_matrices
 from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, load_ieee9, parse_case
-from .passcheck import MODELS, SweepGrid, _realize, classify_grid, classify_model
+from .passcheck import MODELS, SweepGrid, _realize, classify_grid, classify_model, sweep_samples
 from .passivate import RegulationSet, apply_qv_contribution
 from .powerflow import PowerFlowError, build_jlf_analytic, solve_powerflow, symmetric_part_eigenvalues
 
@@ -129,12 +129,12 @@ def cmd_passivity(args: argparse.Namespace) -> tuple[int, dict, str]:
         grid=grid,
     )
     if args.csv:
-        if verdict.cond2.samples:
-            rows = ["omega,min_eig"]
-            rows += [f"{float(w)!r},{float(lam)!r}" for w, lam in verdict.cond2.samples]
-            Path(args.csv).write_text("\n".join(rows) + "\n")
-        else:
+        if verdict.cond2.worst_omega is None:
             print("note: model is frequency-independent, no sweep CSV written", file=sys.stderr)
+        else:
+            ss = _realize(case, flags, args.model, args.analysis, args.tau, reg)[0]
+            rows = ["omega,min_eig"] + [f"{w!r},{lam!r}" for w, lam in sweep_samples(ss, grid)]
+            Path(args.csv).write_text("\n".join(rows) + "\n")
     lines = [f"model {verdict.model} ({verdict.analysis}) -> {verdict.overall}"]
     if verdict.cond1 is not None:
         lines.append(

@@ -45,6 +45,7 @@ __all__ = [
     "hermitian_min_eig",
     "check_poles",
     "sweep_psd",
+    "sweep_samples",
     "check_feedthrough",
     "check_residue_psd_hermitian",
     "random_multisine",
@@ -78,6 +79,22 @@ _CHUNK_STEPS = 128
 # a model-I verdict by 11.4 MB, 32 points by 1.9 MB and 16 by 0.2 MB; 16 was
 # also no slower than larger chunks.
 _CHUNK_POINTS = 16
+
+# Margin of the Cholesky screen in `sweep_psd`: a point whose H = G + G^H
+# (m x m) factors as H - (lambda* + delta) I, with lambda* the running minimum
+# and delta = _SCREEN_C m^2 eps (||H||_F + |lambda*|), is skipped. A complex
+# Cholesky factorization that completes is exact for A + dA, A = H - sigma I,
+# with |dA| <= gamma_{m+2} |R^H| |R| (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, Thm 10.3, complex arithmetic), so
+# ||dA||_2 <= gamma_{m+2} ||R||_F^2 = gamma_{m+2} trace(A + dA), about
+# m (m + 2) u ||A||_2 <= 3 m^2 u (||H||_F + |sigma|), and
+# lambda_min(H) > sigma - ||dA||_2. `eigvalsh` returns lambda_min(H) within
+# p(m) u ||H||_2 (LAPACK Users' Guide, 3rd ed., 4.7), p(m) modest, taken
+# here as m^2. Forming A rounds it by at most u ||A||_2. With u = eps / 2 the
+# three together stay below delta for _SCREEN_C = 8, so a skipped point's
+# eigensolve would have returned more than lambda* and could not be the
+# grid's first minimum.
+_SCREEN_C = 8.0
 
 # Imaginary-axis poles closer than this are one cluster with one residue.
 _CLUSTER_TOL = 1e-6
@@ -251,7 +268,63 @@ class SweepReport(_Report):
     min_eig: float
     worst_omega: float | None  # None for static (frequency-independent) models
     n_points: int
-    samples: tuple[tuple[float, float], ...] = field(default=(), repr=False, metadata=_OMIT)
+
+
+def _sweep_omegas(ss: StateSpace, grid: SweepGrid | None) -> np.ndarray:
+    """The grid points condition 2 sweeps on a dynamic model (see `sweep_psd`)."""
+    grid = grid if grid is not None else SweepGrid()
+    axis = np.abs(ss.poles[np.abs(ss.poles.real) <= _TOL].imag)
+    omegas = grid.points()
+    omegas = omegas[(np.abs(omegas[:, None] - axis) > _CLUSTER_TOL).all(axis=1)]
+    if omegas.size == 0:
+        poles = np.unique(axis).tolist()
+        raise ValueError(f"{grid} has no point left after excluding the poles at omega={poles}")
+    if not ss.a.any() and omegas.size > 2:
+        omegas = omegas[[0, -1]]
+    return omegas
+
+
+def _hermitian_part(ss: StateSpace, omega: float) -> np.ndarray:
+    g = eval_tf(ss, 1j * omega)
+    return g + g.conj().T
+
+
+def _sequence_min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
+    """lambda_min(G + G^H) at each point from the element table, in stacked chunks."""
+    lams = []
+    for first in range(0, omegas.size, _CHUNK_POINTS):
+        parts = ss._elements.sequence_hermitian_parts(omegas[first : first + _CHUNK_POINTS])
+        lams += np.linalg.eigvalsh(parts)[..., 0].min(axis=0).tolist()
+    return lams
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _screened_min(ss: StateSpace, omegas: np.ndarray) -> tuple[int, float]:
+    """First index and value of the minimum of lambda_min(G + G^H) over `omegas`.
+
+    Equal to np.argmin over every point's `hermitian_min_eig`, but a point is
+    eigensolved only when the Cholesky screen (`_SCREEN_C`) cannot rule out
+    that it is at or below the running minimum.
+    """
+    last = omegas.size - 1
+    k, lam = 0, hermitian_min_eig(_hermitian_part(ss, omegas[0]))
+    for i in [last, *range(1, last)] if last else []:
+        h = _hermitian_part(ss, omegas[i])
+        m = h.shape[0]
+        delta = _SCREEN_C * m * m * np.finfo(float).eps * (np.linalg.norm(h) + abs(lam))
+        if _positive_definite(h - (lam + delta) * np.eye(m)):
+            continue
+        lam_i = hermitian_min_eig(h)
+        if lam_i < lam or (lam_i == lam and i < k):
+            k, lam = i, lam_i
+    return k, lam
 
 
 def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
@@ -260,15 +333,27 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     For real-coefficient models G^T(-jw) = G^H(jw), so sweeping w >= 0
     covers the whole axis. Pass iff the global minimum stays above -_TOL.
     A zero-state model is G = D at every frequency: one point, no omega.
+    The report holds the grid minimum, its first grid point on an exact tie
+    (as np.argmin), and the number of points swept; `sweep_samples` gives
+    every point's value.
 
     The admittance built by `assemble_ydq` (wideband model I) carries its
     element table and is evaluated in the sequence domain: G + G^H at jw is
     unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
     with Y the real-coefficient n x n nodal admittance, so lambda_min is the
-    smaller of two real symmetric n x n minima, taken in stacked chunks of
-    _CHUNK_POINTS grid points. Every other model, including any copy of
-    that admittance, is evaluated point by point through `eval_tf` and a
-    complex Hermitian eigensolve. Both routes sweep the same points.
+    smaller of two real symmetric n x n minima, taken at every point in
+    stacked chunks of _CHUNK_POINTS grid points. Every other model,
+    including any copy of that admittance, forms H = G + G^H point by point
+    through `eval_tf` and is screened: the two grid ends come first, then
+    the interior in grid order. With lambda* the running minimum, a point
+    is skipped when the Cholesky factorization of H - (lambda* + delta) I
+    succeeds; delta (`_SCREEN_C`) covers the rounding of that factorization
+    and of the eigensolve, so the skipped point's `hermitian_min_eig` value
+    would have been above lambda*. Every other point is eigensolved, and
+    an exact tie keeps the smaller grid index. The result equals the
+    minimum over every point's eigensolve bit for bit; delta only chooses
+    which points get one and is not a verdict tolerance. Both routes sweep
+    the same points.
 
     The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
     as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
@@ -290,32 +375,31 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     if ss.n_states == 0:
         lam = hermitian_min_eig(ss.d + ss.d.T)
         return SweepReport(passed=lam >= -_TOL, min_eig=lam, worst_omega=None, n_points=1)
-    grid = grid if grid is not None else SweepGrid()
-    axis = np.abs(ss.poles[np.abs(ss.poles.real) <= _TOL].imag)
-    omegas = grid.points()
-    omegas = omegas[(np.abs(omegas[:, None] - axis) > _CLUSTER_TOL).all(axis=1)]
-    if omegas.size == 0:
-        poles = np.unique(axis).tolist()
-        raise ValueError(f"{grid} has no point left after excluding the poles at omega={poles}")
-    if not ss.a.any() and omegas.size > 2:
-        omegas = omegas[[0, -1]]
-    lams = []
+    omegas = _sweep_omegas(ss, grid)
     if ss._elements is not None:
-        for first in range(0, omegas.size, _CHUNK_POINTS):
-            parts = ss._elements.sequence_hermitian_parts(omegas[first : first + _CHUNK_POINTS])
-            lams += np.linalg.eigvalsh(parts)[..., 0].min(axis=0).tolist()
+        lams = _sequence_min_eigs(ss, omegas)
+        k = int(np.argmin(lams))
+        lam = lams[k]
     else:
-        for w in omegas:
-            g = eval_tf(ss, 1j * w)
-            lams.append(hermitian_min_eig(g + g.conj().T))
-    k = int(np.argmin(lams))
-    return SweepReport(
-        passed=lams[k] >= -_TOL,
-        min_eig=lams[k],
-        worst_omega=float(omegas[k]),
-        n_points=len(omegas),
-        samples=tuple(zip(omegas.tolist(), lams)),
-    )
+        k, lam = _screened_min(ss, omegas)
+    return SweepReport(passed=lam >= -_TOL, min_eig=lam, worst_omega=float(omegas[k]), n_points=omegas.size)
+
+
+def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[float, float], ...]:
+    """(omega, lambda_min(G + G^H)) at every point `sweep_psd` sweeps.
+
+    The same points and the same per-point values as `sweep_psd`, each one
+    evaluated: its minimum, first index on ties, is that sweep's
+    `min_eig` at `worst_omega`. A zero-state model has no sweep points.
+    """
+    if ss.n_states == 0:
+        return ()
+    omegas = _sweep_omegas(ss, grid)
+    if ss._elements is not None:
+        lams = _sequence_min_eigs(ss, omegas)
+    else:
+        lams = [hermitian_min_eig(_hermitian_part(ss, w)) for w in omegas]
+    return tuple(zip(omegas.tolist(), lams))
 
 
 # ---------------------------------------------------------------------------

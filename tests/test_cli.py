@@ -23,8 +23,11 @@ from dqpassivity import (
     cli,
     decouple,
     derive_variant,
+    eval_tf,
     export_matrices,
+    hermitian_min_eig,
     ieee9_text,
+    load_ieee9,
     serialize_case,
     solve_powerflow,
 )
@@ -207,6 +210,23 @@ def test_passivity_sweep_csv(tmp_path, capsys):
     assert len(rows) > 10
     w, lam = rows[1].split(",")
     assert float(w) > 0 and abs(float(lam)) < 1e3
+    capsys.readouterr()
+
+
+def test_passivity_csv_gives_every_point_its_eigensolve(tmp_path, capsys):
+    # The verdict's sweep skips points that cannot hold the minimum; the CSV
+    # still has every point's own lambda_min(G + G^H).
+    csv = tmp_path / "j2.csv"
+    code = main(["passivity", "ieee9", "--model", "II", "--analysis", "wideband", "--csv", str(csv)])
+    assert code == EXIT_NON_PASSIVE
+    rows = csv.read_text().splitlines()
+    assert len(rows) == 142 and rows[0] == "omega,min_eig"
+    case = load_ieee9()
+    j2 = build_j_of_s(assemble_ydq(case), solve_powerflow(case))
+    for row in rows[1:]:
+        w, lam = row.split(",")
+        g = eval_tf(j2, 1j * float(w))
+        assert lam == repr(hermitian_min_eig(g + g.conj().T)), w
     capsys.readouterr()
 
 

@@ -22,6 +22,7 @@ from dqpassivity import (
     eval_tf,
     storage_energy,
     sweep_psd,
+    sweep_samples,
 )
 from dqpassivity.dqstamp import _MODAL_KAPPA_MAX
 from conftest import random_case, random_solved_case
@@ -245,8 +246,7 @@ def test_defective_a_takes_dense_fallback(n):
     grid = SweepGrid(points_per_decade=5)
     for s in [1j * w for w in grid.points()] + [0.0, 2.5]:
         np.testing.assert_array_equal(eval_tf(ss, s), dense_tf(ss, s))
-    rep = sweep_psd(ss, grid)
-    for w, lam in rep.samples:
+    for w, lam in sweep_samples(ss, grid):
         g = dense_tf(ss, 1j * w)
         assert lam == np.linalg.eigvalsh(g + g.conj().T)[0]
 

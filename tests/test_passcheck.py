@@ -45,6 +45,7 @@ from dqpassivity import (
     simulate_dissipation,
     solve_powerflow,
     sweep_psd,
+    sweep_samples,
 )
 from dqpassivity import passcheck
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
@@ -323,16 +324,17 @@ def test_sequence_sweep_matches_modal_sweep(ieee9, name):
     modal_copy = replace(ydq)
     assert ydq._elements is not None and modal_copy._elements is None
     seq, modal = sweep_psd(ydq, grid), sweep_psd(modal_copy, grid)
+    seq_samples, modal_samples = sweep_samples(ydq, grid), sweep_samples(modal_copy, grid)
     assert seq.n_points == modal.n_points
-    assert [w for w, _ in seq.samples] == [w for w, _ in modal.samples]
-    for (w, lam_seq), (_, lam_modal) in zip(seq.samples, modal.samples):
+    assert [w for w, _ in seq_samples] == [w for w, _ in modal_samples]
+    for (w, lam_seq), (_, lam_modal) in zip(seq_samples, modal_samples):
         g = eval_tf(ydq, 1j * w)
         scale = max(1.0, float(np.linalg.norm(g + g.conj().T, 2)))
         assert abs(lam_seq - lam_modal) <= 1e-9 * scale, w
     assert seq.passed == modal.passed == (name != "negative-resistance")
     if grid is not None:
         # omega0 is swept unless a lossless branch has its poles at +/- j omega0.
-        assert (seq.samples[0][0] == W0) == all(br.r > 0 for br in case.branches)
+        assert (seq_samples[0][0] == W0) == all(br.r > 0 for br in case.branches)
 
 
 def test_derived_models_carry_no_element_table(ieee9, ieee9_op):
@@ -383,6 +385,106 @@ def test_sequence_sweep_passes_stiff_passive_mesh():
     case = _synthcase().mesh_case(120, 1)
     rep = sweep_psd(assemble_ydq(case, ParasiticConfig(r_series_cap=1e-7)))
     assert rep.passed and rep.n_points == SweepGrid().points().size
+
+
+def assert_sweep_is_full_minimum(rep, ss, grid=None):
+    # The screened sweep reports np.argmin over every point's eigensolve.
+    samples = sweep_samples(ss, grid)
+    if not samples:
+        assert rep.worst_omega is None and rep.n_points == 1
+        return
+    lams = [lam for _, lam in samples]
+    k = int(np.argmin(lams))
+    assert (rep.min_eig, rep.worst_omega, rep.n_points) == (lams[k], samples[k][0], len(samples))
+
+
+def _grid_cells():
+    """The (flags, model, analysis) cells of `classify_grid`."""
+    for model in MODELS:
+        yield VariantFlags(), model, "wideband"
+        for _, flags in VARIANT_COLUMNS:
+            for decoupled in (False,) if model == "I" else (False, True):
+                yield replace(flags, decoupled=decoupled), model, "lowfreq"
+
+
+@pytest.mark.parametrize("regulated", [False, True])
+def test_screened_sweep_equals_full_sweep_on_ieee9_grid(ieee9, regulated):
+    regulated_sweeps = 0
+    for flags, model, analysis in _grid_cells():
+        reg = REG if regulated and analysis == "lowfreq" and model != "I" else None
+        v = classify_model(ieee9, flags, model, analysis, TAU, reg)
+        ss, _, jlf = passcheck._realize(ieee9, flags, model, analysis, TAU, reg)
+        assert_sweep_is_full_minimum(v.cond2, ss)
+        if v.regulated is not None and v.regulated.sweep is not None:
+            assert_sweep_is_full_minimum(v.regulated.sweep, build_polar_model(model, jlf, TAU))
+            regulated_sweeps += 1
+    assert (regulated_sweeps > 0) == regulated
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_sweep_equals_full_sweep_on_mesh(seed):
+    case = _synthcase().mesh_case(40, seed)
+    j = build_j_of_s(assemble_ydq(case), solve_powerflow(case))
+    for model in ("II", "III", "IV"):
+        ss = build_polar_model(model, j, TAU)
+        assert_sweep_is_full_minimum(sweep_psd(ss), ss)
+
+
+def test_screened_sweep_equals_full_sweep_at_large_scale(ieee9):
+    # The stiff capacitor parasitic puts ||D|| near 1e7; the screen's margin
+    # scales with ||G + G^H|| and must still skip only points above the minimum.
+    ss = replace(assemble_ydq(ieee9, ParasiticConfig(r_series_cap=1e-7)))
+    assert np.linalg.norm(ss.d) > 1e6
+    assert_sweep_is_full_minimum(sweep_psd(ss), ss)
+
+
+def _user_model(a, b, c, d):
+    m, k = d.shape[0], a.shape[0]
+    return StateSpace(
+        a=a, b=b, c=c, d=d,
+        input_labels=tuple(f"u{i}" for i in range(m)),
+        output_labels=tuple(f"y{i}" for i in range(m)),
+        state_meta=tuple(StateMeta("integrator", 0.0, f"x{i}") for i in range(k)),
+    )
+
+
+def test_screened_sweep_constant_response_reports_first_point():
+    # C = 0 makes G = D at every point, so every lambda ties. np.argmin takes
+    # the grid's first point; the screen visits the last point second.
+    rng = np.random.default_rng(3)
+    ss = _user_model(-np.eye(2), rng.normal(size=(2, 3)), np.zeros((3, 2)), rng.normal(size=(3, 3)))
+    samples = sweep_samples(ss)
+    assert len(samples) == 141 and len({lam for _, lam in samples}) == 1
+    rep = sweep_psd(ss)
+    assert rep.worst_omega == SweepGrid().points()[0]
+    assert_sweep_is_full_minimum(rep, ss)
+
+
+def test_screened_sweep_finds_lightly_damped_interior_minimum():
+    # A resonance on an interior grid point, damping ratio 1e-3, with
+    # C = -B^T: G + G^H dips far below its value at both grid ends.
+    wn, zeta = SweepGrid().points()[90], 1e-3
+    a = np.array([[-zeta * wn, wn], [-wn, -zeta * wn]])
+    b = np.random.default_rng(4).normal(size=(2, 2))
+    ss = _user_model(a, b, -b.T, np.eye(2))
+    rep = sweep_psd(ss)
+    assert rep.min_eig < -1.0 and rep.worst_omega == wn
+    assert_sweep_is_full_minimum(rep, ss)
+
+
+@pytest.mark.parametrize("model", ["II", "III", "IV"])
+def test_screened_sweep_eigensolves_few_points(ieee9_j2, model, monkeypatch):
+    solve, calls = passcheck.hermitian_min_eig, []
+
+    def counted(h):
+        calls.append(h.shape)
+        return solve(h)
+
+    monkeypatch.setattr(passcheck, "hermitian_min_eig", counted)
+    ss = build_polar_model(model, ieee9_j2, TAU)
+    assert sweep_psd(ss).n_points == 141 and len(calls) <= 5
+    calls.clear()
+    assert len(sweep_samples(ss)) == 141 and len(calls) == 141
 
 
 def test_sweep_conjugate_symmetry(ieee9_j2):
@@ -450,8 +552,9 @@ def full_grid_min_eig(ss):
 
 
 def check_endpoint_sweep(rep, ss):
-    assert rep.n_points == 2 and len(rep.samples) == 2
-    assert [w for w, _ in rep.samples] == pytest.approx([1e-2, 1e5])
+    samples = sweep_samples(ss)
+    assert rep.n_points == 2 and len(samples) == 2
+    assert [w for w, _ in samples] == pytest.approx([1e-2, 1e5])
     want = full_grid_min_eig(ss)
     assert abs(rep.min_eig - want) <= 1e-12 * max(1.0, abs(want))
 

@@ -13,14 +13,14 @@ form, which is what the dissipation checks integrate against.
 
 One private element table describes the network: an incidence column and
 (r, L, C, g) per element. `assemble_ydq` derives A, B, C, D from it with
-array assignments and attaches it to the model it returns, and
-`powerflow.build_ybus` evaluates it at omega0. The network is balanced and
-has real coefficients, so in complex-vector form (Harnefors 2007)
-Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
-Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements.
-`sweep_psd` reads Y_DQ(jw) + Y_DQ^H(jw) from the table as two real
-symmetric blocks 2 Re Y(j(w -/+ omega0)). A model derived from this one
-(by `dataclasses.replace` or a builder) carries no table.
+array assignments, and `powerflow.build_ybus` evaluates it at omega0. The
+network is balanced and has real coefficients, so in complex-vector form
+(Harnefors 2007) Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H
+with U unitary and Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance
+of the elements. `assemble_ydq` and the polar builders attach the table in
+a network record (`_Network`): `eval_tf` forms G(s) of wideband I-IV from
+it, and `sweep_psd` reads model I's Y_DQ(jw) + Y_DQ^H(jw) as two real
+blocks 2 Re Y(j(w -/+ omega0)). A `dataclasses.replace` copy has no record.
 """
 
 from __future__ import annotations
@@ -103,6 +103,26 @@ class _Elements:
         """Y(s) = K diag(y_e(s)) K^T at each s; shape s.shape + (n, n)."""
         return (self.k * self.element_admittances(s)[..., None, :]) @ self.k.T
 
+    @cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(targets, element, weight, starts) of the <= 4 entries of each K_e K_e^T."""
+        elem, bus = np.nonzero(self.k.T)
+        i, j = np.nonzero(elem[:, None] == elem)
+        flat = bus[i] * self.k.shape[0] + bus[j]
+        order = np.argsort(flat, kind="stable")
+        i, j, flat = i[order], j[order], flat[order]
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        return flat[starts], elem[i], self.k[bus[i], elem[i]] * self.k[bus[j], elem[i]], starts
+
+    def scattered_admittance(self, s: np.ndarray) -> np.ndarray:
+        """`admittance` scatter-added (np.add.reduceat over `_scatter`), O(n^2 + m)
+        per s instead of n^2 m; the pattern costs more than a one-off dense Y(s)."""
+        s, n = np.asarray(s, dtype=complex), self.k.shape[0]
+        targets, elem, weight, starts = self._scatter
+        out = np.zeros(s.shape + (n * n,), dtype=complex)
+        out[..., targets] = np.add.reduceat(self.element_admittances(s)[..., elem] * weight, starts, axis=-1)
+        return out.reshape(s.shape + (n, n))
+
     def sequence_hermitian_parts(self, omegas: np.ndarray) -> np.ndarray:
         """The blocks 2 Re Y(j(w - omega0)) and 2 Re Y(j(w + omega0)) per w.
 
@@ -153,6 +173,47 @@ def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements
     return _Elements(k, r, l, c, g, w0), tuple(labels)
 
 
+@dataclass(frozen=True, eq=False)
+class _Network:
+    """A package-built model from its element table: Y_DQ(s), or with bus
+    voltages v and currents i (D + jQ) J(s) = (E Y_DQ(s) + C) F, its first
+    `filtered` inputs behind (1 + s tau)/s. In the sequence basis U the
+    rotations E, F are diag(v*, v), diag(-jv, jv*) and the reflection C
+    swaps sequences: U^H J U = [[-j v* Y(s - j w0) v, diag(j i v*)],
+    [diag(-j i* v), j v Y(s + j w0) v*]]."""
+
+    elements: _Elements
+    v: np.ndarray | None = None
+    i: np.ndarray | None = None
+    filtered: int = 0
+    tau: float = 0.0
+
+    def response(self, s: np.ndarray) -> np.ndarray:
+        """G(s) at each complex s, by elementwise steps; shape s.shape + (2n, 2n)."""
+        el, n = self.elements, self.elements.k.shape[0]
+        neg, pos = el.scattered_admittance(np.stack([s - 1j * el.omega0, s + 1j * el.omega0]))
+        if self.v is not None:
+            rotation = -1j * np.outer(self.v.conj(), self.v)
+            neg, pos = neg * rotation, pos * rotation.conj()
+        # G = U X U^H with U = [[I, I], [-jI, jI]] / sqrt(2).
+        g = np.empty(s.shape + (2 * n, 2 * n), dtype=complex)
+        g[..., :n, :n] = g[..., n:, n:] = 0.5 * (neg + pos)
+        g[..., :n, n:] = 0.5j * (neg - pos)
+        g[..., n:, :n] = -g[..., :n, n:]
+        if self.v is not None:  # C F = per-bus reflection [[Re q, Im q], [Im q, -Re q]]
+            q = np.diag(1j * self.i * self.v.conj())
+            g += np.block([[q.real, q.imag], [q.imag, -q.real]])
+        if self.filtered:
+            g[..., : self.filtered] *= ((1.0 + s * self.tau) / s)[..., None, None]
+        return g
+
+
+def _bare_admittance(ss: StateSpace) -> _Elements | None:
+    """The element table of a model that is the `assemble_ydq` Y_DQ(s) itself."""
+    net = ss._network
+    return net.elements if net is not None and net.v is None and not net.filtered else None
+
+
 @dataclass(eq=False)
 class StateSpace:
     """Real (A, B, C, D) with port labels and per-state physical metadata."""
@@ -165,8 +226,8 @@ class StateSpace:
     output_labels: tuple[str, ...]
     state_meta: tuple[StateMeta, ...]
     bus_ids: tuple[int, ...] = field(default=())
-    # Set by `assemble_ydq` only; `dataclasses.replace` leaves it None.
-    _elements: _Elements | None = field(default=None, init=False, repr=False)
+    # Set by `assemble_ydq` and the polar builders; `dataclasses.replace` drops it.
+    _network: _Network | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         nx = self.a.shape[0]
@@ -286,29 +347,32 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
         state_meta=meta,
         bus_ids=case.bus_ids,
     )
-    ss._elements = el
+    ss._network = _Network(el)
     return ss
 
 
-def eval_tf(ss: StateSpace, s: complex) -> np.ndarray:
-    """Evaluate C (sI - A)^-1 B + D at the complex frequency s.
+def eval_tf(ss: StateSpace, s: complex | np.ndarray) -> np.ndarray:
+    """Evaluate G(s) = C (sI - A)^-1 B + D at s, a scalar or an array.
 
-    G(s) = (C V) diag(1/(s - p)) (V^-1 B) + D from the cached modal factors;
-    a dense resolvent solve when V is too ill-conditioned for them, as for a
-    defective A.
+    Shape s.shape + (p, m), real if every s is. A package-built model is
+    formed from its element table (`_Network`); any other from the modal
+    factors, G(s) = (C V) diag(1/(s - p)) (V^-1 B) + D, or by a dense solve
+    when V is too ill-conditioned, as for a defective A. An s within
+    _POLE_TOL of a pole raises SingularFrequencyError naming that s.
     """
-    s = complex(s)
-    poles, cv, vib, kappa = ss.modes
-    dist = np.abs(poles - s)
+    s = np.asarray(s, dtype=complex)
+    poles = ss.poles
+    dist = np.abs(s.reshape(-1, 1) - poles)
     if dist.size and dist.min() <= _POLE_TOL:
-        raise SingularFrequencyError(s, complex(poles[np.argmin(dist)]))
-    if kappa <= _MODAL_KAPPA_MAX:
-        out = (cv / (s - poles)) @ vib + ss.d
+        k, p = np.unravel_index(np.argmin(dist), dist.shape)
+        raise SingularFrequencyError(complex(s.flat[k]), complex(poles[p]))
+    if ss._network is not None:
+        out = ss._network.response(s)
+    elif ss.modes[3] <= _MODAL_KAPPA_MAX:
+        out = (ss.modes[1] / (s[..., None, None] - poles)) @ ss.modes[2] + ss.d
     else:
-        out = ss.c @ np.linalg.solve(s * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
-    if s.imag == 0.0:
-        return out.real
-    return out
+        out = ss.c @ np.linalg.solve(s[..., None, None] * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
+    return out if s.imag.any() else out.real
 
 
 def storage_energy(x: np.ndarray, meta: tuple[StateMeta, ...]) -> float | np.ndarray:

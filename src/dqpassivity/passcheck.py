@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dqstamp import _MODAL_KAPPA_MAX, StateSpace, assemble_ydq, eval_tf, storage_energy
+from .dqstamp import _MODAL_KAPPA_MAX, StateSpace, _bare_admittance, assemble_ydq, eval_tf, storage_energy
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
 from .polarmodels import _check_tau, build_j_of_s, build_polar_model
@@ -74,11 +74,11 @@ VARIANT_COLUMNS = (
 # took 61 ms instead of 84 ms but raised the peak RSS by 4.3 MB.
 _CHUNK_STEPS = 128
 
-# Grid points per stacked eigensolve of the sequence-domain sweep. On a 40-bus
-# mesh, the whole default grid (141 points) in one stack raised the peak RSS of
-# a model-I verdict by 11.4 MB, 32 points by 1.9 MB and 16 by 0.2 MB; 16 was
-# also no slower than larger chunks.
-_CHUNK_POINTS = 16
+# Grid points per stacked `eval_tf` call and Cholesky screen of a sweep, and per
+# stacked eigensolve of the sequence-domain sweep. On the 40-bus mesh-wideband
+# bench (1 BLAS thread, shared 2-vCPU host), 8 gave 25.3 items/s at 53.6 MB peak
+# RSS, 4 gave 23.5 items/s at 53.2 MB and 16 gave 23.8 items/s at 55.8 MB.
+_CHUNK_POINTS = 8
 
 # Margin of the Cholesky screen in `sweep_psd`: a point whose H = G + G^H
 # (m x m) factors as H - (lambda* + delta) I, with lambda* the running minimum
@@ -284,23 +284,31 @@ def _sweep_omegas(ss: StateSpace, grid: SweepGrid | None) -> np.ndarray:
     return omegas
 
 
-def _hermitian_part(ss: StateSpace, omega: float) -> np.ndarray:
-    g = eval_tf(ss, 1j * omega)
-    return g + g.conj().T
+def _hermitian_parts(ss: StateSpace, omegas: np.ndarray) -> np.ndarray:
+    """H = G + G^H at each of `omegas`, from one `eval_tf` call."""
+    g = eval_tf(ss, 1j * omegas)
+    g += g.conj().swapaxes(-1, -2)
+    return g
 
 
 def _sequence_min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
     """lambda_min(G + G^H) at each point from the element table, in stacked chunks."""
     lams = []
     for first in range(0, omegas.size, _CHUNK_POINTS):
-        parts = ss._elements.sequence_hermitian_parts(omegas[first : first + _CHUNK_POINTS])
+        parts = _bare_admittance(ss).sequence_hermitian_parts(omegas[first : first + _CHUNK_POINTS])
         lams += np.linalg.eigvalsh(parts)[..., 0].min(axis=0).tolist()
     return lams
 
 
-def _positive_definite(a: np.ndarray) -> bool:
+def _screen_clears(h: np.ndarray, norm_h: np.ndarray | np.floating, lam: float) -> bool:
+    """Whether H - (lam + delta) I factors (`_SCREEN_C`), for H or each H of a
+    stack with ||H||_F = norm_h: that rules out lambda_min(H) <= lam."""
+    m = h.shape[-1]
+    shift = lam + _SCREEN_C * m * m * np.finfo(float).eps * (norm_h + abs(lam))
+    shifted, diag = h.copy(), np.arange(m)
+    shifted[..., diag, diag] -= shift[..., None]
     try:
-        np.linalg.cholesky(a)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -310,20 +318,27 @@ def _screened_min(ss: StateSpace, omegas: np.ndarray) -> tuple[int, float]:
     """First index and value of the minimum of lambda_min(G + G^H) over `omegas`.
 
     Equal to np.argmin over every point's `hermitian_min_eig`, but a point is
-    eigensolved only when the Cholesky screen (`_SCREEN_C`) cannot rule out
-    that it is at or below the running minimum.
+    eigensolved only when the Cholesky screen cannot rule out that it is at
+    or below the running minimum. A chunk that one stacked screen does not
+    clear is screened point by point; lambda* moves only there.
     """
     last = omegas.size - 1
-    k, lam = 0, hermitian_min_eig(_hermitian_part(ss, omegas[0]))
-    for i in [last, *range(1, last)] if last else []:
-        h = _hermitian_part(ss, omegas[i])
-        m = h.shape[0]
-        delta = _SCREEN_C * m * m * np.finfo(float).eps * (np.linalg.norm(h) + abs(lam))
-        if _positive_definite(h - (lam + delta) * np.eye(m)):
+    k, lam = 0, hermitian_min_eig(_hermitian_parts(ss, omegas[:1])[0])
+    order = np.array([last, *range(1, last)] if last else [], dtype=int)
+    for first in range(0, order.size, _CHUNK_POINTS):
+        chunk = order[first : first + _CHUNK_POINTS]
+        h = _hermitian_parts(ss, omegas[chunk])
+        # ||H||_F per point, from the real view of the stack (no temporary copy).
+        flat = h.view(float).reshape(len(chunk), -1)
+        norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+        if _screen_clears(h, norms, lam):
             continue
-        lam_i = hermitian_min_eig(h)
-        if lam_i < lam or (lam_i == lam and i < k):
-            k, lam = i, lam_i
+        for i, h_i, norm_i in zip(chunk.tolist(), h, norms):
+            if _screen_clears(h_i, norm_i, lam):
+                continue
+            lam_i = hermitian_min_eig(h_i)
+            if lam_i < lam or (lam_i == lam and i < k):
+                k, lam = i, lam_i
     return k, lam
 
 
@@ -337,23 +352,24 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     (as np.argmin), and the number of points swept; `sweep_samples` gives
     every point's value.
 
-    The admittance built by `assemble_ydq` (wideband model I) carries its
-    element table and is evaluated in the sequence domain: G + G^H at jw is
+    The admittance built by `assemble_ydq` (wideband model I) is evaluated
+    in the sequence domain from its element table: G + G^H at jw is
     unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
     with Y the real-coefficient n x n nodal admittance, so lambda_min is the
     smaller of two real symmetric n x n minima, taken at every point in
-    stacked chunks of _CHUNK_POINTS grid points. Every other model,
-    including any copy of that admittance, forms H = G + G^H point by point
-    through `eval_tf` and is screened: the two grid ends come first, then
-    the interior in grid order. With lambda* the running minimum, a point
-    is skipped when the Cholesky factorization of H - (lambda* + delta) I
+    stacked chunks of _CHUNK_POINTS grid points. Every other model forms
+    H = G + G^H through `eval_tf` and is screened: the first grid point,
+    then the last, then the interior in grid order, _CHUNK_POINTS points
+    per `eval_tf` call. With lambda* the running minimum, a point is
+    skipped when the Cholesky factorization of H - (lambda* + delta) I
     succeeds; delta (`_SCREEN_C`) covers the rounding of that factorization
     and of the eigensolve, so the skipped point's `hermitian_min_eig` value
-    would have been above lambda*. Every other point is eigensolved, and
-    an exact tie keeps the smaller grid index. The result equals the
-    minimum over every point's eigensolve bit for bit; delta only chooses
-    which points get one and is not a verdict tolerance. Both routes sweep
-    the same points.
+    would have been above lambda*. One stacked factorization screens a
+    whole chunk; if it fails, the chunk is screened point by point. Every
+    other point is eigensolved, and an exact tie keeps the smaller grid
+    index. The result equals the minimum over every point's eigensolve bit
+    for bit; delta only chooses which points get one and is not a verdict
+    tolerance. Both routes sweep the same points.
 
     The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
     as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
@@ -376,7 +392,7 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
         lam = hermitian_min_eig(ss.d + ss.d.T)
         return SweepReport(passed=lam >= -_TOL, min_eig=lam, worst_omega=None, n_points=1)
     omegas = _sweep_omegas(ss, grid)
-    if ss._elements is not None:
+    if _bare_admittance(ss) is not None:
         lams = _sequence_min_eigs(ss, omegas)
         k = int(np.argmin(lams))
         lam = lams[k]
@@ -395,10 +411,11 @@ def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[
     if ss.n_states == 0:
         return ()
     omegas = _sweep_omegas(ss, grid)
-    if ss._elements is not None:
+    if _bare_admittance(ss) is not None:
         lams = _sequence_min_eigs(ss, omegas)
     else:
-        lams = [hermitian_min_eig(_hermitian_part(ss, w)) for w in omegas]
+        chunks = np.split(omegas, range(_CHUNK_POINTS, omegas.size, _CHUNK_POINTS))
+        lams = [hermitian_min_eig(h) for part in chunks for h in _hermitian_parts(ss, part)]
     return tuple(zip(omegas.tolist(), lams))
 
 

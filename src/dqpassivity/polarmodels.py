@@ -22,9 +22,11 @@ the appended integrators.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .dqstamp import StateMeta, StateSpace
+from .dqstamp import StateMeta, StateSpace, _bare_admittance
 from .powerflow import OperatingPoint, _power_polar_ports
 
 __all__ = [
@@ -67,7 +69,7 @@ def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
     if ydq.bus_ids != op.bus_ids:
         raise ValueError("admittance model and operating point bus orders differ")
     e, c, f = interface_matrices(op)
-    return StateSpace(
+    j = StateSpace(
         a=ydq.a.copy(),
         b=ydq.b @ f,
         c=e @ ydq.c,
@@ -75,6 +77,9 @@ def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
         **_power_polar_ports(op.bus_ids),
         state_meta=ydq.state_meta,
     )
+    if _bare_admittance(ydq) is not None:
+        j._network = replace(ydq._network, v=op.v_d + 1j * op.v_q, i=op.i_d + 1j * op.i_q)
+    return j
 
 
 def _check_tau(tau: float) -> None:
@@ -103,7 +108,7 @@ def _append_integrators(
     b[nx:, :k] = np.eye(k)
     d = j.d.copy()
     d[:, :k] = tau * d_f
-    return StateSpace(
+    out = StateSpace(
         a=a,
         b=b,
         c=np.hstack([j.c, d_f]),
@@ -114,6 +119,9 @@ def _append_integrators(
         + tuple(StateMeta("integrator", 0.0, f"int:{channel_tag}:{i}") for i in range(k)),
         bus_ids=j.bus_ids,
     )
+    if j._network is not None and not j._network.filtered:
+        out._network = replace(j._network, filtered=k, tau=tau)
+    return out
 
 
 def build_jdp(j: StateSpace, tau: float) -> StateSpace:

@@ -1,5 +1,7 @@
 """D-Q admittance assembly, evaluation and energy accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from dqpassivity import (
     SystemParams,
     assemble_ydq,
     build_j_of_s,
+    build_jdf,
+    build_jdp,
     build_jlf_analytic,
     build_polar_model,
     eval_tf,
@@ -24,7 +28,8 @@ from dqpassivity import (
     sweep_psd,
     sweep_samples,
 )
-from dqpassivity.dqstamp import _MODAL_KAPPA_MAX
+from dqpassivity import dqstamp
+from dqpassivity.dqstamp import _MODAL_KAPPA_MAX, _POLE_TOL
 from conftest import random_case, random_solved_case
 
 W0 = SystemParams().omega0
@@ -249,6 +254,43 @@ def test_defective_a_takes_dense_fallback(n):
     for w, lam in sweep_samples(ss, grid):
         g = dense_tf(ss, 1j * w)
         assert lam == np.linalg.eigvalsh(g + g.conj().T)[0]
+
+
+def _route_models(route, ieee9, ieee9_op):
+    """Models that `eval_tf` evaluates by `route` (the dense one is forced by the caller)."""
+    ydq = assemble_ydq(ieee9)
+    j = build_j_of_s(ydq, ieee9_op)
+    if route == "network":
+        return [ydq, j, build_jdp(j, 0.01), build_jdf(j, 0.01)]
+    if route == "zero-state":
+        return [build_jlf_analytic(ieee9, ieee9_op)]
+    copies = [replace(ydq), replace(build_jdp(j, 0.01))]
+    return copies if route == "modal" else copies + [_jordan_model(3)]
+
+
+@pytest.mark.parametrize("route", ["network", "modal", "dense", "zero-state"])
+def test_eval_tf_batch_equals_stacked_scalar_calls(ieee9, ieee9_op, route, monkeypatch):
+    if route == "dense":
+        monkeypatch.setattr(dqstamp, "_MODAL_KAPPA_MAX", -1.0)
+    s = np.array([[1j * 0.3, 1j * 377.0, 2.0 + 50j], [-1j * 9e3, 1j * 2e4, 0.5 - 3j]])
+    real_s = np.array([0.5, 2.0, 50.0])
+    for ss in _route_models(route, ieee9, ieee9_op):
+        assert (ss._network is not None) == (route == "network")
+        if route == "modal":
+            assert ss.modes[3] <= _MODAL_KAPPA_MAX
+        got = eval_tf(ss, s)
+        assert got.shape == s.shape + (ss.n_outputs, ss.n_inputs)
+        want = np.array([[eval_tf(ss, x) for x in row] for row in s])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got_real = eval_tf(ss, real_s)
+        assert np.isrealobj(got_real)
+        want_real = np.array([eval_tf(ss, x) for x in real_s])
+        assert np.abs(got_real - want_real).max() <= 1e-12 * np.abs(want_real).max()
+        for pole in ss.poles[[0, -1]] if ss.n_states else ():
+            near = pole + 0.5 * _POLE_TOL
+            with pytest.raises(SingularFrequencyError) as err:
+                eval_tf(ss, np.array([1j * 0.3, near, 1j * 2e4]))
+            assert err.value.s == near
 
 
 def _state_space(**overrides):

@@ -220,8 +220,10 @@ def test_axis_residues_match_projection(ieee9):
 
 def test_singular_eigenvectors_block_residues_not_evaluation(ieee9_j2, monkeypatch):
     # With V singular the modal factors carry no V^-1 B: eval_tf falls back
-    # to the dense solve and a residue on the axis cannot be formed.
-    ss = build_jdp(ieee9_j2, TAU)
+    # to the dense solve and a residue on the axis cannot be formed. The
+    # model with its network record never needs V^-1 to be evaluated.
+    built = build_jdp(ieee9_j2, TAU)
+    ss = replace(built)
 
     def singular(_):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -229,10 +231,12 @@ def test_singular_eigenvectors_block_residues_not_evaluation(ieee9_j2, monkeypat
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "inv", singular)
         _, _, vib, kappa = ss.modes
-    assert vib is None and kappa == math.inf
-    s = 1j * 20.0
+        s = 1j * 20.0
+        got = eval_tf(built, s)
+    assert vib is None and kappa == math.inf and built.modes[2] is None
     dense = ss.c @ np.linalg.solve(s * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
     np.testing.assert_array_equal(eval_tf(ss, s), dense)
+    assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
     with pytest.raises(np.linalg.LinAlgError):
         check_poles(ss)
 
@@ -315,35 +319,59 @@ SEQUENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", SEQUENCE_CASES)
-def test_sequence_sweep_matches_modal_sweep(ieee9, name):
-    # The admittance of assemble_ydq sweeps in the sequence domain; a copy
-    # without its element table takes the per-point modal route.
-    case, grid = SEQUENCE_CASES[name](ieee9)
-    ydq = assemble_ydq(case)
-    modal_copy = replace(ydq)
-    assert ydq._elements is not None and modal_copy._elements is None
-    seq, modal = sweep_psd(ydq, grid), sweep_psd(modal_copy, grid)
-    seq_samples, modal_samples = sweep_samples(ydq, grid), sweep_samples(modal_copy, grid)
+def _mesh(seed):
+    return lambda c: (_synthcase().mesh_case(40, seed), None)
+
+
+ROUTE_CASES = {**SEQUENCE_CASES, **{f"mesh-40-{seed}": _mesh(seed) for seed in range(4)}}
+# Model I keeps the bare case name as its id; II-IV add the model.
+ROUTE_ROWS = [pytest.param(name, "I", id=name) for name in SEQUENCE_CASES] + [
+    pytest.param(name, model, id=f"{name}-{model}") for name in ROUTE_CASES for model in MODELS[1:]
+]
+
+
+@pytest.mark.parametrize("name, model", ROUTE_ROWS)
+def test_sequence_sweep_matches_modal_sweep(ieee9, name, model):
+    # The models the package builds sweep from their element table: model I
+    # in the sequence domain, II-IV through the network route of eval_tf. A
+    # copy carries no table and takes the modal route.
+    case, grid = ROUTE_CASES[name](ieee9)
+    ss = assemble_ydq(case)
+    if model != "I":
+        ss = build_polar_model(model, build_j_of_s(ss, solve_powerflow(case)), TAU)
+    modal_copy = replace(ss)
+    assert ss._network is not None and modal_copy._network is None
+    seq, modal = sweep_psd(ss, grid), sweep_psd(modal_copy, grid)
+    seq_samples, modal_samples = sweep_samples(ss, grid), sweep_samples(modal_copy, grid)
     assert seq.n_points == modal.n_points
     assert [w for w, _ in seq_samples] == [w for w, _ in modal_samples]
-    for (w, lam_seq), (_, lam_modal) in zip(seq_samples, modal_samples):
-        g = eval_tf(ydq, 1j * w)
-        scale = max(1.0, float(np.linalg.norm(g + g.conj().T, 2)))
-        assert abs(lam_seq - lam_modal) <= 1e-9 * scale, w
-    assert seq.passed == modal.passed == (name != "negative-resistance")
+    g = eval_tf(modal_copy, 1j * np.array([w for w, _ in modal_samples]))
+    # ||H||_F / sqrt(m) <= ||H||_2 for H = G + G^H, so this is no looser.
+    scales = np.linalg.norm(g + g.conj().swapaxes(-1, -2), axis=(-2, -1)) / math.sqrt(g.shape[-1])
+    for (w, lam_seq), (_, lam_modal), scale in zip(seq_samples, modal_samples, scales):
+        assert abs(lam_seq - lam_modal) <= 1e-9 * max(1.0, scale), w
+    assert seq.passed == modal.passed == (model == "I" and name != "negative-resistance")
     if grid is not None:
         # omega0 is swept unless a lossless branch has its poles at +/- j omega0.
         assert (seq_samples[0][0] == W0) == all(br.r > 0 for br in case.branches)
 
 
-def test_derived_models_carry_no_element_table(ieee9, ieee9_op):
+def test_builders_carry_the_network_record(ieee9, ieee9_op):
+    # assemble_ydq and the polar builders carry the record; any replace copy,
+    # the zero-state low-frequency model I and J_LF behind its filters do not.
     ydq = assemble_ydq(ieee9)
     j = build_j_of_s(ydq, ieee9_op)
-    lowfreq_i = passcheck._realize(ieee9, VariantFlags(), "I", "lowfreq", TAU)[0]
-    derived = (j, build_jdp(j, TAU), build_jdf(j, TAU), replace(ydq, d=2.0 * ydq.d), lowfreq_i)
-    assert ydq._elements is not None
-    assert all(ss._elements is None for ss in derived)
+    built = (ydq, j, build_jdp(j, TAU), build_jdf(j, TAU))
+    assert all(ss._network is not None for ss in built)
+    assert [ss._network.filtered for ss in built] == [0, 0, ieee9.n_bus, 2 * ieee9.n_bus]
+    assert ydq._network.v is None and j._network.v is not None
+    jlf = build_jlf_analytic(ieee9, ieee9_op)
+    lowfreq = (
+        passcheck._realize(ieee9, VariantFlags(), "I", "lowfreq", TAU)[0],
+        *(build_polar_model(model, jlf, TAU) for model in MODELS[1:]),
+    )
+    copies = (replace(ydq, d=2.0 * ydq.d), *(replace(ss) for ss in built))
+    assert all(ss._network is None for ss in lowfreq + copies)
     assert export_matrices(ydq) == export_matrices(replace(ydq))
 
 
@@ -361,14 +389,15 @@ IDENTITY_CASES = {
 def test_ydq_is_the_sequence_transform_of_the_element_table(ieee9, name):
     # Y_DQ(jw) = U diag(Y(j(w - w0)), Y(j(w + w0))) U^H entry by entry, so a
     # sign slip in any B or C block shows even where lambda_min does not move.
+    # The copy takes the modal route, so the realization itself is compared.
     ydq = assemble_ydq(IDENTITY_CASES[name](ieee9))
     eye = np.eye(len(ydq.bus_ids))
     u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
     zero = np.zeros_like(eye)
     for w in (10.0, 200.0, 1000.0, 5e4):
-        y_neg, y_pos = ydq._elements.admittance(1j * np.array([w - W0, w + W0]))
+        y_neg, y_pos = ydq._network.elements.admittance(1j * np.array([w - W0, w + W0]))
         want = u @ np.block([[y_neg, zero], [zero, y_pos]]) @ u.conj().T
-        got = eval_tf(ydq, 1j * w)
+        got = eval_tf(replace(ydq), 1j * w)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), w
 
 
@@ -474,17 +503,55 @@ def test_screened_sweep_finds_lightly_damped_interior_minimum():
 
 @pytest.mark.parametrize("model", ["II", "III", "IV"])
 def test_screened_sweep_eigensolves_few_points(ieee9_j2, model, monkeypatch):
-    solve, calls = passcheck.hermitian_min_eig, []
+    solve, evaluate, calls, evals = passcheck.hermitian_min_eig, passcheck.eval_tf, [], []
 
     def counted(h):
         calls.append(h.shape)
         return solve(h)
 
+    def counted_eval(ss, s):
+        evals.append(np.shape(s))
+        return evaluate(ss, s)
+
     monkeypatch.setattr(passcheck, "hermitian_min_eig", counted)
+    monkeypatch.setattr(passcheck, "eval_tf", counted_eval)
     ss = build_polar_model(model, ieee9_j2, TAU)
     assert sweep_psd(ss).n_points == 141 and len(calls) <= 5
+    # The first point alone, then the other 140 in chunks.
+    assert len(evals) <= math.ceil(140 / passcheck._CHUNK_POINTS) + 1
     calls.clear()
     assert len(sweep_samples(ss)) == 141 and len(calls) == 141
+
+
+def _screen_failing_mid_chunk(monkeypatch):
+    """Wrap the screen; list, per stacked screen that fails, whether its first point clears."""
+    screen, first_clears = passcheck._screen_clears, []
+
+    def logged(h, norm_h, lam):
+        ok = screen(h, norm_h, lam)
+        if h.ndim == 3 and not ok:
+            first_clears.append(screen(h[0], norm_h[0], lam))
+        return ok
+
+    monkeypatch.setattr(passcheck, "_screen_clears", logged)
+    return first_clears
+
+
+def test_screened_sweep_chunk_failing_mid_chunk_is_rescreened(ieee9_j2, monkeypatch):
+    # A stacked Cholesky that fails on a later matrix of its chunk sends the
+    # whole chunk through the point-by-point screen, so the result is still
+    # the first minimum of every point's eigensolve.
+    first_clears = _screen_failing_mid_chunk(monkeypatch)
+    chunk = passcheck._CHUNK_POINTS
+    point = 90 - 90 % chunk + chunk // 2  # the middle of its chunk
+    wn, zeta = SweepGrid().points()[point], 1e-3
+    a = np.array([[-zeta * wn, wn], [-wn, -zeta * wn]])
+    b = np.random.default_rng(4).normal(size=(2, 2))
+    for ss in (_user_model(a, b, -b.T, np.eye(2)), ieee9_j2):
+        first_clears.clear()
+        rep = sweep_psd(ss)
+        assert any(first_clears)
+        assert_sweep_is_full_minimum(rep, ss)
 
 
 def test_sweep_conjugate_symmetry(ieee9_j2):

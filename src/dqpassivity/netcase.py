@@ -154,8 +154,8 @@ def _check_elements(case: NetworkCase) -> None:
     The one list of rules that every path into the model applies
     (`validate_case` and `dqstamp._network_elements`): finite numbers in
     the system, the buses and the branches; omega0 > 0; unique bus ids;
-    b_shunt >= 0; and per branch no self-loop, x >= 0, b_line >= 0,
-    ratio > 0 and not r = x = 0 (x = 0 makes it the conductance 1/r).
+    b_shunt >= 0; per branch no self-loop, x >= 0, b_line >= 0, ratio > 0
+    and not r = x = 0 (x = 0 makes it the conductance 1/r); at least one bus.
     """
     _require_finite(case.system, "system")
     if case.system.omega0 <= 0:
@@ -180,39 +180,21 @@ def _check_elements(case: NetworkCase) -> None:
             raise CaseValidationError(
                 f"branch {br.from_bus}-{br.to_bus}: a branch with x = 0 is the static conductance 1/r and needs r != 0"
             )
-
-
-def validate_case(case: NetworkCase) -> None:
-    """Raise if any case invariant fails: the element rules of `_check_elements`,
-    the case-file rules x > 0 and r >= 0, vnom > 0, base MVA > 0, the
-    injections, the regulation entries, known branch ends and connectivity."""
-    # Before _check_elements, so r = x = 0 reads as x <= 0; a NaN passes both tests.
-    for br in case.branches:
-        if br.r < 0:
-            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: series R must be >= 0")
-        if br.x <= 0:
-            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: series X must be > 0")
-    _check_elements(case)
     if not case.buses:
         raise CaseValidationError("case has no buses")
-    if case.system.base_mva <= 0:
-        raise CaseValidationError("system: base MVA must be > 0")
-    seen = set(case.bus_ids)
-    for bus in case.buses:
-        if bus.vnom <= 0:
-            raise CaseValidationError(f"bus {bus.id}: nominal |V| must be > 0")
-    for br in case.branches:
-        for end in (br.from_bus, br.to_bus):
-            if end not in seen:
-                raise CaseTopologyError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}")
+
+
+def _check_injections(case: NetworkCase) -> None:
+    """Raise unless the injections give a power flow to solve: one slack,
+    at most one injection per bus and each kind with its fields
+    (`validate_case` and `powerflow.solve_powerflow`). An unknown bus is
+    left to `validate_case`, or to the lookup of `NetworkCase.bus_index`."""
     slacks = [inj for inj in case.injections if inj.kind == "slack"]
     if len(slacks) != 1:
         raise CaseValidationError(f"expected exactly one slack injection, got {len(slacks)}")
     inj_buses = set()
     for inj in case.injections:
         _require_finite(inj, "injection at bus {0.bus}")
-        if inj.bus not in seen:
-            raise CaseTopologyError(f"injection references unknown bus {inj.bus}")
         if inj.bus in inj_buses:
             raise CaseValidationError(f"multiple injections at bus {inj.bus}")
         inj_buses.add(inj.bus)
@@ -226,8 +208,31 @@ def validate_case(case: NetworkCase) -> None:
             raise CaseValidationError(f"PQ injection at bus {inj.bus} needs P and Q")
         if inj.kind in ("slack", "pv") and inj.vset <= 0:
             raise CaseValidationError(f"injection at bus {inj.bus}: vset={inj.vset} must be > 0")
+
+
+def validate_case(case: NetworkCase) -> None:
+    """Raise if any case invariant fails: the element rules of `_check_elements`,
+    the case-file rules x > 0 and r >= 0, vnom > 0, base MVA > 0, the
+    injections, the regulation entries, known branch ends and connectivity."""
+    # Before _check_elements, so r = x = 0 reads as x <= 0; a NaN passes both tests.
+    for br in case.branches:
+        if br.r < 0:
+            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: series R must be >= 0")
+        if br.x <= 0:
+            raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus}: series X must be > 0")
+    _check_elements(case)
+    if case.system.base_mva <= 0:
+        raise CaseValidationError("system: base MVA must be > 0")
+    for bus in case.buses:
+        if bus.vnom <= 0:
+            raise CaseValidationError(f"bus {bus.id}: nominal |V| must be > 0")
+    ends = [(f"branch {br.from_bus}-{br.to_bus}", end) for br in case.branches for end in (br.from_bus, br.to_bus)]
+    for what, bus_id in ends + [("injection", inj.bus) for inj in case.injections]:
+        if bus_id not in case._positions:
+            raise CaseTopologyError(f"{what} references unknown bus {bus_id}")
+    _check_injections(case)
     for bus_id, kqv in case.regulation:
-        if bus_id not in seen:
+        if bus_id not in case._positions:
             raise CaseTopologyError(f"regulation entry references unknown bus {bus_id}")
         if not (math.isfinite(kqv) and kqv >= 0):
             raise CaseValidationError(f"regulation at bus {bus_id}: k_qv must be finite and >= 0")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dqstamp import StateSpace, _network_elements
-from .netcase import NetworkCase
+from .netcase import NetworkCase, _check_injections
 
 __all__ = [
     "OperatingPoint",
@@ -88,9 +88,9 @@ class OperatingPoint:
 def build_ybus(case: NetworkCase) -> np.ndarray:
     """Complex nodal admittance matrix at nominal frequency, shunts included.
 
-    The element table of `assemble_ydq` at s = j omega0 with no capacitor
-    parasitic, so each bus capacitor adds j omega0 C = j b. Raises
-    ValueError on the elements that table rejects.
+    The dense Y(j omega0) of the network record `assemble_ydq` builds, with
+    no capacitor parasitic, so each bus capacitor adds j omega0 C = j b.
+    Raises ValueError on the elements the record rejects.
     """
     return _network_elements(case, 0.0)[0].admittance(1j * case.system.omega0)
 
@@ -124,9 +124,11 @@ def solve_powerflow(case: NetworkCase) -> OperatingPoint:
     raises PowerFlowError if `_MAX_ITER` steps do not get there or an
     iteration matrix is singular. The iteration matrix is the principal
     submatrix of `_jacobian` on the non-slack angle and PQ magnitude rows.
+    Raises CaseError on what `netcase._check_injections` rejects.
     """
     n = case.n_bus
     y = build_ybus(case)
+    _check_injections(case)
     p_sched, q_sched, pv, pq, slack = _injection_targets(case)
 
     vm = np.ones(n)

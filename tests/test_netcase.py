@@ -38,20 +38,6 @@ omega0 = 376.99111843077515
 """
 
 
-def test_repo_fixture_path_matches_package_data(ieee9):
-    from pathlib import Path
-
-    from dqpassivity import ieee9_text
-
-    repo_copy = Path(__file__).parents[1] / "fixtures" / "ieee9.case"
-    assert repo_copy.exists(), (
-        f"{repo_copy} missing; it must be a byte-identical copy of "
-        "src/dqpassivity/fixtures/ieee9.case"
-    )
-    assert repo_copy.read_text() == ieee9_text()
-    assert parse_case(repo_copy.read_text()) == ieee9
-
-
 def test_fixture_shape(ieee9):
     assert ieee9.n_bus == 9
     assert len(ieee9.branches) == 9

@@ -13,6 +13,7 @@ import pytest
 from dqpassivity import (
     Branch,
     Bus,
+    CaseValidationError,
     DissipationReport,
     Injection,
     NetworkCase,
@@ -395,10 +396,42 @@ def test_ydq_is_the_sequence_transform_of_the_element_table(ieee9, name):
     u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
     zero = np.zeros_like(eye)
     for w in (10.0, 200.0, 1000.0, 5e4):
-        y_neg, y_pos = ydq._network.elements.admittance(1j * np.array([w - W0, w + W0]))
+        y_neg, y_pos = ydq._network.admittance(1j * np.array([w - W0, w + W0]))
         want = u @ np.block([[y_neg, zero], [zero, y_pos]]) @ u.conj().T
         got = eval_tf(replace(ydq), 1j * w)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), w
+
+
+# The network record's scattered sequence blocks against the dense product
+# K diag(y_e) K^T: bare for model I, rotated by the bus voltages for J(s).
+RECORD_CASES = {
+    "ieee9": lambda c: c,
+    "ratio": IDENTITY_CASES["ratio"],
+    "static-branch-and-g-shunt": IDENTITY_CASES["static-branch-and-g-shunt"],
+    "mesh-40-0": lambda c: _synthcase().mesh_case(40, 0),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_CASES)
+def test_sequence_blocks_equal_the_dense_admittance(ieee9, name):
+    case = RECORD_CASES[name](ieee9)
+    ydq = assemble_ydq(case)
+    polar = build_j_of_s(ydq, solve_powerflow(case))._network
+    rotation = -1j * np.outer(polar.v.conj(), polar.v)
+    s = 1j * np.array([0.5, 10.0, 200.0, 1e3, 5e4])
+    for net, rot in ((ydq._network, np.ones_like(rotation)), (polar, rotation)):
+        w0 = net.omega0
+        want = np.stack([net.admittance(s - 1j * w0) * rot, net.admittance(s + 1j * w0) * rot.conj()])
+        err = np.abs(net.sequence_blocks(s) - want).max(axis=(-2, -1))
+        assert (err <= 1e-12 * np.abs(want).max(axis=(-2, -1))).all(), name
+
+
+@pytest.mark.parametrize("analysis", ["lowfreq", "wideband"])
+def test_empty_case_is_rejected_before_the_sweep(analysis):
+    # Unchecked, it would be a 0-port model with no eigenvalue for the sweep to take.
+    empty = NetworkCase(SystemParams(), (), (), ())
+    with pytest.raises(CaseValidationError, match="case has no buses"):
+        classify_model(empty, model="I", analysis=analysis)
 
 
 def _synthcase():

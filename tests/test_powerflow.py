@@ -1,6 +1,7 @@
 """Newton power flow and the unreduced load-flow Jacobian."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from dqpassivity import (
     Branch,
     Bus,
+    CaseValidationError,
     ConsistencyError,
     Injection,
     NetworkCase,
@@ -23,6 +25,7 @@ from dqpassivity import (
     decouple,
     derive_variant,
     solve_powerflow,
+    validate_case,
 )
 from conftest import random_solved_case, two_bus_case
 
@@ -98,6 +101,7 @@ NON_PHYSICAL_ELEMENTS = {
         lambda c: replace(c, branches=c.branches + (Branch(5, 5, r=0.01, x=0.1, ratio=0.5),)),
         "branch 5-5 is a self-loop",
     ),
+    "no-buses": (lambda c: NetworkCase(c.system, (), (), ()), "case has no buses"),
 }
 
 
@@ -107,6 +111,29 @@ def test_non_physical_element_is_rejected_by_name(ieee9, name, build):
     edit, message = NON_PHYSICAL_ELEMENTS[name]
     with pytest.raises(ValueError, match=message):
         build(edit(ieee9))
+
+
+# Injections no power flow can use. Unchecked, two slacks (bus 4 would solve
+# as a zero-injection PQ bus) and a second injection at a bus (it would
+# replace the first) converge silently, and no slack fails after _MAX_ITER steps.
+INVALID_INJECTIONS = {
+    "two-slacks": (lambda c: _replace_item(c, "injections", 1, kind="slack"), "expected exactly one slack injection, got 2"),
+    "second-injection": (
+        lambda c: replace(c, injections=c.injections + (Injection(5, "pq", p=-0.1, q=0.0),)),
+        "multiple injections at bus 5",
+    ),
+    "no-slack": (lambda c: replace(c, injections=c.injections[1:]), "expected exactly one slack injection, got 0"),
+    "unknown-kind": (lambda c: _replace_item(c, "injections", 3, kind="load"), "injection at bus 5: unknown kind 'load'"),
+    "missing-field": (lambda c: _replace_item(c, "injections", 3, q=None), "PQ injection at bus 5 needs P and Q"),
+}
+
+
+@pytest.mark.parametrize("check", [validate_case, solve_powerflow])
+@pytest.mark.parametrize("name", INVALID_INJECTIONS)
+def test_power_flow_rejects_the_injections_validation_rejects(ieee9, name, check):
+    edit, message = INVALID_INJECTIONS[name]
+    with pytest.raises(CaseValidationError, match=re.escape(message)):
+        check(edit(ieee9))
 
 
 @pytest.mark.parametrize("build", [build_ybus, solve_powerflow, assemble_ydq])

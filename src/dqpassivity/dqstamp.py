@@ -228,6 +228,9 @@ class StateSpace:
             raise ValueError("port label count inconsistent with B/C/D")
         if len(self.state_meta) != nx:
             raise ValueError("every state needs exactly one meta entry")
+        for name in "abcd":
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name.upper()} must be finite")
 
     @property
     def n_states(self) -> int:
@@ -371,11 +374,15 @@ def storage_energy(x: np.ndarray, meta: tuple[StateMeta, ...]) -> float | np.nda
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (len(meta),):
         raise ValueError(f"state vector length {x.shape} does not match {len(meta)} meta entries")
+    return 0.5 * (x * x) @ _storage_diagonal(meta)
+
+
+def _storage_diagonal(meta: tuple[StateMeta, ...]) -> np.ndarray:
+    """Per-state L or C, so that the stored energy is 0.5 * (x * x) @ it."""
     for m in meta:
         if m.kind not in ("inductor", "capacitor"):
             raise ValueError(f"state {m.label}: no physical storage for kind {m.kind!r}")
-    storage = np.array([m.storage for m in meta], dtype=float)
-    return 0.5 * (x * x) @ storage
+    return np.array([m.storage for m in meta], dtype=float)
 
 
 def _matrix_blocks(blocks: tuple[tuple[str, np.ndarray], ...]) -> list[str]:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dqstamp import _MODAL_KAPPA_MAX, StateSpace, _bare_admittance, assemble_ydq, eval_tf, storage_energy
+from .dqstamp import _MODAL_KAPPA_MAX, StateSpace, _bare_admittance, _storage_diagonal, assemble_ydq, eval_tf
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
 from .polarmodels import _check_tau, build_j_of_s, build_polar_model
@@ -618,7 +618,8 @@ def simulate_dissipation(
         raise ValueError("x0 has the wrong length")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    e0 = storage_energy(x, ss.state_meta)  # also rejects non-physical states
+    storage = _storage_diagonal(ss.state_meta)  # also rejects non-physical states
+    e0 = 0.5 * (x * x) @ storage
     # The bound covers the imaginary axis too: a lossless branch's poles
     # +-j omega0 have real part -0.0, and RK4 amplifies them once
     # dt * omega0 > 2 sqrt(2).
@@ -662,7 +663,7 @@ def simulate_dissipation(
             xs = _advance(powers, x, w @ gamma.T)
             z = np.hstack((xs[:-1], w))
             supplied_run = supplied + np.cumsum(((z @ q) * z).sum(axis=1))
-            margin = supplied_run - (storage_energy(xs[1:], ss.state_meta) - e0)
+            margin = supplied_run - (0.5 * (xs[1:] * xs[1:]) @ storage - e0)
             # The margin is non-finite once a state, its energy or the supply is.
             finite = np.isfinite(xs[1:]).all(axis=1) & np.isfinite(margin)
             if not finite.all():
@@ -685,7 +686,7 @@ def simulate_dissipation(
         min_margin=float(min_margin),
         t_at_min=float(t_at_min),
         supplied=float(supplied),
-        stored_delta=float(storage_energy(x, ss.state_meta) - e0),
+        stored_delta=float(0.5 * (x * x) @ storage - e0),
         n_steps=n_steps,
         dt=dt,
     )

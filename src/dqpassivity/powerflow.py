@@ -74,16 +74,6 @@ class OperatingPoint:
         """Complex V as v_Q + j v_D."""
         return self.v_q + 1j * self.v_d
 
-    def validate(self, atol: float = 1e-10) -> None:
-        if np.any(self.vm <= 0):
-            raise ValueError("operating point has a zero |V|")
-        if not np.allclose(self.vm, np.hypot(self.v_d, self.v_q), atol=atol):
-            raise ValueError("|V| inconsistent with (v_D, v_Q)")
-        p = self.v_d * self.i_d + self.v_q * self.i_q
-        q = self.v_d * self.i_q - self.v_q * self.i_d
-        if np.max(np.abs(p - self.p)) > atol or np.max(np.abs(q - self.q)) > atol:
-            raise ValueError("P/Q inconsistent with voltage-current products")
-
 
 def build_ybus(case: NetworkCase) -> np.ndarray:
     """Complex nodal admittance matrix at nominal frequency, shunts included.
@@ -93,28 +83,6 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
     Raises ValueError on the elements the record rejects.
     """
     return _network_elements(case, 0.0)[0].admittance(1j * case.system.omega0)
-
-
-def _injection_targets(case: NetworkCase) -> tuple[np.ndarray, np.ndarray, list[int], list[int], int]:
-    """Scheduled P/Q arrays plus PV/PQ index lists and the slack index."""
-    n = case.n_bus
-    p = np.zeros(n)
-    q = np.zeros(n)
-    pv: list[int] = []
-    slack = -1
-    for inj in case.injections:
-        i = case.bus_index(inj.bus)
-        if inj.kind == "slack":
-            slack = i
-        elif inj.kind == "pv":
-            p[i] = inj.p
-            pv.append(i)
-        else:
-            p[i] = inj.p
-            q[i] = inj.q
-    # Buses without any injection entry are zero-injection PQ buses.
-    pq = sorted(set(range(n)) - set(pv) - {slack})
-    return p, q, pv, pq, slack
 
 
 def solve_powerflow(case: NetworkCase) -> OperatingPoint:
@@ -129,16 +97,25 @@ def solve_powerflow(case: NetworkCase) -> OperatingPoint:
     n = case.n_bus
     y = build_ybus(case)
     _check_injections(case)
-    p_sched, q_sched, pv, pq, slack = _injection_targets(case)
-
+    # Kind None is a bus with no entry: a zero-injection PQ bus. Any |V|
+    # setpoint is the flat start; a slack's P and a PV bus's Q are solved for.
+    p_sched = np.zeros(n)
+    q_sched = np.zeros(n)
     vm = np.ones(n)
-    phi = np.zeros(n)
+    kinds: list[str | None] = [None] * n
     for inj in case.injections:
+        k = case.bus_index(inj.bus)
+        kinds[k] = inj.kind
+        if inj.kind != "slack":
+            p_sched[k] = inj.p
+        if inj.kind == "pq":
+            q_sched[k] = inj.q
         if inj.vset is not None:
-            vm[case.bus_index(inj.bus)] = inj.vset
-
-    ang_idx = [i for i in range(n) if i != slack]
-    idx = ang_idx + [n + i for i in pq]
+            vm[k] = inj.vset
+    phi = np.zeros(n)
+    ang_idx = [k for k in range(n) if kinds[k] != "slack"]
+    pq = [k for k in range(n) if kinds[k] not in ("slack", "pv")]
+    idx = ang_idx + [n + k for k in pq]
     mismatch = np.inf
     for _ in range(_MAX_ITER):
         v = vm * np.exp(1j * phi)
@@ -160,10 +137,7 @@ def solve_powerflow(case: NetworkCase) -> OperatingPoint:
     v = vm * np.exp(1j * phi)
     i = y @ v
     # Zero-injection buses carry exactly zero device current.
-    injected = {case.bus_index(inj.bus) for inj in case.injections}
-    for k in range(n):
-        if k not in injected:
-            i[k] = 0.0
+    i[[k for k in range(n) if kinds[k] is None]] = 0.0
     s = v * np.conj(i)
     return OperatingPoint(
         bus_ids=case.bus_ids,
@@ -215,7 +189,8 @@ def build_jlf_analytic(
     v = op.voltage_phasor()
     if check_operating_point:
         worst = float(np.max(np.abs(v * np.conj(y @ v) - (op.p + 1j * op.q))))
-        if worst > _MISMATCH_TOL:
+        # Written so that a NaN mismatch fails too.
+        if not worst <= _MISMATCH_TOL:
             raise ConsistencyError(
                 f"operating point does not solve this case (power mismatch {worst:.3e} pu); "
                 "pass check_operating_point=False to evaluate a simplified network at a "

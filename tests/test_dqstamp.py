@@ -312,6 +312,11 @@ def _state_space(**overrides):
         (dict(input_labels=("u0",)), "port label count inconsistent with B/C/D"),
         (dict(output_labels=("y0", "y1", "y2")), "port label count inconsistent with B/C/D"),
         (dict(state_meta=()), "every state needs exactly one meta entry"),
+        (dict(a=np.array([[np.inf]])), "A must be finite"),
+        (dict(b=np.array([[0.0, np.nan]])), "B must be finite"),
+        (dict(c=np.array([[np.nan], [0.0]])), "C must be finite"),
+        (dict(d=np.array([[np.inf, 0.0], [0.0, 0.0]])), "D must be finite"),
+        (dict(d=np.array([[0.0, 0.0], [0.0, np.nan]])), "D must be finite"),
     ],
 )
 def test_state_space_rejects_inconsistent_shapes(overrides, message):

@@ -36,12 +36,14 @@ from dqpassivity import (
     check_feedthrough,
     check_poles,
     check_residue_psd_hermitian,
+    classify_grid,
     classify_model,
     decouple,
     derive_variant,
     eval_tf,
     export_matrices,
     hermitian_min_eig,
+    min_uniform_kqv,
     random_multisine,
     simulate_dissipation,
     solve_powerflow,
@@ -50,6 +52,7 @@ from dqpassivity import (
 )
 from dqpassivity import passcheck
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
+from dqpassivity.reference import EXPECTED_GRID
 from conftest import random_case, random_solved_case, two_bus_case
 from test_cli import DATA, _compare_tree
 
@@ -1116,6 +1119,25 @@ def test_verdict_serializes(ieee9):
     v = classify_model(ieee9, model="II", analysis="lowfreq", regulation=REG)
     doc = json.dumps(v.to_dict())
     assert "passive-after-regulation" in doc
+
+
+def test_verdict_document_writes_complex_poles_as_pairs():
+    # The branch -r/l = omega0/2 puts a right-half-plane pair at omega0/2 +/- j omega0.
+    v = classify_model(negative_resistance_case(), model="I", analysis="wideband")
+    poles = json.loads(json.dumps(v.to_dict()))["cond1_rhp_poles"]["unstable_poles"]
+    assert all(isinstance(p, list) and len(p) == 2 for p in poles)
+    w0 = SystemParams().omega0
+    assert np.allclose(poles, [[w0 / 2, w0], [w0 / 2, -w0]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mesh_grid_matches_ieee9_under_uniform_regulation(seed):
+    # The nine-bus grid is not peculiar to ieee9: a seeded 30-bus mesh gives
+    # the same 32 verdicts with every bus regulated at 1.05x its minimum k_qv.
+    case = _synthcase().mesh_case(30, seed)
+    k = min_uniform_kqv(build_jlf_analytic(case, solve_powerflow(case)), case.bus_ids)
+    regulation = RegulationSet.uniform(case.bus_ids, 1.05 * k)
+    assert classify_grid(case, regulation=regulation) == EXPECTED_GRID
 
 
 def ieee9_cells():

@@ -173,8 +173,11 @@ def test_flat_start_is_exact_for_zero_injection():
 
 
 def test_operating_point_invariants(ieee9_op):
-    ieee9_op.validate()
-    assert np.all(np.hypot(ieee9_op.v_d, ieee9_op.v_q) > 0)
+    op = ieee9_op
+    assert np.all(np.hypot(op.v_d, op.v_q) > 0)
+    assert np.max(np.abs(op.vm - np.hypot(op.v_d, op.v_q))) <= 1e-10
+    assert np.max(np.abs(op.p - (op.v_d * op.i_d + op.v_q * op.i_q))) <= 1e-10
+    assert np.max(np.abs(op.q - (op.v_d * op.i_q - op.v_q * op.i_d))) <= 1e-10
 
 
 def test_angle_convention(ieee9_op):
@@ -315,6 +318,14 @@ def test_consistency_check(ieee9, ieee9_op):
     # The frozen-operating-point evaluation is available explicitly.
     j = build_jlf_analytic(lossless, ieee9_op, check_operating_point=False)
     assert j.d.shape == (18, 18)
+
+
+@pytest.mark.parametrize("field", ["p", "v_d"])
+def test_consistency_check_rejects_a_non_finite_operating_point(ieee9, ieee9_op, field):
+    values = getattr(ieee9_op, field).copy()
+    values[4] = np.nan
+    with pytest.raises(ConsistencyError, match="power mismatch nan pu"):
+        build_jlf_analytic(ieee9, replace(ieee9_op, **{field: values}))
 
 
 def test_decouple(ieee9, ieee9_op):

@@ -203,7 +203,7 @@ def _bare_admittance(ss: StateSpace) -> _Network | None:
 
 @dataclass(eq=False)
 class StateSpace:
-    """Real (A, B, C, D) with port labels and per-state physical metadata."""
+    """Finite real (A, B, C, D) of a square model with >= 1 port, its port labels and per-state physical metadata."""
 
     a: np.ndarray
     b: np.ndarray
@@ -228,9 +228,13 @@ class StateSpace:
             raise ValueError("port label count inconsistent with B/C/D")
         if len(self.state_meta) != nx:
             raise ValueError("every state needs exactly one meta entry")
-        for name in "abcd":
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name.upper()} must be finite")
+        for name, m in zip("ABCD", (self.a, self.b, self.c, self.d)):
+            if np.count_nonzero(np.isfinite(m)) != m.size:
+                raise ValueError(f"{name} must be finite")
+            if m.dtype.kind not in "biuf":
+                raise ValueError(f"{name} must be real")
+        if not self.n_outputs == self.n_inputs > 0:
+            raise ValueError("D must be square, with at least one port")
 
     @property
     def n_states(self) -> int:

@@ -75,9 +75,9 @@ VARIANT_COLUMNS = (
 _CHUNK_STEPS = 128
 
 # Grid points per stacked `eval_tf` call and Cholesky screen of a sweep, and per
-# stacked eigensolve of the sequence-domain sweep. On the 40-bus mesh-wideband
-# bench (1 BLAS thread, shared 2-vCPU host), 8 gave 25.3 items/s at 53.6 MB peak
-# RSS, 4 gave 23.5 items/s at 53.2 MB and 16 gave 23.8 items/s at 55.8 MB.
+# evaluation of `_min_eigs`. On the 40-bus mesh-wideband bench (1 BLAS thread,
+# shared 2-vCPU host), 8 gave 25.3 items/s at 53.6 MB peak RSS, 4 gave 23.5
+# items/s at 53.2 MB and 16 gave 23.8 items/s at 55.8 MB.
 _CHUNK_POINTS = 8
 
 # Margin of the Cholesky screen in `sweep_psd`: a point whose H = G + G^H
@@ -99,8 +99,8 @@ _SCREEN_C = 8.0
 # Imaginary-axis poles closer than this are one cluster with one residue.
 _CLUSTER_TOL = 1e-6
 
-# Verdict tolerance of the pole, sweep, residue and feedthrough checks. It is
-# absolute, whatever the scale of G; scaling it by ||G|| is an open ROADMAP item.
+# Verdict tolerance of the pole split, the residue's Hermitian deviation and `_psd`.
+# It is absolute, whatever the scale of G; scaling it by ||G|| is an open ROADMAP item.
 _TOL = 1e-9
 
 # random_multisine: tones per channel, their log-uniform band (rad/s), peak amplitude.
@@ -157,6 +157,11 @@ class _Report:
 def hermitian_min_eig(h: np.ndarray) -> float:
     """Smallest eigenvalue of a (complex) Hermitian matrix."""
     return float(np.linalg.eigvalsh(h)[0])
+
+
+def _psd(lam: float) -> bool:
+    """The PSD decision of every verdict check, on the smallest eigenvalue of a Hermitian part."""
+    return lam >= -_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +296,17 @@ def _hermitian_parts(ss: StateSpace, omegas: np.ndarray) -> np.ndarray:
     return g
 
 
-def _sequence_min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
-    """lambda_min(G + G^H) per point, in chunks: 2 Re of each sequence block (Y = Y^T)."""
+def _min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
+    """lambda_min(G + G^H) at each of `omegas`, _CHUNK_POINTS points per evaluation:
+    from 2 Re of the sequence blocks for the bare admittance (Y = Y^T), else from `_hermitian_parts`."""
+    net = _bare_admittance(ss)
     lams = []
     for first in range(0, omegas.size, _CHUNK_POINTS):
-        blocks = _bare_admittance(ss).sequence_blocks(1j * omegas[first : first + _CHUNK_POINTS])
-        lams += np.linalg.eigvalsh(2.0 * blocks.real)[..., 0].min(axis=0).tolist()
+        part = omegas[first : first + _CHUNK_POINTS]
+        if net is None:
+            lams += [hermitian_min_eig(h) for h in _hermitian_parts(ss, part)]
+        else:
+            lams += np.linalg.eigvalsh(2.0 * net.sequence_blocks(1j * part).real)[..., 0].min(axis=0).tolist()
     return lams
 
 
@@ -345,8 +355,8 @@ def _screened_min(ss: StateSpace, omegas: np.ndarray) -> tuple[int, float]:
 def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     """Condition 2: minimum eigenvalue of G(jw) + G^H(jw) across the grid.
 
-    For real-coefficient models G^T(-jw) = G^H(jw), so sweeping w >= 0
-    covers the whole axis. Pass iff the global minimum stays above -_TOL.
+    A `StateSpace` is real, so G^T(-jw) = G^H(jw) and sweeping w >= 0
+    covers the whole axis. Pass iff `_psd` accepts the global minimum.
     A zero-state model is G = D at every frequency: one point, no omega.
     The report holds the grid minimum, its first grid point on an exact tie
     (as np.argmin), and the number of points swept; `sweep_samples` gives
@@ -356,20 +366,16 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     in the sequence domain from its network record: G + G^H at jw is
     unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
     with Y the real-coefficient n x n nodal admittance, so lambda_min is the
-    smaller of two real symmetric n x n minima, taken at every point in
-    stacked chunks of _CHUNK_POINTS grid points. Every other model forms
-    H = G + G^H through `eval_tf` and is screened: the first grid point,
-    then the last, then the interior in grid order, _CHUNK_POINTS points
-    per `eval_tf` call. With lambda* the running minimum, a point is
-    skipped when the Cholesky factorization of H - (lambda* + delta) I
-    succeeds; delta (`_SCREEN_C`) covers the rounding of that factorization
-    and of the eigensolve, so the skipped point's `hermitian_min_eig` value
-    would have been above lambda*. One stacked factorization screens a
-    whole chunk; if it fails, the chunk is screened point by point. Every
-    other point is eigensolved, and an exact tie keeps the smaller grid
-    index. The result equals the minimum over every point's eigensolve bit
-    for bit; delta only chooses which points get one and is not a verdict
-    tolerance. Both routes sweep the same points.
+    smaller of two real symmetric n x n minima, taken at every point by
+    `_min_eigs`. Every other model forms H = G + G^H through `eval_tf` and
+    is screened (`_screened_min`): the first grid point, then the last, then
+    the interior in grid order, _CHUNK_POINTS points per `eval_tf` call, and
+    a point is eigensolved only when the Cholesky factorization of
+    H - (lambda* + delta) I fails, with lambda* the running minimum. delta
+    (`_SCREEN_C`) covers the rounding of that factorization and of the
+    eigensolve, so the result equals the minimum over every point's
+    eigensolve bit for bit, the smaller grid index on an exact tie; it is
+    not a verdict tolerance. Both routes sweep the same points.
 
     The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
     as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
@@ -390,16 +396,16 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     """
     if ss.n_states == 0:
         lam = hermitian_min_eig(ss.d + ss.d.T)
-        return SweepReport(passed=lam >= -_TOL, min_eig=lam, worst_omega=None, n_points=1)
+        return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=None, n_points=1)
     omegas = _sweep_omegas(ss, grid)
     # Model I is not screened: on ieee9 every lambda_min is within delta of lambda*, so each point would pay a failed screen too.
     if _bare_admittance(ss) is not None:
-        lams = _sequence_min_eigs(ss, omegas)
+        lams = _min_eigs(ss, omegas)
         k = int(np.argmin(lams))
         lam = lams[k]
     else:
         k, lam = _screened_min(ss, omegas)
-    return SweepReport(passed=lam >= -_TOL, min_eig=lam, worst_omega=float(omegas[k]), n_points=omegas.size)
+    return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=float(omegas[k]), n_points=omegas.size)
 
 
 def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[float, float], ...]:
@@ -412,12 +418,7 @@ def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[
     if ss.n_states == 0:
         return ()
     omegas = _sweep_omegas(ss, grid)
-    if _bare_admittance(ss) is not None:
-        lams = _sequence_min_eigs(ss, omegas)
-    else:
-        chunks = np.split(omegas, range(_CHUNK_POINTS, omegas.size, _CHUNK_POINTS))
-        lams = [hermitian_min_eig(h) for part in chunks for h in _hermitian_parts(ss, part)]
-    return tuple(zip(omegas.tolist(), lams))
+    return tuple(zip(omegas.tolist(), _min_eigs(ss, omegas)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +441,13 @@ class FeedthroughReport(_Report):
 def check_feedthrough(ss: StateSpace, op: OperatingPoint | None = None) -> FeedthroughReport:
     """Necessary time-domain condition on the direct gain: D + D^T >= 0."""
     sym = ss.d + ss.d.T
-    cross = None
-    if op is not None:
-        cross = tuple(float(v) for v in op.i_d * op.v_q - op.i_q * op.v_d)
-    min_eig = float(np.linalg.eigvalsh(sym)[0]) if sym.size else 0.0
+    min_eig = hermitian_min_eig(sym)
     return FeedthroughReport(
         trace=float(np.trace(sym)),
         min_eig=min_eig,
         diagonal=tuple(float(v) for v in np.diag(sym)),
-        psd=min_eig >= -_TOL,
-        cross_per_bus=cross,
+        psd=_psd(min_eig),
+        cross_per_bus=None if op is None else tuple(float(v) for v in op.i_d * op.v_q - op.i_q * op.v_d),
     )
 
 
@@ -466,10 +464,9 @@ def check_residue_psd_hermitian(residue: np.ndarray, omega: float | None = None)
     r = np.asarray(residue, dtype=complex)
     norm = np.linalg.norm(r)
     dev = float(np.linalg.norm(r - r.conj().T) / norm) if norm > 0 else 0.0
-    herm = 0.5 * (r + r.conj().T)
-    lam = hermitian_min_eig(herm)
+    lam = hermitian_min_eig(0.5 * (r + r.conj().T))
     return ResidueReport(
-        passed=dev <= _TOL and lam >= -_TOL,
+        passed=dev <= _TOL and _psd(lam),
         hermitian_deviation=dev,
         min_eig=lam,
         omega=omega,
@@ -826,7 +823,7 @@ def classify_model(
             lam = min_eig_excluding_uniform_angle(jlf.d + jlf.d.T)
             regulated = RegulatedReport(
                 regulation=regulation.entries,
-                flipped=lam >= -_TOL,
+                flipped=_psd(lam),
                 min_eig_excluding_structural=lam,
             )
         else:

@@ -81,15 +81,15 @@ def min_eig_excluding_uniform_angle(sym: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(basis.T @ sym @ basis)))
 
 
-def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 0.0) -> float:
+def min_uniform_kqv(j: StateSpace, buses: Sequence[int]) -> float:
     """Smallest uniform k_qv at the given buses that passivates J_LF.
 
-    Passivated means the symmetric part S = J + J^T of the regulated
-    Jacobian has no eigenvalue below -tol outside the structural
+    Passivated means the symmetric part M = J + J^T of the regulated
+    Jacobian has no negative eigenvalue outside the structural
     uniform-angle mode e = [1_n; 0_n], i.e. M + 2k E is PSD on the
-    complement of e, with M = S + tol I and E the diagonal that selects the
-    regulated Q rows R (a bus listed c times counts c times). The other rows
-    N contain the angle rows, so e lies in N; with W an orthonormal basis of
+    complement of e, with E the diagonal that selects the regulated Q rows
+    R (a bus listed c times counts c times). The other rows N contain the
+    angle rows, so e lies in N; with W an orthonormal basis of
     N minus e, the complement of e is spanned by the R coordinates and W, and
     the form there is [[M_RR + 2k E_RR, M_RN W], [W^T M_NR, W^T M_NN W]].
     When H = W^T M_NN W is positive definite, that block matrix is PSD iff
@@ -98,17 +98,15 @@ def min_uniform_kqv(j: StateSpace, buses: Sequence[int], tol: float = 0.0) -> fl
     closed form. When H is not, no k helps: the failing direction lies
     outside the regulated rows.
 
-    The default tol = 0 is the exact PSD boundary, which `classify_model`
-    accepts; with tol > 0 the spectrum may sit tol below zero, which it rejects.
+    The result is the exact PSD boundary (lambda_min = 0 outside e), which
+    the verdict's PSD rule (`passcheck._psd`) accepts.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got tol={tol}")
     if not buses:
         raise ValueError("need at least one regulating bus")
     reg_rows, counts = np.unique([_q_row(j, b) for b in buses], return_counts=True)
     n = len(j.bus_ids)
     other_rows = np.setdiff1d(np.arange(2 * n), reg_rows)
-    m = j.d + j.d.T + tol * np.eye(2 * n)
+    m = j.d + j.d.T
     w = _deflation_basis(n, other_rows.size)
     try:
         chol = np.linalg.cholesky(w.T @ m[np.ix_(other_rows, other_rows)] @ w)

@@ -317,6 +317,13 @@ def _state_space(**overrides):
         (dict(c=np.array([[np.nan], [0.0]])), "C must be finite"),
         (dict(d=np.array([[np.inf, 0.0], [0.0, 0.0]])), "D must be finite"),
         (dict(d=np.array([[0.0, 0.0], [0.0, np.nan]])), "D must be finite"),
+        (dict(a=np.array([[-1.0 - 10.0j]])), "A must be real"),
+        (dict(c=np.array([[1j], [0.0]])), "C must be real"),
+        (dict(c=np.zeros((1, 1)), d=np.zeros((1, 2)), output_labels=("y0",)), "D must be square"),
+        (
+            dict(b=np.zeros((1, 0)), c=np.zeros((0, 1)), d=np.zeros((0, 0)), input_labels=(), output_labels=()),
+            "D must be square, with at least one port",
+        ),
     ],
 )
 def test_state_space_rejects_inconsistent_shapes(overrides, message):

@@ -513,6 +513,13 @@ def _user_model(a, b, c, d):
     )
 
 
+def test_sweep_rejects_a_complex_model():
+    # G(s) = j/(s + 1 + 10j) has G + G^H = -1 at omega = -11, which a sweep
+    # over omega >= 0 never sees: only a real model has G^T(-jw) = G^H(jw).
+    with pytest.raises(ValueError, match="A must be real"):
+        sweep_psd(_user_model(np.array([[-1.0 - 10.0j]]), np.ones((1, 1)), np.array([[1j]]), np.zeros((1, 1))))
+
+
 def test_screened_sweep_constant_response_reports_first_point():
     # C = 0 makes G = D at every point, so every lambda ties. np.argmin takes
     # the grid's first point; the screen visits the last point second.

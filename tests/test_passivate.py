@@ -1,5 +1,7 @@
 """Q-V regulation application and minimal-contribution search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ def test_deflated_min_eig_monotone_in_k(jlf):
 
 
 def test_min_uniform_kqv_against_dense_scan(jlf):
-    kstar = min_uniform_kqv(jlf, REG_BUSES, tol=1e-6)
+    kstar = min_uniform_kqv(jlf, REG_BUSES)
     # The published sufficient value is not minimal.
     assert kstar <= 0.65
     assert kstar == pytest.approx(0.6341409683, abs=1e-4)
@@ -121,12 +123,6 @@ def test_min_uniform_kqv_already_passive(ieee9):
     op = solve_powerflow(variant)
     j = decouple(build_jlf_analytic(variant, op))
     assert min_uniform_kqv(j, REG_BUSES) == 0.0
-
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
-def test_min_uniform_kqv_rejects_bad_tolerance(jlf, tol):
-    with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got tol={tol}"):
-        min_uniform_kqv(jlf, REG_BUSES, tol)
 
 
 def test_min_uniform_kqv_infeasible():
@@ -190,7 +186,9 @@ def test_min_uniform_kqv_matches_bisection(ieee9, ieee9_op, jlf):
     for j in (jlf, lossless, decoupled_nob):
         for buses in subsets:
             want = bisection_kqv(j, buses, tol)
-            kstar = min_uniform_kqv(j, buses, tol)
+            # J + (tol / 2) I has the symmetric part J + J^T + tol I: its exact
+            # boundary is where the bisection's lam >= -tol is.
+            kstar = min_uniform_kqv(replace(j, d=j.d + 0.5 * tol * np.eye(j.n_inputs)), buses)
             # The bisection returns the upper end of a bracket no wider than tol.
             assert -1e-12 <= want - kstar <= tol + 1e-12
             assert regulated_min_eig(j, buses, kstar) >= -tol - 1e-12

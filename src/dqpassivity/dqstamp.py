@@ -20,13 +20,16 @@ Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
 Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
 record, attached by `assemble_ydq` and the polar builders, scatter-adds
 both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
-them, and `sweep_psd` reads model I's Y_DQ + Y_DQ^H as 2 Re of each. A
+them, and `sweep_psd` reads model I's Y_DQ + Y_DQ^H as 2 Re of each. It
+also gives the model's poles, p_e +/- j omega0 per dynamic element and a
+zero per channel integrator, and each imaginary-axis residue in closed
+form, so a model with a record never eigendecomposes A. A
 `dataclasses.replace` copy has no record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,11 +48,13 @@ __all__ = [
     "export_matrices",
 ]
 
-# `eval_tf` raises SingularFrequencyError within _POLE_TOL of a pole, and
-# falls back to the dense resolvent solve when the eigenvector matrix V has
-# kappa_1(V) above _MODAL_KAPPA_MAX. Every realization built from ieee9 and a
-# seeded 40-bus mesh (all four variants; models I-IV wideband, low-frequency
-# III/IV) has kappa_1(V) between 1 and 345; a Jordan block gives 9e15 or more.
+# `eval_tf` raises SingularFrequencyError within _POLE_TOL of a pole. A model
+# without a network record (user-built, a `replace` copy, low-frequency
+# III/IV) is evaluated from `StateSpace.modes`, and by the dense resolvent
+# solve when the eigenvector matrix V has kappa_1(V) above _MODAL_KAPPA_MAX.
+# Every realization built from ieee9 and a seeded 40-bus mesh (all four
+# variants; models I-IV wideband, low-frequency III/IV) has kappa_1(V)
+# between 1 and 345; a Jordan block gives 9e15 or more.
 _POLE_TOL = 1e-9
 _MODAL_KAPPA_MAX = 1e6
 
@@ -115,6 +120,14 @@ class _Network:
         included, 102 us against 210 us by `sequence_blocks` (2-vCPU Xeon)."""
         return (self.k * self.element_admittances(s)[..., None, :]) @ self.k.T
 
+    def _derive(self, **changes) -> _Network:
+        """`replace(self, **changes)` sharing the caches of the element table,
+        so that a family of records computes each once."""
+        out = replace(self, **changes)
+        for name in ("_scatter", "_dynamic"):
+            vars(out)[name] = getattr(self, name)
+        return out
+
     @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(targets, element, weight, starts) of the <= 4 entries of each K_e K_e^T."""
@@ -126,36 +139,105 @@ class _Network:
         starts = np.flatnonzero(np.diff(flat, prepend=-1))
         return flat[starts], elem[i], self.k[bus[i], elem[i]] * self.k[bus[j], elem[i]], starts
 
-    def sequence_blocks(self, s: np.ndarray) -> np.ndarray:
-        """Y(s - j w0) and Y(s + j w0) at each s, times -j v* v^T and its
-        conjugate if v is set; shape (2,) + s.shape + (n, n). Scatter-added
-        over `_scatter` (np.add.reduceat): O(n^2 + m) per s, not n^2 m."""
-        s, n = np.asarray(s, dtype=complex), self.k.shape[0]
-        s = np.stack([s - 1j * self.omega0, s + 1j * self.omega0])
+    def _scatter_add(self, y: np.ndarray) -> np.ndarray:
+        """K diag(y) K^T for each stacked (m,) row of element values y, real or
+        complex as y is; shape y.shape[:-1] + (n, n). Scatter-added over
+        `_scatter` (np.add.reduceat): O(n^2 + m) per row, not n^2 m."""
+        n = self.k.shape[0]
         targets, elem, weight, starts = self._scatter
-        out = np.zeros(s.shape + (n * n,), dtype=complex)
-        out[..., targets] = np.add.reduceat(self.element_admittances(s)[..., elem] * weight, starts, axis=-1)
-        out = out.reshape(s.shape + (n, n))
+        out = np.zeros(y.shape[:-1] + (n * n,), dtype=y.dtype)
+        out[..., targets] = np.add.reduceat(y[..., elem] * weight, starts, axis=-1)
+        return out.reshape(y.shape[:-1] + (n, n))
+
+    def sequence_admittances(self, s: np.ndarray) -> np.ndarray:
+        """y_e(s - j w0) and y_e(s + j w0) at each s; shape (2,) + s.shape + (m,)."""
+        s = np.asarray(s, dtype=complex)
+        return self.element_admittances(np.stack([s - 1j * self.omega0, s + 1j * self.omega0]))
+
+    def _rotated(self, blocks: np.ndarray) -> np.ndarray:
+        """The (2,) + ... stack of sequence blocks times -j v* v^T and its conjugate, if v is set."""
         if self.v is not None:
             rotation = -1j * np.outer(self.v.conj(), self.v)
-            out[0] *= rotation
-            out[1] *= rotation.conj()
-        return out
+            blocks[0] *= rotation
+            blocks[1] *= rotation.conj()
+        return blocks
 
-    def response(self, s: np.ndarray) -> np.ndarray:
-        """G(s) at each complex s, by elementwise steps; shape s.shape + (2n, 2n)."""
-        n = self.k.shape[0]
-        neg, pos = self.sequence_blocks(s)
-        # G = U X U^H with U = [[I, I], [-jI, jI]] / sqrt(2).
-        g = np.empty(s.shape + (2 * n, 2 * n), dtype=complex)
+    def sequence_blocks(self, s: np.ndarray) -> np.ndarray:
+        """Y(s - j w0) and Y(s + j w0) at each s, times -j v* v^T and its
+        conjugate if v is set; shape (2,) + s.shape + (n, n)."""
+        return self._rotated(self._scatter_add(self.sequence_admittances(s)))
+
+    def _dq(self, neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """U diag(neg, pos) U^H for stacked n x n blocks; shape neg.shape[:-2] + (2n, 2n)."""
+        n = neg.shape[-1]
+        # U = [[I, I], [-jI, jI]] / sqrt(2).
+        g = np.empty(neg.shape[:-2] + (2 * n, 2 * n), dtype=complex)
         g[..., :n, :n] = g[..., n:, n:] = 0.5 * (neg + pos)
         g[..., :n, n:] = 0.5j * (neg - pos)
         g[..., n:, :n] = -g[..., :n, n:]
+        return g
+
+    def _unfiltered(self, s: np.ndarray) -> np.ndarray:
+        """(E Y_DQ(s) + C) F, or Y_DQ(s), at each s: the model without its channel filter."""
+        g = self._dq(*self.sequence_blocks(s))
         if self.v is not None:  # C F = per-bus reflection [[Re q, Im q], [Im q, -Re q]]
             q = np.diag(1j * self.i * self.v.conj())
             g += np.block([[q.real, q.imag], [q.imag, -q.real]])
+        return g
+
+    def response(self, s: np.ndarray) -> np.ndarray:
+        """G(s) at each complex s, by elementwise steps; shape s.shape + (2n, 2n)."""
+        g = self._unfiltered(s)
         if self.filtered:
             g[..., : self.filtered] *= ((1.0 + s * self.tau) / s)[..., None, None]
+        return g
+
+    @cached_property
+    def _dynamic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(element, tau, p_e, residue of y_e at p_e) of each dynamic element,
+        in state order. Per axis tau x' = u - rho x: tau = L, rho = r for a
+        branch, whose y_e = 1/(r + s L) has the residue 1/L at p_e = -rho/tau;
+        tau = r C, rho = 1 for a capacitor, whose y_e = s C/(1 + s r C) has p_e/r."""
+        dyn = np.flatnonzero((self.l > 0) | (self.c > 0))
+        ind, r = self.l[dyn] > 0, self.r[dyn]
+        tau = np.where(ind, self.l[dyn], r * self.c[dyn])
+        rate = -np.where(ind, r, 1.0) / tau
+        return dyn, tau, rate, np.where(ind, 1.0, rate) / np.where(ind, tau, r)
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """The model's poles in state order: p_e + j w0, p_e - j w0 per dynamic
+        element (a lossless branch's real part is -0.0), then `filtered` zeros."""
+        rate = self._dynamic[2]
+        pairs = np.empty((rate.size, 2), dtype=complex)
+        pairs.real = rate[:, None]
+        pairs.imag = [self.omega0, -self.omega0]
+        return np.concatenate([pairs.ravel(), np.zeros(self.filtered)])
+
+    def residue(self, members: np.ndarray) -> np.ndarray:
+        """lim (s - p) G(s) summed over the poles p = poles[members].
+
+        y_e has the residue `_dynamic` gives at p_e, so p_e + j w0 is a pole of
+        the negative-sequence block alone and p_e - j w0 of the positive one.
+        That residue is scattered into its block, rotated like the response,
+        and its filtered columns are scaled by (1 + p tau)/p; C F is static and
+        has none. The integrators' poles at 0 give the unfiltered J(0) on the
+        filtered columns.
+        """
+        dyn, _, _, res = self._dynamic
+        members = np.asarray(members)
+        q = members[members < 2 * dyn.size]
+        f, n = self.filtered, self.k.shape[0]
+        g = np.zeros((2 * n, 2 * n), dtype=complex)
+        for p in np.unique(self.poles[q]):
+            at = q[self.poles[q] == p]
+            y = np.zeros((2, self.k.shape[1]), dtype=complex)
+            np.add.at(y, (at % 2, dyn[at // 2]), res[at // 2])
+            term = self._dq(*self._rotated(self._scatter_add(y)))
+            term[:, :f] *= (1.0 + p * self.tau) / p
+            g += term
+        if q.size < members.size:
+            g[:, :f] += self._unfiltered(np.zeros(()))[:, :f]
         return g
 
 
@@ -252,8 +334,10 @@ class StateSpace:
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
         """Modal factors (p, C V, V^-1 B, kappa_1(V)) of A = V diag(p) V^-1.
 
-        The one eigendecomposition behind the poles, the imaginary-axis
-        residues and `eval_tf`. A singular V gives V^-1 B = None, kappa = inf.
+        The poles, the imaginary-axis residues and `eval_tf` of a model
+        without a network record: user-built, a `replace` copy or
+        low-frequency III/IV. A model with one reads them from the record and
+        never computes this. A singular V gives V^-1 B = None, kappa = inf.
         """
         poles, v = np.linalg.eig(self.a)
         try:
@@ -265,7 +349,8 @@ class StateSpace:
 
     @property
     def poles(self) -> np.ndarray:
-        return self.modes[0]
+        """From the network record if the model has one, else from `modes`."""
+        return self._network.poles if self._network is not None else self.modes[0]
 
 
 @dataclass(frozen=True)
@@ -301,12 +386,11 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
             "across a voltage port differentiates its input and the admittance is "
             "not proper; configure a positive series parasitic resistance"
         )
-    dyn = np.flatnonzero((el.l > 0) | is_cap)
+    # Per axis tau x' = u - rho x, with -rho/tau the element's pole p_e
+    # (`_Network._dynamic`), and the element injects gamma x: gamma = 1 for
+    # an inductor and -1/r for a capacitor.
+    dyn, tau, rate, _ = el._dynamic
     ind, r = el.l[dyn] > 0, el.r[dyn]
-    # Per axis tau x' = u - rho x and the element injects gamma x: tau = L,
-    # rho = r, gamma = 1 for an inductor; tau = r C, rho = 1, gamma = -1/r
-    # for a capacitor.
-    tau = np.where(ind, el.l[dyn], r * el.c[dyn])
     gamma = np.ones(dyn.size)
     gamma[~ind] = -1.0 / r[~ind]
     delta = el.g.copy()
@@ -315,7 +399,7 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
     nx = 2 * dyn.size
     rd = np.arange(0, nx, 2)
     a = np.zeros((nx, nx))
-    a[rd, rd] = a[rd + 1, rd + 1] = -np.where(ind, r, 1.0) / tau
+    a[rd, rd] = a[rd + 1, rd + 1] = rate
     a[rd, rd + 1] = -w0
     a[rd + 1, rd] = w0
     b = np.zeros((nx, 2 * n))

@@ -189,16 +189,18 @@ def check_poles(ss: StateSpace) -> PoleReport:
     """Condition 1 (no RHP poles) and the pole-side part of condition 3.
 
     Imaginary-axis eigenvalues are clustered within `_CLUSTER_TOL`. A
-    cluster fails condition 3 outright when defective (Jordan block). A
-    defect is looked for, by the numerical rank of A - jwI, only when
-    kappa_1(V) is above the bound under which `eval_tf` trusts the modal
-    factors. For a first-order (semisimple) cluster the total residue
-    lim (s-jw)G(s) is attached for the PSD-Hermitian test. It is the sum
-    over the cluster's eigenvalues k of (C V)[:, k] (V^-1 B)[k, :], from
-    the modal factors that also give the poles; a singular V raises
-    LinAlgError.
+    cluster fails condition 3 outright when defective (Jordan block). For a
+    first-order (semisimple) cluster the total residue lim (s-jw)G(s) is
+    attached for the PSD-Hermitian test: the sum of its member poles'
+    residues. A package-built model reads its poles and those residues in
+    closed form from its network record (`_Network.residue`); its A is
+    block diagonal with normal 2 x 2 blocks and the integrators sit above
+    a nonsingular block, so every cluster is semisimple. Any other model
+    (user-built, a `replace` copy, low-frequency III/IV) takes them from
+    `_modal_cluster`.
     """
-    eigs, cv, vib, kappa = ss.modes
+    net = ss._network
+    eigs = ss.poles
     unstable = tuple(complex(z) for z in eigs[eigs.real > _TOL])
     on_axis = np.flatnonzero(np.abs(eigs.real) <= _TOL)
     clusters: list[list[int]] = []
@@ -210,33 +212,44 @@ def check_poles(ss: StateSpace) -> PoleReport:
     poles: list[ImaginaryAxisPole] = []
     for group in clusters:
         omega = float(np.mean(eigs[group].imag))
-        alg = len(group)
-        if kappa <= _MODAL_KAPPA_MAX:
-            # Eigenvectors as well-conditioned as `eval_tf` trusts: A is diagonalizable.
-            geo = alg
-        else:
-            sv = np.linalg.svd(ss.a - 1j * omega * np.eye(ss.n_states), compute_uv=False)
-            # Null directions of the cluster: standard numerical-rank cutoff,
-            # widened to the cluster radius so near-coincident eigenvalues count.
-            rank_tol = max(10.0 * _CLUSTER_TOL, float(sv[0]) * len(sv) * np.finfo(float).eps)
-            geo = int(np.sum(sv <= rank_tol))
-        semisimple = geo >= alg
-        residue = None
-        if semisimple:
-            if vib is None:
-                raise np.linalg.LinAlgError("eigenvector matrix of A is singular")
-            sel = np.sort(group)
-            residue = cv[:, sel] @ vib[sel, :]
+        sel = np.sort(group)
+        geo, residue = (sel.size, net.residue(sel)) if net is not None else _modal_cluster(ss, omega, sel)
         poles.append(
             ImaginaryAxisPole(
                 omega=omega,
-                multiplicity=alg,
+                multiplicity=sel.size,
                 geometric_multiplicity=geo,
-                semisimple=semisimple,
+                semisimple=geo >= sel.size,
                 residue=residue,
             )
         )
     return PoleReport(passed=not unstable, unstable=unstable, imaginary_axis=tuple(poles))
+
+
+def _modal_cluster(ss: StateSpace, omega: float, sel: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """Geometric multiplicity and residue (None when defective) of the
+    imaginary-axis cluster `sel` of `StateSpace.modes`' poles.
+
+    A defect is looked for, by the numerical rank of A - jwI, only when
+    kappa_1(V) is above the bound under which `eval_tf` trusts the modal
+    factors. The residue is the sum over the cluster's eigenvalues k of
+    (C V)[:, k] (V^-1 B)[k, :]; a singular V raises LinAlgError.
+    """
+    _, cv, vib, kappa = ss.modes
+    if kappa <= _MODAL_KAPPA_MAX:
+        # Eigenvectors as well-conditioned as `eval_tf` trusts: A is diagonalizable.
+        geo = sel.size
+    else:
+        sv = np.linalg.svd(ss.a - 1j * omega * np.eye(ss.n_states), compute_uv=False)
+        # Null directions of the cluster: standard numerical-rank cutoff,
+        # widened to the cluster radius so near-coincident eigenvalues count.
+        rank_tol = max(10.0 * _CLUSTER_TOL, float(sv[0]) * len(sv) * np.finfo(float).eps)
+        geo = int(np.sum(sv <= rank_tol))
+    if geo < sel.size:
+        return geo, None
+    if vib is None:
+        raise np.linalg.LinAlgError("eigenvector matrix of A is singular")
+    return geo, cv[:, sel] @ vib[sel, :]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +319,12 @@ def _min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
         if net is None:
             lams += [hermitian_min_eig(h) for h in _hermitian_parts(ss, part)]
         else:
-            lams += np.linalg.eigvalsh(2.0 * net.sequence_blocks(1j * part).real)[..., 0].min(axis=0).tolist()
+            # 2 Re y_e of each sequence rides as one lane of a single complex
+            # scatter: half the work of scattering the complex blocks, and their
+            # summation order, so the blocks are 2 Re of theirs bit for bit.
+            y = 2.0 * net.sequence_admittances(1j * part).real
+            blocks = net._scatter_add(y[0] + 1j * y[1])
+            lams += np.linalg.eigvalsh(np.stack([blocks.real, blocks.imag]))[..., 0].min(axis=0).tolist()
     return lams
 
 

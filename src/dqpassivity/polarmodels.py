@@ -22,8 +22,6 @@ the appended integrators.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .dqstamp import StateMeta, StateSpace, _bare_admittance
@@ -78,7 +76,7 @@ def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
         state_meta=ydq.state_meta,
     )
     if _bare_admittance(ydq) is not None:
-        j._network = replace(ydq._network, v=op.v_d + 1j * op.v_q, i=op.i_d + 1j * op.i_q)
+        j._network = ydq._network._derive(v=op.v_d + 1j * op.v_q, i=op.i_d + 1j * op.i_q)
     return j
 
 
@@ -120,7 +118,7 @@ def _append_integrators(
         bus_ids=j.bus_ids,
     )
     if j._network is not None and not j._network.filtered:
-        out._network = replace(j._network, filtered=k, tau=tau)
+        out._network = j._network._derive(filtered=k, tau=tau)
     return out
 
 

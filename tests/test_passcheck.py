@@ -237,7 +237,7 @@ def test_singular_eigenvectors_block_residues_not_evaluation(ieee9_j2, monkeypat
         _, _, vib, kappa = ss.modes
         s = 1j * 20.0
         got = eval_tf(built, s)
-    assert vib is None and kappa == math.inf and built.modes[2] is None
+    assert vib is None and kappa == math.inf and "modes" not in vars(built)
     dense = ss.c @ np.linalg.solve(s * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
     np.testing.assert_array_equal(eval_tf(ss, s), dense)
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -360,6 +360,45 @@ def test_sequence_sweep_matches_modal_sweep(ieee9, name, model):
         assert (seq_samples[0][0] == W0) == all(br.r > 0 for br in case.branches)
 
 
+@pytest.mark.parametrize(
+    "name, model", ROUTE_ROWS + [pytest.param(f"mesh-40-{seed}", "I", id=f"mesh-40-{seed}") for seed in range(4)]
+)
+def test_record_poles_and_residues_match_modal(ieee9, name, model):
+    # A package-built model reads its poles and imaginary-axis residues in
+    # closed form from its network record; a copy eigendecomposes A.
+    case, _ = ROUTE_CASES[name](ieee9)
+    ss = assemble_ydq(case)
+    if model != "I":
+        ss = build_polar_model(model, build_j_of_s(ss, solve_powerflow(case)), TAU)
+    modal_copy = replace(ss)
+    got, want = check_poles(ss), check_poles(modal_copy)
+    assert "modes" not in vars(ss)
+    left = list(modal_copy.poles)
+    tol = 1e-9 * np.abs(modal_copy.poles).max()
+    for p in ss.poles:
+        k = int(np.argmin(np.abs(np.array(left) - p)))
+        assert abs(left.pop(k) - p) <= tol, p
+    assert got.unstable == want.unstable
+    assert len(got.imaginary_axis) == len(want.imaginary_axis)
+    for g, w in zip(got.imaginary_axis, want.imaginary_axis):
+        keys = ("omega", "multiplicity", "geometric_multiplicity", "semisimple")
+        assert [getattr(g, k) for k in keys] == [getattr(w, k) for k in keys]
+        assert np.linalg.norm(g.residue - w.residue) <= 1e-12 * np.linalg.norm(w.residue), g.omega
+
+
+@pytest.mark.parametrize("case_name", ["ieee9", "mesh-40-0"])
+def test_wideband_verdicts_need_no_eigendecomposition(ieee9, monkeypatch, case_name):
+    case = ieee9 if case_name == "ieee9" else _synthcase().mesh_case(40, 0)
+
+    def refuse(*_):
+        raise AssertionError("eigendecomposition on the package's own path")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    got = [classify_model(case, model=m, analysis="wideband", tau=TAU).overall for m in MODELS]
+    assert got == [EXPECTED_GRID[m]["wideband"] for m in MODELS] == ["passive"] + ["non-passive"] * 3
+
+
 def test_builders_carry_the_network_record(ieee9, ieee9_op):
     # assemble_ydq and the polar builders carry the record; any replace copy,
     # the zero-state low-frequency model I and J_LF behind its filters do not.
@@ -377,6 +416,16 @@ def test_builders_carry_the_network_record(ieee9, ieee9_op):
     copies = (replace(ydq, d=2.0 * ydq.d), *(replace(ss) for ss in built))
     assert all(ss._network is None for ss in lowfreq + copies)
     assert export_matrices(ydq) == export_matrices(replace(ydq))
+
+
+def test_record_copies_share_the_element_caches(ieee9, ieee9_op):
+    # The polar builders' records share the scatter pattern and the element
+    # poles of the Y_DQ record: one computation per assemble_ydq.
+    ydq = assemble_ydq(ieee9)
+    j = build_j_of_s(ydq, ieee9_op)
+    for ss in (j, build_jdp(j, TAU), build_jdf(j, TAU)):
+        assert ss._network._scatter is ydq._network._scatter
+        assert ss._network._dynamic is ydq._network._dynamic
 
 
 IDENTITY_CASES = {

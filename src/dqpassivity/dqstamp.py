@@ -20,15 +20,17 @@ Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
 Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
 record, attached by `assemble_ydq` and the polar builders, scatter-adds
 both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
-them, and `sweep_psd` reads model I's Y_DQ + Y_DQ^H as 2 Re of each. It
-also gives the model's poles, p_e +/- j omega0 per dynamic element and a
-zero per channel integrator, and each imaginary-axis residue in closed
-form, so a model with a record never eigendecomposes A. A
-`dataclasses.replace` copy has no record.
+them, `sweep_psd` reads model I's Y_DQ + Y_DQ^H as 2 Re of each, and it
+bounds lambda_min(G + G^H) of II-IV from their entries alone
+(`_Network.gershgorin`). It also gives the model's poles, p_e +/- j omega0
+per dynamic element and a zero per channel integrator, and each
+imaginary-axis residue in closed form, so a model with a record never
+eigendecomposes A. A `dataclasses.replace` copy has no record.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -139,14 +141,18 @@ class _Network:
         starts = np.flatnonzero(np.diff(flat, prepend=-1))
         return flat[starts], elem[i], self.k[bus[i], elem[i]] * self.k[bus[j], elem[i]], starts
 
+    def _scatter_values(self, y: np.ndarray) -> np.ndarray:
+        """The entries of K diag(y) K^T at the `_scatter` targets, for each stacked (m,) row of y."""
+        _, elem, weight, starts = self._scatter
+        return np.add.reduceat(y[..., elem] * weight, starts, axis=-1)
+
     def _scatter_add(self, y: np.ndarray) -> np.ndarray:
         """K diag(y) K^T for each stacked (m,) row of element values y, real or
         complex as y is; shape y.shape[:-1] + (n, n). Scatter-added over
         `_scatter` (np.add.reduceat): O(n^2 + m) per row, not n^2 m."""
         n = self.k.shape[0]
-        targets, elem, weight, starts = self._scatter
         out = np.zeros(y.shape[:-1] + (n * n,), dtype=y.dtype)
-        out[..., targets] = np.add.reduceat(y[..., elem] * weight, starts, axis=-1)
+        out[..., self._scatter[0]] = self._scatter_values(y)
         return out.reshape(y.shape[:-1] + (n, n))
 
     def sequence_admittances(self, s: np.ndarray) -> np.ndarray:
@@ -191,6 +197,73 @@ class _Network:
         if self.filtered:
             g[..., : self.filtered] *= ((1.0 + s * self.tau) / s)[..., None, None]
         return g
+
+    @cached_property
+    def _bus_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """(row, column, v*_row v_column) of each `_scatter` target, |K|^T,
+        |K|^T |v| and d, the most terms `_scatter` adds into one target."""
+        targets, elem, _, starts = self._scatter
+        row, col = np.divmod(targets, self.k.shape[0])
+        abs_kt = np.abs(self.k.T)
+        depth = int(np.diff(starts, append=elem.size).max())
+        return row, col, self.v.conj()[row] * self.v[col], abs_kt, abs_kt @ np.abs(self.v), depth
+
+    def gershgorin(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A lower bound of lambda_min(G + G^H) at each s of a polar model
+        (`_polar_record`), and the scale of its rounding; shape s.shape each.
+
+        In the sequence basis U^H G U = S Phi with S = [[N, Q], [Q*, P]],
+        N = Y(s - j w0) o (-j v* v^T), P = Y(s + j w0) o (j v v^H) and
+        Q = diag(j i v*) (class docstring), and Phi = [[a, b], [b, a]] / 2 the
+        channel filter: a = 2, b = 0 unfiltered; a = f + 1, b = f - 1 on the
+        angle channels; a = 2f, b = 0 on all; f = (1 + s tau)/s. With W = v* v^T
+        the blocks of H = S Phi + (S Phi)^H are
+            H11 = Im(a Y(s - j w0)) o W + Re(b Q),
+            H22 = -Im(a Y(s + j w0)) o W* + Re(b* Q),
+            H12 = -j/2 (b Y(s - j w0) o W + (b Y(s + j w0) o W)*) + Re(a) Q,
+        each on Y's pattern, so Gershgorin's bound (Varga 2004),
+        lambda_min(H) >= min_i (H_ii - sum_{j != i} |H_ij|), costs O(nnz) per
+        point from the entries `_scatter_values` gives. The scale is
+        (2n + d)^2 mu, with d from `_bus_pattern`, phi = max(|f|, 1) if
+        filtered, else 1, and mu = phi max_i (2 |Q_ii| + |v_i| sum_j M_ij |v_j|),
+        M = |K| diag(|y_e(s - j w0)| + |y_e(s + j w0)|) |K|^T: 4 mu bounds every
+        row sum of an entrywise majorant of H in either basis
+        (`passcheck._SCREEN_C`).
+        """
+        n = self.k.shape[0]
+        row, col, w, abs_kt, kv, depth = self._bus_pattern
+        s = np.asarray(s, dtype=complex)
+        y = self.sequence_admittances(s)
+        vals = self._scatter_values(y)
+        f = (1.0 + s * self.tau) / s
+        if self.filtered == n:
+            a, b, phi = f + 1.0, f - 1.0, np.maximum(np.abs(f), 1.0)
+        elif self.filtered:
+            a, b, phi = 2.0 * f, np.zeros(s.shape), np.abs(f)
+        else:
+            a, b, phi = np.full(s.shape, 2.0), np.zeros(s.shape), 1.0
+        q = 1j * self.i * self.v.conj()
+        on, off = row == col, row != col
+        # The centers: the diagonals of H11 and H22, bus by bus.
+        im = (a[..., None] * vals).imag
+        centers = np.zeros(im.shape[:-1] + (n,))
+        centers[..., row[on]] = im[..., on] * np.abs(w[on])
+        centers[1] *= -1.0
+        centers += np.stack([(b[..., None] * q).real, (b.conj()[..., None] * q).real])
+        # H12 on Y's pattern; its diagonal lies in row i of both halves.
+        h12 = b[..., None] * vals * w
+        h12 = h12[0] + h12[1].conj()
+        h12_diag = np.zeros(s.shape + (n,), dtype=complex)
+        h12_diag[..., row[on]] = -0.5j * h12[..., on]
+        h12_diag += a.real[..., None] * q
+        # The radii: off-diagonal moduli of H11, H22 and H12 by row, of H21 = H12^H by column of H12.
+        abs_w, abs_h12 = np.abs(w[off]), 0.5 * np.abs(h12[..., off])
+        by_row = _bus_sums(np.concatenate([np.abs(im[..., off]) * abs_w, abs_h12[None]]), row[off], n)
+        lower = np.minimum(
+            centers[0] - by_row[0] - by_row[2], centers[1] - by_row[1] - _bus_sums(abs_h12, col[off], n)
+        ) - np.abs(h12_diag)
+        majorant = ((np.abs(y) * kv) @ abs_kt).sum(axis=0) * np.abs(self.v) + 2.0 * np.abs(q)
+        return lower.min(axis=-1), (2 * n + depth) ** 2 * phi * majorant.max(axis=-1)
 
     @cached_property
     def _dynamic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -277,10 +350,26 @@ def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Network,
     return _Network(k, r, l, c, g, w0), tuple(labels)
 
 
+def _bus_sums(values: np.ndarray, buses: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the last axis of `values` into the n bins `buses`; shape values.shape[:-1] + (n,)."""
+    lead = values.shape[:-1]
+    p = math.prod(lead)
+    index = (np.arange(p)[:, None] * n + buses).ravel()
+    return np.bincount(index, values.reshape(-1), p * n).reshape(lead + (n,))
+
+
 def _bare_admittance(ss: StateSpace) -> _Network | None:
     """The network record of a model that is the `assemble_ydq` Y_DQ(s) itself."""
     net = ss._network
     return net if net is not None and net.v is None and not net.filtered else None
+
+
+def _polar_record(ss: StateSpace) -> _Network | None:
+    """The network record of a polar model II-IV built on the `assemble_ydq` Y_DQ(s)."""
+    net = ss._network
+    if net is None or net.v is None:
+        return None
+    return net if net.filtered in (0, net.v.size, 2 * net.v.size) else None
 
 
 @dataclass(eq=False)

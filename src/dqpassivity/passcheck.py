@@ -25,7 +25,16 @@ from typing import Callable
 
 import numpy as np
 
-from .dqstamp import _MODAL_KAPPA_MAX, StateSpace, _bare_admittance, _storage_diagonal, assemble_ydq, eval_tf
+from .dqstamp import (
+    _MODAL_KAPPA_MAX,
+    StateSpace,
+    _bare_admittance,
+    _Network,
+    _polar_record,
+    _storage_diagonal,
+    assemble_ydq,
+    eval_tf,
+)
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
 from .polarmodels import _check_tau, build_j_of_s, build_polar_model
@@ -94,6 +103,28 @@ _CHUNK_POINTS = 8
 # three together stay below delta for _SCREEN_C = 8, so a skipped point's
 # eigensolve would have returned more than lambda* and could not be the
 # grid's first minimum.
+#
+# The same constant sets the margin of the record's Gershgorin bound
+# (`_bound_clears`): a point whose computed bound b exceeds lambda* + delta,
+# delta = _SCREEN_C eps ((m + d)^2 mu + |lambda*|) with (m + d)^2 mu the scale
+# `_Network.gershgorin` returns, is skipped. Let H be G + G^H formed exactly
+# from the element values y_e and the filter f that `eval_tf` computes, so
+# both routes share their rounding. 4 mu bounds every row sum of an
+# entrywise majorant M of H in the sequence basis, and 2 mu every row sum of
+# one in the D-Q basis that `eval_tf` uses. Both scatter |y_e| through |K|,
+# so they also bound the moduli of the terms each entry sums (d at most).
+# Three errors separate b from the eigensolve, with u = eps / 2:
+# - Each entry b reads is a scatter sum (gamma_d) and a few complex
+#   products, so within (d + 10) u M_ij of H's; the row sum rounds by
+#   gamma_m sum_j |h_ij| (Higham 2002, 3.1). So b is at most
+#   (m + d + 12) u 4 mu above the exact bound of H, which is <= lambda_min(H).
+# - `eval_tf` forms each entry of the dense H from the same y_e through the
+#   scatter, rotation, change of basis, reflection, filter and G + G^H, so
+#   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.
+# - `eigvalsh` errs by at most m^2 u ||H||_2 <= m^2 u 2 mu, as above.
+# Together (2 m^2 + 4 m + 6 d + 74) u mu, below 16 (m + d)^2 u mu for every
+# m >= 2, d >= 1; the |lambda*| term covers the rounding of lambda* + delta.
+# So a point the bound clears would have eigensolved above lambda*.
 _SCREEN_C = 8.0
 
 # Imaginary-axis poles closer than this are one cluster with one residue.
@@ -342,19 +373,32 @@ def _screen_clears(h: np.ndarray, norm_h: np.ndarray | np.floating, lam: float) 
     return True
 
 
+def _bound_clears(net: _Network, omegas: np.ndarray, lam: float) -> bool:
+    """Whether the record's Gershgorin bound exceeds lam + delta at every one
+    of `omegas` (`_SCREEN_C`): that rules out lambda_min(H) <= lam at each."""
+    lower, scale = net.gershgorin(1j * omegas)
+    return bool((lower > lam + _SCREEN_C * np.finfo(float).eps * (scale + abs(lam))).all())
+
+
 def _screened_min(ss: StateSpace, omegas: np.ndarray) -> tuple[int, float]:
     """First index and value of the minimum of lambda_min(G + G^H) over `omegas`.
 
     Equal to np.argmin over every point's `hermitian_min_eig`, but a point is
-    eigensolved only when the Cholesky screen cannot rule out that it is at
-    or below the running minimum. A chunk that one stacked screen does not
-    clear is screened point by point; lambda* moves only there.
+    eigensolved only when neither screen can rule out that it is at or below
+    the running minimum lambda*. A polar model with a network record first
+    bounds each chunk from the record (`_Network.gershgorin`) and skips a
+    chunk the bound clears at every point without forming H. Any other
+    chunk gets one stacked Cholesky screen, and if that fails, the
+    point-by-point screen and eigensolve; lambda* moves only there.
     """
+    net = _polar_record(ss)
     last = omegas.size - 1
     k, lam = 0, hermitian_min_eig(_hermitian_parts(ss, omegas[:1])[0])
     order = np.array([last, *range(1, last)] if last else [], dtype=int)
     for first in range(0, order.size, _CHUNK_POINTS):
         chunk = order[first : first + _CHUNK_POINTS]
+        if net is not None and _bound_clears(net, omegas[chunk], lam):
+            continue
         h = _hermitian_parts(ss, omegas[chunk])
         # ||H||_F per point, from the real view of the stack (no temporary copy).
         flat = h.view(float).reshape(len(chunk), -1)
@@ -385,13 +429,17 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
     with Y the real-coefficient n x n nodal admittance, so lambda_min is the
     smaller of two real symmetric n x n minima, taken at every point by
-    `_min_eigs`. Every other model forms H = G + G^H through `eval_tf` and
-    is screened (`_screened_min`): the first grid point, then the last, then
-    the interior in grid order, _CHUNK_POINTS points per `eval_tf` call, and
-    a point is eigensolved only when the Cholesky factorization of
-    H - (lambda* + delta) I fails, with lambda* the running minimum. delta
-    (`_SCREEN_C`) covers the rounding of that factorization and of the
-    eigensolve, so the result equals the minimum over every point's
+    `_min_eigs`. Every other model is screened (`_screened_min`): the first
+    grid point, then the last, then the interior in grid order,
+    _CHUNK_POINTS points per chunk, in three tiers. A polar model II-IV with
+    a network record first bounds lambda_min of each point from the record
+    by Gershgorin's theorem, O(nnz) per point, and skips a chunk whose every
+    bound is above lambda* + delta, with lambda* the running minimum. Any
+    other chunk forms H = G + G^H in one `eval_tf` call, and a point is
+    eigensolved only when the Cholesky factorization of
+    H - (lambda* + delta) I fails, stacked over the chunk and then per
+    point. Each delta (`_SCREEN_C`) covers the rounding of its screen and
+    of the eigensolve, so the result equals the minimum over every point's
     eigensolve bit for bit, the smaller grid index on an exact tie; it is
     not a verdict tolerance. Both routes sweep the same points.
 
@@ -413,8 +461,7 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     one of those two.
     """
     if ss.n_states == 0:
-        lam = hermitian_min_eig(ss.d + ss.d.T)
-        return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=None, n_points=1)
+        return _static_sweep(hermitian_min_eig(ss.d + ss.d.T))
     omegas = _sweep_omegas(ss, grid)
     # Model I is not screened: on ieee9 every lambda_min is within delta of lambda*, so each point would pay a failed screen too.
     if _bare_admittance(ss) is not None:
@@ -424,6 +471,11 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     else:
         k, lam = _screened_min(ss, omegas)
     return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=float(omegas[k]), n_points=omegas.size)
+
+
+def _static_sweep(lam: float) -> SweepReport:
+    """The sweep of a zero-state model, G = D, from lambda_min(D + D^T)."""
+    return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=None, n_points=1)
 
 
 def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[float, float], ...]:
@@ -739,9 +791,11 @@ class PassivityVerdict(_Report):
 def _state_space_checks(
     ss: StateSpace, grid: SweepGrid | None, op: OperatingPoint | None
 ) -> tuple[PoleReport, SweepReport, tuple[ResidueReport, ...], FeedthroughReport, bool]:
-    """Conditions 1-3 and the feedthrough certificate; the last item is the verdict."""
+    """Conditions 1-3 and the feedthrough certificate; the last item is the verdict.
+    A zero-state model's sweep reuses the feedthrough's eigensolve of D + D^T."""
     poles = check_poles(ss)
-    sweep = sweep_psd(ss, grid)
+    feed = check_feedthrough(ss, op=op)
+    sweep = _static_sweep(feed.min_eig) if ss.n_states == 0 else sweep_psd(ss, grid)
     # A defective cluster has no residue and fails condition 3 outright.
     residues = tuple(
         check_residue_psd_hermitian(p.residue, omega=p.omega)
@@ -749,7 +803,6 @@ def _state_space_checks(
         else ResidueReport(passed=False, hermitian_deviation=math.inf, min_eig=-math.inf, omega=p.omega)
         for p in poles.imaginary_axis
     )
-    feed = check_feedthrough(ss, op=op)
     ok = poles.passed and sweep.passed and all(r.passed for r in residues) and feed.psd
     return poles, sweep, residues, feed, ok
 

@@ -51,6 +51,7 @@ from dqpassivity import (
     sweep_samples,
 )
 from dqpassivity import passcheck
+from dqpassivity.dqstamp import _Network
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
 from dqpassivity.reference import EXPECTED_GRID
 from conftest import random_case, random_solved_case, two_bus_case
@@ -247,7 +248,9 @@ def test_singular_eigenvectors_block_residues_not_evaluation(ieee9_j2, monkeypat
 
 def test_ieee9_realizations_use_modal_evaluation(ieee9):
     # kappa_1(V) far below the dense-fallback threshold for every model the
-    # package builds on the nine-bus case, so the modal path is what runs.
+    # package builds on the nine-bus case. Low-frequency III/IV evaluate on
+    # the modal path; the wideband rows check that the modal reference, used
+    # by the record-route tests and by `replace` copies, is well-conditioned.
     for _, flags in VARIANT_COLUMNS:
         variant = derive_variant(ieee9, flags)
         op = solve_powerflow(variant)
@@ -644,6 +647,93 @@ def test_screened_sweep_chunk_failing_mid_chunk_is_rescreened(ieee9_j2, monkeypa
         rep = sweep_psd(ss)
         assert any(first_clears)
         assert_sweep_is_full_minimum(rep, ss)
+
+
+BOUND_CASES = {"ieee9": SEQUENCE_CASES["ieee9"], **{f"mesh-40-{seed}": _mesh(seed) for seed in range(4)}}
+
+
+def _polar_models(case, parasitics=None):
+    j = build_j_of_s(assemble_ydq(case, parasitics), solve_powerflow(case))
+    return [build_polar_model(model, j, TAU) for model in MODELS[1:]]
+
+
+def _logged_bound(monkeypatch):
+    """Wrap the record's bound test; list (omegas, cleared) per chunk it tests."""
+    clears, log = passcheck._bound_clears, []
+
+    def logged(net, omegas, lam):
+        log.append((omegas.copy(), clears(net, omegas, lam)))
+        return log[-1][1]
+
+    monkeypatch.setattr(passcheck, "_bound_clears", logged)
+    return log
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_record_bound_is_dense_gershgorin_and_never_clears_the_minimum(ieee9, monkeypatch, name):
+    # The record's bound is Gershgorin's on U^H H U, with H = G + G^H formed
+    # densely, and lies below every point's lambda_min. It clears most
+    # chunks, but never the one holding the grid minimum.
+    case, _ = BOUND_CASES[name](ieee9)
+    eye = np.eye(case.n_bus)
+    u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
+    log = _logged_bound(monkeypatch)
+    for ss in _polar_models(case):
+        samples = sweep_samples(ss)
+        omegas, lams = np.array(samples).T
+        lower, scale = ss._network.gershgorin(1j * omegas)
+        g = eval_tf(ss, 1j * omegas)
+        h = u.conj().T @ (g + g.conj().swapaxes(-1, -2)) @ u
+        centers = np.diagonal(h, axis1=-2, axis2=-1)
+        dense = (centers.real + np.abs(centers) - np.abs(h).sum(axis=-1)).min(axis=-1)
+        norms = np.linalg.norm(h, axis=(-2, -1))
+        assert (np.abs(lower - dense) <= 1e-14 * norms).all()
+        assert (scale >= norms).all()
+        assert (lower <= lams).all()
+        log.clear()
+        rep = sweep_psd(ss)
+        k = int(np.argmin(lams))
+        assert (rep.min_eig, rep.worst_omega) == (lams[k], omegas[k])
+        cleared = [chunk for chunk, ok in log if ok]
+        assert len(cleared) >= len(log) // 2
+        assert not any(omegas[k] in chunk for chunk in cleared)
+
+
+def test_sweep_without_the_record_bound_is_unchanged(ieee9, monkeypatch):
+    # A bound that clears nothing sends every chunk to the Cholesky screens.
+    def nothing(self, s):
+        return np.full(s.shape, -np.inf), np.zeros(s.shape)
+
+    with_bound = [sweep_psd(ss) for ss in _polar_models(ieee9)]
+    monkeypatch.setattr(_Network, "gershgorin", nothing)
+    for ss, rep in zip(_polar_models(ieee9), with_bound):
+        assert sweep_psd(ss) == rep
+        assert_sweep_is_full_minimum(rep, ss)
+
+
+def test_record_bound_on_a_stiff_network(ieee9, monkeypatch):
+    # r_series_cap = 1e-7 puts ||D|| of J(s) near 4e7, and the bound's margin scales with it.
+    log = _logged_bound(monkeypatch)
+    models = _polar_models(ieee9, ParasiticConfig(r_series_cap=1e-7))
+    assert np.linalg.norm(models[0].d) > 1e7
+    for ss in models:
+        log.clear()
+        assert_sweep_is_full_minimum(sweep_psd(ss), ss)
+        assert any(ok for _, ok in log)
+
+
+def test_record_bound_leaves_few_dense_evaluations(ieee9, monkeypatch):
+    evaluate, evals = passcheck.eval_tf, []
+
+    def counted_eval(ss, s):
+        evals.append(np.shape(s))
+        return evaluate(ss, s)
+
+    monkeypatch.setattr(passcheck, "eval_tf", counted_eval)
+    for ss in _polar_models(ieee9):
+        evals.clear()
+        assert sweep_psd(ss).n_points == 141
+        assert len(evals) <= 3
 
 
 def test_sweep_conjugate_symmetry(ieee9_j2):

@@ -427,7 +427,11 @@ class StateSpace:
         without a network record: user-built, a `replace` copy or
         low-frequency III/IV. A model with one reads them from the record and
         never computes this. A singular V gives V^-1 B = None, kappa = inf.
+        An A with no nonzero entry (low-frequency III/IV, zero-state models)
+        is diag(0) with V = I, so it takes no eigendecomposition.
         """
+        if not self.a.any():
+            return np.zeros(self.n_states), self.c.astype(float, copy=False), self.b.astype(float, copy=False), 1.0
         poles, v = np.linalg.eig(self.a)
         try:
             v_inv = np.linalg.inv(v)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -228,7 +229,8 @@ def check_poles(ss: StateSpace) -> PoleReport:
     block diagonal with normal 2 x 2 blocks and the integrators sit above
     a nonsingular block, so every cluster is semisimple. Any other model
     (user-built, a `replace` copy, low-frequency III/IV) takes them from
-    `_modal_cluster`.
+    `_modal_cluster`; for low-frequency III/IV, whose A = 0, that is the
+    one origin cluster with residue C B and no eigendecomposition.
     """
     net = ss._network
     eigs = ss.poles
@@ -807,9 +809,40 @@ def _state_space_checks(
     return poles, sweep, residues, feed, ok
 
 
+class _Variant:
+    """One variant network of a verdict grid and the work its cells share.
+
+    `case` is the variant without the decoupled flag, which only the
+    low-frequency Jacobian consumes (`_realize`). Its operating point,
+    Y_DQ(s), J_LF and J(s) are each built on first use and at most once.
+    Every cell copies what it changes (`decouple`, `apply_qv_contribution`,
+    `replace`), so the cells read the same objects and nothing else.
+    """
+
+    def __init__(self, case: NetworkCase, flags: VariantFlags) -> None:
+        self.case = derive_variant(case, replace(flags, decoupled=False))
+
+    @cached_property
+    def op(self) -> OperatingPoint:
+        return solve_powerflow(self.case)
+
+    @cached_property
+    def ydq(self) -> StateSpace:
+        return assemble_ydq(self.case)
+
+    @cached_property
+    def jlf(self) -> StateSpace:
+        return build_jlf_analytic(self.case, self.op)
+
+    @cached_property
+    def j_of_s(self) -> StateSpace:
+        op = self.op  # the loading is checked before the network is assembled
+        return build_j_of_s(self.ydq, op)
+
+
 def _realize(
-    case: NetworkCase,
-    flags: VariantFlags,
+    work: _Variant,
+    decoupled: bool,
     model: str,
     analysis: str,
     tau: float,
@@ -817,18 +850,18 @@ def _realize(
 ) -> tuple[StateSpace, OperatingPoint | None, StateSpace | None]:
     """The cell's realization, its operating point (II-IV) and its J_LF.
 
-    J_LF is returned for low-frequency II-IV only, decoupled when the flags
-    ask for it and with `regulation` applied when one is given; the
-    realization is built from the unregulated J_LF. An invalid combination
-    raises ValueError before any power flow runs.
+    J_LF is returned for low-frequency II-IV only, decoupled when asked and
+    with `regulation` applied when one is given; the realization is built
+    from the unregulated J_LF. An invalid combination raises ValueError
+    before any power flow runs.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if analysis not in ("wideband", "lowfreq"):
         raise ValueError(f"unknown analysis {analysis!r}")
-    if flags.decoupled and analysis != "lowfreq":
+    if decoupled and analysis != "lowfreq":
         raise ValueError("the decoupled simplification applies to low-frequency models only")
-    if flags.decoupled and model == "I":
+    if decoupled and model == "I":
         raise ValueError("the decoupled simplification does not apply to the rectangular model")
     if regulation and analysis != "lowfreq":
         raise ValueError("regulation contributions apply to low-frequency models only")
@@ -836,26 +869,21 @@ def _realize(
         raise ValueError("the rectangular model needs no regulation")
     _check_tau(tau)
 
-    variant = derive_variant(case, flags)
-    op = None if model == "I" else solve_powerflow(variant)
-    if analysis == "wideband":
-        ydq = assemble_ydq(variant)
-        ss = ydq if model == "I" else build_polar_model(model, build_j_of_s(ydq, op), tau)
-        return ss, op, None
     if model == "I":
-        ydq = assemble_ydq(variant)
-        m = ydq.n_inputs
+        if analysis == "wideband":
+            return work.ydq, None, None
+        m = work.ydq.n_inputs
         zero_state = dict(a=np.zeros((0, 0)), b=np.zeros((0, m)), c=np.zeros((m, 0)), state_meta=())
-        return replace(ydq, d=eval_tf(ydq, 0.0), **zero_state), None, None
-    jlf = build_jlf_analytic(variant, op)
-    if flags.decoupled:
-        jlf = decouple(jlf)
+        return replace(work.ydq, d=eval_tf(work.ydq, 0.0), **zero_state), None, None
+    if analysis == "wideband":
+        return build_polar_model(model, work.j_of_s, tau), work.op, None
+    jlf = decouple(work.jlf) if decoupled else work.jlf
     ss = build_polar_model(model, jlf, tau)
-    return ss, op, apply_qv_contribution(jlf, regulation) if regulation else jlf
+    return ss, work.op, apply_qv_contribution(jlf, regulation) if regulation else jlf
 
 
 def classify_model(
-    case: NetworkCase,
+    case: NetworkCase | _Variant,
     flags: VariantFlags = VariantFlags(),
     model: str = "I",
     analysis: str = "lowfreq",
@@ -878,8 +906,15 @@ def classify_model(
     uniform-angle mode excluded (it is a right null vector of the Jacobian,
     persists under regulation, and for lossy networks sits slightly below
     zero in the symmetric part); III and IV re-run the pipeline.
+
+    A caller with several cells of one variant (`classify_grid`) passes a
+    `_Variant` as `case`, so that they share one variant case, operating
+    point, Y_DQ(s), J_LF and J(s).
     """
-    ss, op, jlf = _realize(case, flags, model, analysis, tau, regulation)
+    # A context of its own is dropped once the cell is realized, J(s) with it.
+    work = case if isinstance(case, _Variant) else _Variant(case, flags)
+    ss, op, jlf = _realize(work, flags.decoupled, model, analysis, tau, regulation)
+    del work
     notes = {
         ("I", "lowfreq"): ("static rectangular model Y_DQ(0)",),
         ("II", "lowfreq"): ("static load-flow Jacobian J_LF",),
@@ -931,20 +966,21 @@ def classify_grid(
 
     Returns {model: {"wideband": verdict, "<column>/coupled": verdict,
     "<column>/decoupled": verdict, ...}}; the rectangular model has a
-    single verdict per column.
+    single verdict per column. Each column's variant (`_Variant`) is built
+    once and shared by its cells and the wideband row: one case, operating
+    point, Y_DQ(s) and J_LF per column, one J(s) for the grid.
     """
+    works = {name: _Variant(case, flags) for name, flags in VARIANT_COLUMNS}
     out: dict[str, dict[str, str]] = {}
     for model in MODELS:
-        row: dict[str, str] = {}
-        row["wideband"] = classify_model(case, VariantFlags(), model, "wideband", tau).overall
+        # The wideband cell's VariantFlags() is the lossy_b column.
+        row = {"wideband": classify_model(works["lossy_b"], VariantFlags(), model, "wideband", tau).overall}
         for name, flags in VARIANT_COLUMNS:
             if model == "I":
-                row[name] = classify_model(case, flags, model, "lowfreq", tau).overall
+                row[name] = classify_model(works[name], flags, model, "lowfreq", tau).overall
                 continue
             for coupled, dec in (("coupled", False), ("decoupled", True)):
-                f = VariantFlags(flags.lossless, flags.no_shunt_b, dec)
-                row[f"{name}/{coupled}"] = classify_model(
-                    case, f, model, "lowfreq", tau, regulation
-                ).overall
+                f = replace(flags, decoupled=dec)
+                row[f"{name}/{coupled}"] = classify_model(works[name], f, model, "lowfreq", tau, regulation).overall
         out[model] = row
     return out

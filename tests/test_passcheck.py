@@ -400,6 +400,9 @@ def test_wideband_verdicts_need_no_eigendecomposition(ieee9, monkeypatch, case_n
     monkeypatch.setattr(np.linalg, "inv", refuse)
     got = [classify_model(case, model=m, analysis="wideband", tau=TAU).overall for m in MODELS]
     assert got == [EXPECTED_GRID[m]["wideband"] for m in MODELS] == ["passive"] + ["non-passive"] * 3
+    if case_name == "ieee9":
+        # Low-frequency III/IV have A = 0, whose modes need no eigendecomposition either.
+        assert classify_grid(case, TAU, REG) == EXPECTED_GRID
 
 
 def test_builders_carry_the_network_record(ieee9, ieee9_op):
@@ -413,7 +416,7 @@ def test_builders_carry_the_network_record(ieee9, ieee9_op):
     assert ydq._network.v is None and j._network.v is not None
     jlf = build_jlf_analytic(ieee9, ieee9_op)
     lowfreq = (
-        passcheck._realize(ieee9, VariantFlags(), "I", "lowfreq", TAU)[0],
+        passcheck._realize(passcheck._Variant(ieee9, VariantFlags()), False, "I", "lowfreq", TAU)[0],
         *(build_polar_model(model, jlf, TAU) for model in MODELS[1:]),
     )
     copies = (replace(ydq, d=2.0 * ydq.d), *(replace(ss) for ss in built))
@@ -530,7 +533,7 @@ def test_screened_sweep_equals_full_sweep_on_ieee9_grid(ieee9, regulated):
     for flags, model, analysis in _grid_cells():
         reg = REG if regulated and analysis == "lowfreq" and model != "I" else None
         v = classify_model(ieee9, flags, model, analysis, TAU, reg)
-        ss, _, jlf = passcheck._realize(ieee9, flags, model, analysis, TAU, reg)
+        ss, _, jlf = passcheck._realize(passcheck._Variant(ieee9, flags), flags.decoupled, model, analysis, TAU, reg)
         assert_sweep_is_full_minimum(v.cond2, ss)
         if v.regulated is not None and v.regulated.sweep is not None:
             assert_sweep_is_full_minimum(v.regulated.sweep, build_polar_model(model, jlf, TAU))
@@ -1284,6 +1287,23 @@ def test_mesh_grid_matches_ieee9_under_uniform_regulation(seed):
     k = min_uniform_kqv(build_jlf_analytic(case, solve_powerflow(case)), case.bus_ids)
     regulation = RegulationSet.uniform(case.bus_ids, 1.05 * k)
     assert classify_grid(case, regulation=regulation) == EXPECTED_GRID
+
+
+def test_classify_grid_builds_each_variant_once(ieee9, monkeypatch):
+    # One case, power flow, Y_DQ and J_LF per variant column; one J(s), for the wideband row.
+    calls = dict.fromkeys(("derive_variant", "solve_powerflow", "build_jlf_analytic", "assemble_ydq", "build_j_of_s"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _f=getattr(passcheck, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(passcheck, name, counted)
+    assert classify_grid(ieee9, regulation=REG) == EXPECTED_GRID
+    assert list(calls.values()) == [4, 4, 4, 4, 1]
+    # A loading with no power-flow solution still fails the grid at its first polar cell.
+    with pytest.raises(PowerFlowError):
+        classify_grid(two_bus_case(load_p=-100))
 
 
 def ieee9_cells():

@@ -227,8 +227,9 @@ class _Network:
         (2n + d)^2 mu, with d from `_bus_pattern`, phi = max(|f|, 1) if
         filtered, else 1, and mu = phi max_i (2 |Q_ii| + |v_i| sum_j M_ij |v_j|),
         M = |K| diag(|y_e(s - j w0)| + |y_e(s + j w0)|) |K|^T: 4 mu bounds every
-        row sum of an entrywise majorant of H in either basis
-        (`passcheck._SCREEN_C`).
+        row sum of an entrywise majorant of H in either basis. The margin
+        `passcheck.sweep_psd` adds to the bound for rounding is derived at
+        `passcheck._SCREEN_C`.
         """
         n = self.k.shape[0]
         row, col, w, abs_kt, kv, depth = self._bus_pattern
@@ -367,9 +368,7 @@ def _bare_admittance(ss: StateSpace) -> _Network | None:
 def _polar_record(ss: StateSpace) -> _Network | None:
     """The network record of a polar model II-IV built on the `assemble_ydq` Y_DQ(s)."""
     net = ss._network
-    if net is None or net.v is None:
-        return None
-    return net if net.filtered in (0, net.v.size, 2 * net.v.size) else None
+    return net if net is not None and net.v is not None else None
 
 
 @dataclass(eq=False)

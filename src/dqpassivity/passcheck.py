@@ -30,7 +30,6 @@ from .dqstamp import (
     _MODAL_KAPPA_MAX,
     StateSpace,
     _bare_admittance,
-    _Network,
     _polar_record,
     _storage_diagonal,
     assemble_ydq,
@@ -84,48 +83,37 @@ VARIANT_COLUMNS = (
 # took 61 ms instead of 84 ms but raised the peak RSS by 4.3 MB.
 _CHUNK_STEPS = 128
 
-# Grid points per stacked `eval_tf` call and Cholesky screen of a sweep, and per
-# evaluation of `_min_eigs`. On the 40-bus mesh-wideband bench (1 BLAS thread,
-# shared 2-vCPU host), 8 gave 25.3 items/s at 53.6 MB peak RSS, 4 gave 23.5
-# items/s at 53.2 MB and 16 gave 23.8 items/s at 55.8 MB.
+# Grid points per `eval_tf` call and stacked eigensolve of `_min_eigs`. Chosen
+# when sweeps also Cholesky-screened their chunks: on the 40-bus mesh-wideband
+# bench (1 BLAS thread, shared 2-vCPU host), 8 gave 25.3 items/s at 53.6 MB peak
+# RSS, 4 gave 23.5 items/s at 53.2 MB and 16 gave 23.8 items/s at 55.8 MB.
 _CHUNK_POINTS = 8
 
-# Margin of the Cholesky screen in `sweep_psd`: a point whose H = G + G^H
-# (m x m) factors as H - (lambda* + delta) I, with lambda* the running minimum
-# and delta = _SCREEN_C m^2 eps (||H||_F + |lambda*|), is skipped. A complex
-# Cholesky factorization that completes is exact for A + dA, A = H - sigma I,
-# with |dA| <= gamma_{m+2} |R^H| |R| (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2002, Thm 10.3, complex arithmetic), so
-# ||dA||_2 <= gamma_{m+2} ||R||_F^2 = gamma_{m+2} trace(A + dA), about
-# m (m + 2) u ||A||_2 <= 3 m^2 u (||H||_F + |sigma|), and
-# lambda_min(H) > sigma - ||dA||_2. `eigvalsh` returns lambda_min(H) within
-# p(m) u ||H||_2 (LAPACK Users' Guide, 3rd ed., 4.7), p(m) modest, taken
-# here as m^2. Forming A rounds it by at most u ||A||_2. With u = eps / 2 the
-# three together stay below delta for _SCREEN_C = 8, so a skipped point's
-# eigensolve would have returned more than lambda* and could not be the
-# grid's first minimum.
-#
-# The same constant sets the margin of the record's Gershgorin bound
-# (`_bound_clears`): a point whose computed bound b exceeds lambda* + delta,
-# delta = _SCREEN_C eps ((m + d)^2 mu + |lambda*|) with (m + d)^2 mu the scale
-# `_Network.gershgorin` returns, is skipped. Let H be G + G^H formed exactly
-# from the element values y_e and the filter f that `eval_tf` computes, so
-# both routes share their rounding. 4 mu bounds every row sum of an
-# entrywise majorant M of H in the sequence basis, and 2 mu every row sum of
-# one in the D-Q basis that `eval_tf` uses. Both scatter |y_e| through |K|,
-# so they also bound the moduli of the terms each entry sums (d at most).
-# Three errors separate b from the eigensolve, with u = eps / 2:
+# Margin of the record's Gershgorin bound in `sweep_psd`: a point whose
+# computed bound b exceeds lambda_0 + delta is not eigensolved, with lambda_0
+# the eigensolve at the lowest-bound point and
+# delta = _SCREEN_C eps ((m + d)^2 mu + |lambda_0|), (m + d)^2 mu the scale
+# `_Network.gershgorin` returns. Let H be G + G^H formed exactly from the
+# element values y_e and the filter f that `eval_tf` computes, so both routes
+# share their rounding. 4 mu bounds every row sum of an entrywise majorant M
+# of H in the sequence basis, and 2 mu every row sum of one in the D-Q basis
+# that `eval_tf` uses. Both scatter |y_e| through |K|, so they also bound the
+# moduli of the terms each entry sums (d at most). Three errors separate b
+# from the eigensolve, with u = eps / 2:
 # - Each entry b reads is a scatter sum (gamma_d) and a few complex
 #   products, so within (d + 10) u M_ij of H's; the row sum rounds by
-#   gamma_m sum_j |h_ij| (Higham 2002, 3.1). So b is at most
-#   (m + d + 12) u 4 mu above the exact bound of H, which is <= lambda_min(H).
+#   gamma_m sum_j |h_ij| (Higham, Accuracy and Stability of Numerical
+#   Algorithms, 2002, 3.1). So b is at most (m + d + 12) u 4 mu above the
+#   exact bound of H, which is <= lambda_min(H).
 # - `eval_tf` forms each entry of the dense H from the same y_e through the
 #   scatter, rotation, change of basis, reflection, filter and G + G^H, so
 #   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.
-# - `eigvalsh` errs by at most m^2 u ||H||_2 <= m^2 u 2 mu, as above.
+# - `eigvalsh` returns lambda_min within p(m) u ||H||_2 (LAPACK Users' Guide,
+#   3rd ed., 4.7), p(m) modest, taken here as m^2: at most m^2 u 2 mu.
 # Together (2 m^2 + 4 m + 6 d + 74) u mu, below 16 (m + d)^2 u mu for every
-# m >= 2, d >= 1; the |lambda*| term covers the rounding of lambda* + delta.
-# So a point the bound clears would have eigensolved above lambda*.
+# m >= 2, d >= 1; the |lambda_0| term covers the rounding of lambda_0 + delta.
+# So a point the bound clears would have eigensolved strictly above lambda_0,
+# which is at least the grid minimum, and cannot be the grid's first minimum.
 _SCREEN_C = 8.0
 
 # Imaginary-axis poles closer than this are one cluster with one residue.
@@ -335,22 +323,18 @@ def _sweep_omegas(ss: StateSpace, grid: SweepGrid | None) -> np.ndarray:
     return omegas
 
 
-def _hermitian_parts(ss: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    """H = G + G^H at each of `omegas`, from one `eval_tf` call."""
-    g = eval_tf(ss, 1j * omegas)
-    g += g.conj().swapaxes(-1, -2)
-    return g
-
-
 def _min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
     """lambda_min(G + G^H) at each of `omegas`, _CHUNK_POINTS points per evaluation:
-    from 2 Re of the sequence blocks for the bare admittance (Y = Y^T), else from `_hermitian_parts`."""
+    from 2 Re of the sequence blocks for the bare admittance (Y = Y^T), else
+    from H = G + G^H of one `eval_tf` call."""
     net = _bare_admittance(ss)
     lams = []
     for first in range(0, omegas.size, _CHUNK_POINTS):
         part = omegas[first : first + _CHUNK_POINTS]
         if net is None:
-            lams += [hermitian_min_eig(h) for h in _hermitian_parts(ss, part)]
+            g = eval_tf(ss, 1j * part)
+            g += g.conj().swapaxes(-1, -2)
+            lams += [hermitian_min_eig(h) for h in g]
         else:
             # 2 Re y_e of each sequence rides as one lane of a single complex
             # scatter: half the work of scattering the complex blocks, and their
@@ -359,61 +343,6 @@ def _min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
             blocks = net._scatter_add(y[0] + 1j * y[1])
             lams += np.linalg.eigvalsh(np.stack([blocks.real, blocks.imag]))[..., 0].min(axis=0).tolist()
     return lams
-
-
-def _screen_clears(h: np.ndarray, norm_h: np.ndarray | np.floating, lam: float) -> bool:
-    """Whether H - (lam + delta) I factors (`_SCREEN_C`), for H or each H of a
-    stack with ||H||_F = norm_h: that rules out lambda_min(H) <= lam."""
-    m = h.shape[-1]
-    shift = lam + _SCREEN_C * m * m * np.finfo(float).eps * (norm_h + abs(lam))
-    shifted, diag = h.copy(), np.arange(m)
-    shifted[..., diag, diag] -= shift[..., None]
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _bound_clears(net: _Network, omegas: np.ndarray, lam: float) -> bool:
-    """Whether the record's Gershgorin bound exceeds lam + delta at every one
-    of `omegas` (`_SCREEN_C`): that rules out lambda_min(H) <= lam at each."""
-    lower, scale = net.gershgorin(1j * omegas)
-    return bool((lower > lam + _SCREEN_C * np.finfo(float).eps * (scale + abs(lam))).all())
-
-
-def _screened_min(ss: StateSpace, omegas: np.ndarray) -> tuple[int, float]:
-    """First index and value of the minimum of lambda_min(G + G^H) over `omegas`.
-
-    Equal to np.argmin over every point's `hermitian_min_eig`, but a point is
-    eigensolved only when neither screen can rule out that it is at or below
-    the running minimum lambda*. A polar model with a network record first
-    bounds each chunk from the record (`_Network.gershgorin`) and skips a
-    chunk the bound clears at every point without forming H. Any other
-    chunk gets one stacked Cholesky screen, and if that fails, the
-    point-by-point screen and eigensolve; lambda* moves only there.
-    """
-    net = _polar_record(ss)
-    last = omegas.size - 1
-    k, lam = 0, hermitian_min_eig(_hermitian_parts(ss, omegas[:1])[0])
-    order = np.array([last, *range(1, last)] if last else [], dtype=int)
-    for first in range(0, order.size, _CHUNK_POINTS):
-        chunk = order[first : first + _CHUNK_POINTS]
-        if net is not None and _bound_clears(net, omegas[chunk], lam):
-            continue
-        h = _hermitian_parts(ss, omegas[chunk])
-        # ||H||_F per point, from the real view of the stack (no temporary copy).
-        flat = h.view(float).reshape(len(chunk), -1)
-        norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))
-        if _screen_clears(h, norms, lam):
-            continue
-        for i, h_i, norm_i in zip(chunk.tolist(), h, norms):
-            if _screen_clears(h_i, norm_i, lam):
-                continue
-            lam_i = hermitian_min_eig(h_i)
-            if lam_i < lam or (lam_i == lam and i < k):
-                k, lam = i, lam_i
-    return k, lam
 
 
 def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
@@ -426,24 +355,21 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     (as np.argmin), and the number of points swept; `sweep_samples` gives
     every point's value.
 
-    The admittance built by `assemble_ydq` (wideband model I) is evaluated
-    in the sequence domain from its network record: G + G^H at jw is
-    unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
-    with Y the real-coefficient n x n nodal admittance, so lambda_min is the
-    smaller of two real symmetric n x n minima, taken at every point by
-    `_min_eigs`. Every other model is screened (`_screened_min`): the first
-    grid point, then the last, then the interior in grid order,
-    _CHUNK_POINTS points per chunk, in three tiers. A polar model II-IV with
-    a network record first bounds lambda_min of each point from the record
-    by Gershgorin's theorem, O(nnz) per point, and skips a chunk whose every
-    bound is above lambda* + delta, with lambda* the running minimum. Any
-    other chunk forms H = G + G^H in one `eval_tf` call, and a point is
-    eigensolved only when the Cholesky factorization of
-    H - (lambda* + delta) I fails, stacked over the chunk and then per
-    point. Each delta (`_SCREEN_C`) covers the rounding of its screen and
-    of the eigensolve, so the result equals the minimum over every point's
-    eigensolve bit for bit, the smaller grid index on an exact tie; it is
-    not a verdict tolerance. Both routes sweep the same points.
+    Every point's lambda_min is taken by `_min_eigs`, except at the points
+    a polar model II-IV rules out from its network record. Its Gershgorin
+    bound (`_Network.gershgorin`, O(nnz) per point) gives a lower bound of
+    lambda_min at every point; the point with the lowest bound is
+    eigensolved first, giving lambda_0, and of the others only those whose
+    bound is at most lambda_0 + delta (`_SCREEN_C`). A skipped point would
+    have eigensolved strictly above lambda_0, which is at least the grid
+    minimum, so the minimum and its first index are those of every point's
+    eigensolve bit for bit; delta covers rounding and is not a verdict
+    tolerance. A model without a polar record (model I, low-frequency III/IV,
+    user-built models, `replace` copies) is eigensolved at every point,
+    model I in the sequence domain: G + G^H at jw is unitarily similar to
+    blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0))) with Y the
+    real-coefficient n x n nodal admittance, so lambda_min is the smaller
+    of two real symmetric n x n minima.
 
     The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
     as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
@@ -465,13 +391,17 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     if ss.n_states == 0:
         return _static_sweep(hermitian_min_eig(ss.d + ss.d.T))
     omegas = _sweep_omegas(ss, grid)
-    # Model I is not screened: on ieee9 every lambda_min is within delta of lambda*, so each point would pay a failed screen too.
-    if _bare_admittance(ss) is not None:
-        lams = _min_eigs(ss, omegas)
-        k = int(np.argmin(lams))
-        lam = lams[k]
-    else:
-        k, lam = _screened_min(ss, omegas)
+    lams = np.full(omegas.size, np.inf)
+    todo = np.arange(omegas.size)
+    net = _polar_record(ss)
+    if net is not None:
+        lower, scale = net.gershgorin(1j * omegas)
+        k = int(np.argmin(lower))
+        lams[k] = lam = _min_eigs(ss, omegas[k : k + 1])[0]
+        todo = todo[(lower <= lam + _SCREEN_C * np.finfo(float).eps * (scale + abs(lam))) & (todo != k)]
+    lams[todo] = _min_eigs(ss, omegas[todo])
+    k = int(np.argmin(lams))
+    lam = float(lams[k])
     return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=float(omegas[k]), n_points=omegas.size)
 
 
@@ -483,8 +413,8 @@ def _static_sweep(lam: float) -> SweepReport:
 def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[float, float], ...]:
     """(omega, lambda_min(G + G^H)) at every point `sweep_psd` sweeps.
 
-    The same points and the same per-point values as `sweep_psd`, each one
-    evaluated: its minimum, first index on ties, is that sweep's
+    The same points as `sweep_psd`, each one evaluated by the same
+    `_min_eigs`: its minimum, first index on ties, is that sweep's
     `min_eig` at `worst_omega`. A zero-state model has no sweep points.
     """
     if ss.n_states == 0:

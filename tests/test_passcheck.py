@@ -508,7 +508,7 @@ def test_sequence_sweep_passes_stiff_passive_mesh():
 
 
 def assert_sweep_is_full_minimum(rep, ss, grid=None):
-    # The screened sweep reports np.argmin over every point's eigensolve.
+    # The sweep reports np.argmin over every point's eigensolve.
     samples = sweep_samples(ss, grid)
     if not samples:
         assert rep.worst_omega is None and rep.n_points == 1
@@ -551,8 +551,8 @@ def test_screened_sweep_equals_full_sweep_on_mesh(seed):
 
 
 def test_screened_sweep_equals_full_sweep_at_large_scale(ieee9):
-    # The stiff capacitor parasitic puts ||D|| near 1e7; the screen's margin
-    # scales with ||G + G^H|| and must still skip only points above the minimum.
+    # The stiff capacitor parasitic puts ||D|| near 1e7. A copy carries no
+    # record, so every point is eigensolved, whatever the scale.
     ss = replace(assemble_ydq(ieee9, ParasiticConfig(r_series_cap=1e-7)))
     assert np.linalg.norm(ss.d) > 1e6
     assert_sweep_is_full_minimum(sweep_psd(ss), ss)
@@ -576,8 +576,8 @@ def test_sweep_rejects_a_complex_model():
 
 
 def test_screened_sweep_constant_response_reports_first_point():
-    # C = 0 makes G = D at every point, so every lambda ties. np.argmin takes
-    # the grid's first point; the screen visits the last point second.
+    # C = 0 makes G = D at every point, so every lambda ties, and the sweep
+    # reports the grid's first point, as np.argmin does.
     rng = np.random.default_rng(3)
     ss = _user_model(-np.eye(2), rng.normal(size=(2, 3)), np.zeros((3, 2)), rng.normal(size=(3, 3)))
     samples = sweep_samples(ss)
@@ -599,57 +599,32 @@ def test_screened_sweep_finds_lightly_damped_interior_minimum():
     assert_sweep_is_full_minimum(rep, ss)
 
 
+def _logged(monkeypatch, name):
+    """Wrap passcheck.<name>; return the list of each call's arguments."""
+    func, log = getattr(passcheck, name), []
+
+    def logged(*args):
+        log.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(passcheck, name, logged)
+    return log
+
+
+def _evaluated(evals):
+    """The frequencies of the eval_tf calls logged by `_logged`, in call order."""
+    return np.concatenate([np.ravel(s).imag for _, s in evals])
+
+
 @pytest.mark.parametrize("model", ["II", "III", "IV"])
 def test_screened_sweep_eigensolves_few_points(ieee9_j2, model, monkeypatch):
-    solve, evaluate, calls, evals = passcheck.hermitian_min_eig, passcheck.eval_tf, [], []
-
-    def counted(h):
-        calls.append(h.shape)
-        return solve(h)
-
-    def counted_eval(ss, s):
-        evals.append(np.shape(s))
-        return evaluate(ss, s)
-
-    monkeypatch.setattr(passcheck, "hermitian_min_eig", counted)
-    monkeypatch.setattr(passcheck, "eval_tf", counted_eval)
+    calls, evals = _logged(monkeypatch, "hermitian_min_eig"), _logged(monkeypatch, "eval_tf")
     ss = build_polar_model(model, ieee9_j2, TAU)
     assert sweep_psd(ss).n_points == 141 and len(calls) <= 5
-    # The first point alone, then the other 140 in chunks.
+    # The lowest-bound point alone, then the points its eigenvalue leaves, in chunks.
     assert len(evals) <= math.ceil(140 / passcheck._CHUNK_POINTS) + 1
     calls.clear()
     assert len(sweep_samples(ss)) == 141 and len(calls) == 141
-
-
-def _screen_failing_mid_chunk(monkeypatch):
-    """Wrap the screen; list, per stacked screen that fails, whether its first point clears."""
-    screen, first_clears = passcheck._screen_clears, []
-
-    def logged(h, norm_h, lam):
-        ok = screen(h, norm_h, lam)
-        if h.ndim == 3 and not ok:
-            first_clears.append(screen(h[0], norm_h[0], lam))
-        return ok
-
-    monkeypatch.setattr(passcheck, "_screen_clears", logged)
-    return first_clears
-
-
-def test_screened_sweep_chunk_failing_mid_chunk_is_rescreened(ieee9_j2, monkeypatch):
-    # A stacked Cholesky that fails on a later matrix of its chunk sends the
-    # whole chunk through the point-by-point screen, so the result is still
-    # the first minimum of every point's eigensolve.
-    first_clears = _screen_failing_mid_chunk(monkeypatch)
-    chunk = passcheck._CHUNK_POINTS
-    point = 90 - 90 % chunk + chunk // 2  # the middle of its chunk
-    wn, zeta = SweepGrid().points()[point], 1e-3
-    a = np.array([[-zeta * wn, wn], [-wn, -zeta * wn]])
-    b = np.random.default_rng(4).normal(size=(2, 2))
-    for ss in (_user_model(a, b, -b.T, np.eye(2)), ieee9_j2):
-        first_clears.clear()
-        rep = sweep_psd(ss)
-        assert any(first_clears)
-        assert_sweep_is_full_minimum(rep, ss)
 
 
 BOUND_CASES = {"ieee9": SEQUENCE_CASES["ieee9"], **{f"mesh-40-{seed}": _mesh(seed) for seed in range(4)}}
@@ -660,27 +635,15 @@ def _polar_models(case, parasitics=None):
     return [build_polar_model(model, j, TAU) for model in MODELS[1:]]
 
 
-def _logged_bound(monkeypatch):
-    """Wrap the record's bound test; list (omegas, cleared) per chunk it tests."""
-    clears, log = passcheck._bound_clears, []
-
-    def logged(net, omegas, lam):
-        log.append((omegas.copy(), clears(net, omegas, lam)))
-        return log[-1][1]
-
-    monkeypatch.setattr(passcheck, "_bound_clears", logged)
-    return log
-
-
 @pytest.mark.parametrize("name", BOUND_CASES)
 def test_record_bound_is_dense_gershgorin_and_never_clears_the_minimum(ieee9, monkeypatch, name):
     # The record's bound is Gershgorin's on U^H H U, with H = G + G^H formed
-    # densely, and lies below every point's lambda_min. It clears most
-    # chunks, but never the one holding the grid minimum.
+    # densely, and lies below every point's lambda_min. The sweep eigensolves
+    # only the points it leaves, and the grid minimum is always among them.
     case, _ = BOUND_CASES[name](ieee9)
     eye = np.eye(case.n_bus)
     u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
-    log = _logged_bound(monkeypatch)
+    evals = _logged(monkeypatch, "eval_tf")
     for ss in _polar_models(case):
         samples = sweep_samples(ss)
         omegas, lams = np.array(samples).T
@@ -693,17 +656,17 @@ def test_record_bound_is_dense_gershgorin_and_never_clears_the_minimum(ieee9, mo
         assert (np.abs(lower - dense) <= 1e-14 * norms).all()
         assert (scale >= norms).all()
         assert (lower <= lams).all()
-        log.clear()
+        evals.clear()
         rep = sweep_psd(ss)
         k = int(np.argmin(lams))
         assert (rep.min_eig, rep.worst_omega) == (lams[k], omegas[k])
-        cleared = [chunk for chunk, ok in log if ok]
-        assert len(cleared) >= len(log) // 2
-        assert not any(omegas[k] in chunk for chunk in cleared)
+        evaluated = _evaluated(evals)
+        assert evaluated.size <= omegas.size // 2
+        assert omegas[k] in evaluated
 
 
 def test_sweep_without_the_record_bound_is_unchanged(ieee9, monkeypatch):
-    # A bound that clears nothing sends every chunk to the Cholesky screens.
+    # A bound that clears nothing sends every point to the eigensolve.
     def nothing(self, s):
         return np.full(s.shape, -np.inf), np.zeros(s.shape)
 
@@ -715,28 +678,28 @@ def test_sweep_without_the_record_bound_is_unchanged(ieee9, monkeypatch):
 
 
 def test_record_bound_on_a_stiff_network(ieee9, monkeypatch):
-    # r_series_cap = 1e-7 puts ||D|| of J(s) near 4e7, and the bound's margin scales with it.
-    log = _logged_bound(monkeypatch)
+    # r_series_cap = 1e-7 puts ||D|| of J(s) near 4e7, and the bound's margin
+    # scales with it; it must still rule out most points.
+    evals = _logged(monkeypatch, "eval_tf")
     models = _polar_models(ieee9, ParasiticConfig(r_series_cap=1e-7))
     assert np.linalg.norm(models[0].d) > 1e7
     for ss in models:
-        log.clear()
-        assert_sweep_is_full_minimum(sweep_psd(ss), ss)
-        assert any(ok for _, ok in log)
+        evals.clear()
+        rep = sweep_psd(ss)
+        assert _evaluated(evals).size <= rep.n_points // 2
+        assert_sweep_is_full_minimum(rep, ss)
 
 
 def test_record_bound_leaves_few_dense_evaluations(ieee9, monkeypatch):
-    evaluate, evals = passcheck.eval_tf, []
-
-    def counted_eval(ss, s):
-        evals.append(np.shape(s))
-        return evaluate(ss, s)
-
-    monkeypatch.setattr(passcheck, "eval_tf", counted_eval)
-    for ss in _polar_models(ieee9):
-        evals.clear()
-        assert sweep_psd(ss).n_points == 141
-        assert len(evals) <= 3
+    # Wideband II-IV eigensolve the lowest-bound point and the few points
+    # whose bound its eigenvalue does not clear, each once.
+    evals = _logged(monkeypatch, "eval_tf")
+    for name in BOUND_CASES:
+        for ss in _polar_models(BOUND_CASES[name](ieee9)[0]):
+            evals.clear()
+            assert sweep_psd(ss).n_points == 141
+            evaluated = _evaluated(evals)
+            assert evaluated.size <= 4 and np.unique(evaluated).size == evaluated.size, name
 
 
 def test_sweep_conjugate_symmetry(ieee9_j2):

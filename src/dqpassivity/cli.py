@@ -186,14 +186,14 @@ def cmd_tables(args: argparse.Namespace) -> tuple[int, dict, str]:
         raise ValueError(f"tolerance must be finite and >= 0, got tolerance={tol}")
     reg = RegulationSet.uniform(reference.REG_BUSES, reference.REG_KQV)
 
-    op = solve_powerflow(case)
+    # The base case's power flow and J_LF are solved once, for its rows and the grid.
+    base = _Variant(case, VariantFlags())
     rows: dict[str, np.ndarray] = {}
-    j_base = build_jlf_analytic(case, op)
-    rows["base"] = symmetric_part_eigenvalues(j_base)
-    rows["base_regulated"] = symmetric_part_eigenvalues(apply_qv_contribution(j_base, reg))
+    rows["base"] = symmetric_part_eigenvalues(base.jlf)
+    rows["base_regulated"] = symmetric_part_eigenvalues(apply_qv_contribution(base.jlf, reg))
     # Lossless rows keep the measured base-case operating point.
     lossless = derive_variant(case, VariantFlags(lossless=True))
-    j_ll = build_jlf_analytic(lossless, op, check_operating_point=False)
+    j_ll = build_jlf_analytic(lossless, base.op, check_operating_point=False)
     rows["lossless"] = symmetric_part_eigenvalues(j_ll)
     rows["lossless_regulated"] = symmetric_part_eigenvalues(apply_qv_contribution(j_ll, reg))
 
@@ -222,7 +222,7 @@ def cmd_tables(args: argparse.Namespace) -> tuple[int, dict, str]:
             csv_rows += [f"{name},{i},{float(v)!r}" for i, v in enumerate(rows[name])]
         Path(args.csv).write_text("\n".join(csv_rows) + "\n")
 
-    grid = classify_grid(case, tau=args.tau, regulation=reg)
+    grid = classify_grid(base, tau=args.tau, regulation=reg)
     for model, cells in reference.EXPECTED_GRID.items():
         doc["grid"][model] = {}
         for cell, expected in cells.items():

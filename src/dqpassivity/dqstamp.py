@@ -21,11 +21,11 @@ Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
 record, attached by `assemble_ydq` and the polar builders, scatter-adds
 both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
 them, `sweep_psd` reads model I's Y_DQ + Y_DQ^H as 2 Re of each, and it
-bounds lambda_min(G + G^H) of II-IV from their entries alone
-(`_Network.gershgorin`). It also gives the model's poles, p_e +/- j omega0
-per dynamic element and a zero per channel integrator, and each
-imaginary-axis residue in closed form, so a model with a record never
-eigendecomposes A. A `dataclasses.replace` copy has no record.
+bounds lambda_min(G + G^H) of every model with a record from their
+entries alone (`_Network.gershgorin`). It also gives the model's poles,
+p_e +/- j omega0 per dynamic element and a zero per channel integrator,
+and each imaginary-axis residue in closed form, so a model with a record
+never eigendecomposes A. A `dataclasses.replace` copy has no record.
 """
 
 from __future__ import annotations
@@ -198,72 +198,67 @@ class _Network:
             g[..., : self.filtered] *= ((1.0 + s * self.tau) / s)[..., None, None]
         return g
 
-    @cached_property
-    def _bus_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """(row, column, v*_row v_column) of each `_scatter` target, |K|^T,
-        |K|^T |v| and d, the most terms `_scatter` adds into one target."""
-        targets, elem, _, starts = self._scatter
-        row, col = np.divmod(targets, self.k.shape[0])
-        abs_kt = np.abs(self.k.T)
-        depth = int(np.diff(starts, append=elem.size).max())
-        return row, col, self.v.conj()[row] * self.v[col], abs_kt, abs_kt @ np.abs(self.v), depth
-
     def gershgorin(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A lower bound of lambda_min(G + G^H) at each s of a polar model
-        (`_polar_record`), and the scale of its rounding; shape s.shape each.
+        """A lower bound of lambda_min(G + G^H) at each s, and the scale of its
+        rounding; shape s.shape each.
 
         In the sequence basis U^H G U = S Phi with S = [[N, Q], [Q*, P]],
-        N = Y(s - j w0) o (-j v* v^T), P = Y(s + j w0) o (j v v^H) and
-        Q = diag(j i v*) (class docstring), and Phi = [[a, b], [b, a]] / 2 the
-        channel filter: a = 2, b = 0 unfiltered; a = f + 1, b = f - 1 on the
-        angle channels; a = 2f, b = 0 on all; f = (1 + s tau)/s. With W = v* v^T
-        the blocks of H = S Phi + (S Phi)^H are
-            H11 = Im(a Y(s - j w0)) o W + Re(b Q),
-            H22 = -Im(a Y(s + j w0)) o W* + Re(b* Q),
-            H12 = -j/2 (b Y(s - j w0) o W + (b Y(s + j w0) o W)*) + Re(a) Q,
+        N = rho Y(s - j w0) o W, P = rho* Y(s + j w0) o W* and
+        Q = diag(j i v*), W = v* v^T (class docstring): rho = -j with the bus
+        v and i of II-IV, and a record without them is read as v = 1, i = 0,
+        rho = 1. Phi = [[a, b], [b, a]] / 2 is the channel filter, with
+        f = (1 + s tau)/s on the angle channels (f_phi) if any are filtered and
+        on the magnitude channels (f_V) if all are, 1 elsewhere:
+        a = f_phi + f_V, b = f_phi - f_V. The blocks of H = S Phi + (S Phi)^H are
+            H11 = Re(rho a Y(s - j w0)) o W + Re(b Q),
+            H22 = Re(rho* a Y(s + j w0)) o W* + Re(b* Q),
+            H12 = rho/2 (b Y(s - j w0) o W + (b Y(s + j w0) o W)*) + Re(a) Q,
         each on Y's pattern, so Gershgorin's bound (Varga 2004),
         lambda_min(H) >= min_i (H_ii - sum_{j != i} |H_ij|), costs O(nnz) per
         point from the entries `_scatter_values` gives. The scale is
-        (2n + d)^2 mu, with d from `_bus_pattern`, phi = max(|f|, 1) if
-        filtered, else 1, and mu = phi max_i (2 |Q_ii| + |v_i| sum_j M_ij |v_j|),
+        (2n + d)^2 mu, with d the most terms `_scatter` adds into one target,
+        phi = max(|f_phi|, |f_V|) and
+        mu = phi max_i (2 |Q_ii| + |v_i| sum_j M_ij |v_j|),
         M = |K| diag(|y_e(s - j w0)| + |y_e(s + j w0)|) |K|^T: 4 mu bounds every
         row sum of an entrywise majorant of H in either basis. The margin
         `passcheck.sweep_psd` adds to the bound for rounding is derived at
         `passcheck._SCREEN_C`.
         """
         n = self.k.shape[0]
-        row, col, w, abs_kt, kv, depth = self._bus_pattern
+        v, i, rho = (self.v, self.i, -1j) if self.v is not None else (np.ones(n), np.zeros(n), 1.0)
+        targets, elem, _, starts = self._scatter
+        row, col = np.divmod(targets, n)
+        w, abs_kt = v.conj()[row] * v[col], np.abs(self.k.T)
         s = np.asarray(s, dtype=complex)
         y = self.sequence_admittances(s)
         vals = self._scatter_values(y)
-        f = (1.0 + s * self.tau) / s
-        if self.filtered == n:
-            a, b, phi = f + 1.0, f - 1.0, np.maximum(np.abs(f), 1.0)
-        elif self.filtered:
-            a, b, phi = 2.0 * f, np.zeros(s.shape), np.abs(f)
-        else:
-            a, b, phi = np.full(s.shape, 2.0), np.zeros(s.shape), 1.0
-        q = 1j * self.i * self.v.conj()
+        f, one = (1.0 + s * self.tau) / s, np.ones(s.shape)
+        f_phi, f_v = f if self.filtered else one, f if self.filtered == 2 * n else one
+        a, b, phi = f_phi + f_v, f_phi - f_v, np.maximum(np.abs(f_phi), np.abs(f_v))
+        q = 1j * i * v.conj()
         on, off = row == col, row != col
         # The centers: the diagonals of H11 and H22, bus by bus.
-        im = (a[..., None] * vals).imag
-        centers = np.zeros(im.shape[:-1] + (n,))
-        centers[..., row[on]] = im[..., on] * np.abs(w[on])
-        centers[1] *= -1.0
+        h = a[..., None] * vals
+        h[0] *= rho
+        h[1] *= np.conj(rho)
+        h = h.real
+        centers = np.zeros(h.shape[:-1] + (n,))
+        centers[..., row[on]] = h[..., on] * np.abs(w[on])
         centers += np.stack([(b[..., None] * q).real, (b.conj()[..., None] * q).real])
         # H12 on Y's pattern; its diagonal lies in row i of both halves.
         h12 = b[..., None] * vals * w
         h12 = h12[0] + h12[1].conj()
         h12_diag = np.zeros(s.shape + (n,), dtype=complex)
-        h12_diag[..., row[on]] = -0.5j * h12[..., on]
+        h12_diag[..., row[on]] = 0.5 * rho * h12[..., on]
         h12_diag += a.real[..., None] * q
         # The radii: off-diagonal moduli of H11, H22 and H12 by row, of H21 = H12^H by column of H12.
         abs_w, abs_h12 = np.abs(w[off]), 0.5 * np.abs(h12[..., off])
-        by_row = _bus_sums(np.concatenate([np.abs(im[..., off]) * abs_w, abs_h12[None]]), row[off], n)
+        by_row = _bus_sums(np.concatenate([np.abs(h[..., off]) * abs_w, abs_h12[None]]), row[off], n)
         lower = np.minimum(
             centers[0] - by_row[0] - by_row[2], centers[1] - by_row[1] - _bus_sums(abs_h12, col[off], n)
         ) - np.abs(h12_diag)
-        majorant = ((np.abs(y) * kv) @ abs_kt).sum(axis=0) * np.abs(self.v) + 2.0 * np.abs(q)
+        majorant = ((np.abs(y) * (abs_kt @ np.abs(v))) @ abs_kt).sum(axis=0) * np.abs(v) + 2.0 * np.abs(q)
+        depth = np.diff(starts, append=elem.size).max()
         return lower.min(axis=-1), (2 * n + depth) ** 2 * phi * majorant.max(axis=-1)
 
     @cached_property
@@ -363,12 +358,6 @@ def _bare_admittance(ss: StateSpace) -> _Network | None:
     """The network record of a model that is the `assemble_ydq` Y_DQ(s) itself."""
     net = ss._network
     return net if net is not None and net.v is None and not net.filtered else None
-
-
-def _polar_record(ss: StateSpace) -> _Network | None:
-    """The network record of a polar model II-IV built on the `assemble_ydq` Y_DQ(s)."""
-    net = ss._network
-    return net if net is not None and net.v is not None else None
 
 
 @dataclass(eq=False)

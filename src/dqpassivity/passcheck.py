@@ -30,7 +30,6 @@ from .dqstamp import (
     _MODAL_KAPPA_MAX,
     StateSpace,
     _bare_admittance,
-    _polar_record,
     _storage_diagonal,
     assemble_ydq,
     eval_tf,
@@ -83,10 +82,10 @@ VARIANT_COLUMNS = (
 # took 61 ms instead of 84 ms but raised the peak RSS by 4.3 MB.
 _CHUNK_STEPS = 128
 
-# Grid points per `eval_tf` call and stacked eigensolve of `_min_eigs`. Chosen
-# when sweeps also Cholesky-screened their chunks: on the 40-bus mesh-wideband
-# bench (1 BLAS thread, shared 2-vCPU host), 8 gave 25.3 items/s at 53.6 MB peak
-# RSS, 4 gave 23.5 items/s at 53.2 MB and 16 gave 23.8 items/s at 55.8 MB.
+# Grid points per `eval_tf` call and stacked eigensolve of `_min_eigs`. It
+# bounds the memory of the points a sweep has left to eigensolve, such as all
+# 141 of the default grid for model I on the nine-bus case, whose record bound
+# rules out none.
 _CHUNK_POINTS = 8
 
 # Margin of the record's Gershgorin bound in `sweep_psd`: a point whose
@@ -108,6 +107,8 @@ _CHUNK_POINTS = 8
 # - `eval_tf` forms each entry of the dense H from the same y_e through the
 #   scatter, rotation, change of basis, reflection, filter and G + G^H, so
 #   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.
+#   Model I's entries are a gamma_d scatter of 2 Re y_e in the sequence basis
+#   (`_min_eigs`), inside the same bound.
 # - `eigvalsh` returns lambda_min within p(m) u ||H||_2 (LAPACK Users' Guide,
 #   3rd ed., 4.7), p(m) modest, taken here as m^2: at most m^2 u 2 mu.
 # Together (2 m^2 + 4 m + 6 d + 74) u mu, below 16 (m + d)^2 u mu for every
@@ -356,20 +357,20 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     every point's value.
 
     Every point's lambda_min is taken by `_min_eigs`, except at the points
-    a polar model II-IV rules out from its network record. Its Gershgorin
-    bound (`_Network.gershgorin`, O(nnz) per point) gives a lower bound of
-    lambda_min at every point; the point with the lowest bound is
-    eigensolved first, giving lambda_0, and of the others only those whose
-    bound is at most lambda_0 + delta (`_SCREEN_C`). A skipped point would
-    have eigensolved strictly above lambda_0, which is at least the grid
-    minimum, so the minimum and its first index are those of every point's
-    eigensolve bit for bit; delta covers rounding and is not a verdict
-    tolerance. A model without a polar record (model I, low-frequency III/IV,
-    user-built models, `replace` copies) is eigensolved at every point,
-    model I in the sequence domain: G + G^H at jw is unitarily similar to
-    blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0))) with Y the
-    real-coefficient n x n nodal admittance, so lambda_min is the smaller
-    of two real symmetric n x n minima.
+    a model with a network record rules out from it, by one rule for every
+    record. Its Gershgorin bound (`_Network.gershgorin`, O(nnz) per point)
+    gives a lower bound of lambda_min at every point; the point with the
+    lowest bound is eigensolved first, giving lambda_0, and of the others
+    only those whose bound is at most lambda_0 + delta (`_SCREEN_C`). A
+    skipped point would have eigensolved strictly above lambda_0, which is
+    at least the grid minimum, so the minimum and its first index are those
+    of every point's eigensolve bit for bit; delta covers rounding and is
+    not a verdict tolerance. Only a model without a record (low-frequency
+    III/IV, user-built models, `replace` copies) is eigensolved at every
+    point. Model I is eigensolved in the sequence domain: G + G^H at jw is
+    unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
+    with Y the real-coefficient n x n nodal admittance, so lambda_min is the
+    smaller of two real symmetric n x n minima.
 
     The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
     as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
@@ -393,7 +394,7 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     omegas = _sweep_omegas(ss, grid)
     lams = np.full(omegas.size, np.inf)
     todo = np.arange(omegas.size)
-    net = _polar_record(ss)
+    net = ss._network
     if net is not None:
         lower, scale = net.gershgorin(1j * omegas)
         k = int(np.argmin(lower))
@@ -888,7 +889,7 @@ def classify_model(
 
 
 def classify_grid(
-    case: NetworkCase,
+    case: NetworkCase | _Variant,
     tau: float = 0.01,
     regulation: RegulationSet | None = None,
 ) -> dict[str, dict[str, str]]:
@@ -898,9 +899,13 @@ def classify_grid(
     "<column>/decoupled": verdict, ...}}; the rectangular model has a
     single verdict per column. Each column's variant (`_Variant`) is built
     once and shared by its cells and the wideband row: one case, operating
-    point, Y_DQ(s) and J_LF per column, one J(s) for the grid.
+    point, Y_DQ(s) and J_LF per column, one J(s) for the grid. A caller
+    that has already used the base case's context (`cli.cmd_tables`)
+    passes it as `case`: it is the lossy_b column, and the other columns
+    derive from its case.
     """
-    works = {name: _Variant(case, flags) for name, flags in VARIANT_COLUMNS}
+    base = case if isinstance(case, _Variant) else _Variant(case, VariantFlags())
+    works = {"lossy_b": base, **{name: _Variant(base.case, flags) for name, flags in VARIANT_COLUMNS[1:]}}
     out: dict[str, dict[str, str]] = {}
     for model in MODELS:
         # The wideband cell's VariantFlags() is the lossy_b column.

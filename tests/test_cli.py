@@ -28,6 +28,7 @@ from dqpassivity import (
     hermitian_min_eig,
     ieee9_text,
     load_ieee9,
+    passcheck,
     serialize_case,
     solve_powerflow,
 )
@@ -42,6 +43,7 @@ from dqpassivity.cli import (
     _jacobian_dump,
     main,
 )
+from dqpassivity.passcheck import VARIANT_COLUMNS
 from dqpassivity.reference import EXPECTED_GRID
 
 DATA = Path(__file__).parent / "data"
@@ -356,6 +358,21 @@ def test_tables_json_reproduces_grid(capsys):
     assert doc["failures"] == []
     grid = {m: {c: v["computed"] for c, v in cells.items()} for m, cells in doc["grid"].items()}
     assert grid == EXPECTED_GRID
+
+
+def test_tables_solves_one_power_flow_per_variant_column(monkeypatch, capsys):
+    # The base rows and the grid's lossy_b column share one power flow.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_powerflow(*args, **kwargs)
+
+    for module in (cli, passcheck):
+        monkeypatch.setattr(module, "solve_powerflow", counted)
+    assert main(["tables", "--format", "json"]) == EXIT_OK
+    assert len(calls) == len(VARIANT_COLUMNS)
+    capsys.readouterr()
 
 
 def test_tables_tight_tolerance_fails(capsys):

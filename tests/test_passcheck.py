@@ -611,9 +611,9 @@ def _logged(monkeypatch, name):
     return log
 
 
-def _evaluated(evals):
-    """The frequencies of the eval_tf calls logged by `_logged`, in call order."""
-    return np.concatenate([np.ravel(s).imag for _, s in evals])
+def _eigensolved(evals):
+    """The frequencies of the _min_eigs calls logged by `_logged`, in call order."""
+    return np.concatenate([omegas for _, omegas in evals])
 
 
 @pytest.mark.parametrize("model", ["II", "III", "IV"])
@@ -630,21 +630,25 @@ def test_screened_sweep_eigensolves_few_points(ieee9_j2, model, monkeypatch):
 BOUND_CASES = {"ieee9": SEQUENCE_CASES["ieee9"], **{f"mesh-40-{seed}": _mesh(seed) for seed in range(4)}}
 
 
-def _polar_models(case, parasitics=None):
-    j = build_j_of_s(assemble_ydq(case, parasitics), solve_powerflow(case))
-    return [build_polar_model(model, j, TAU) for model in MODELS[1:]]
+def _record_models(case, parasitics=None):
+    """Every model that carries a network record: Y_DQ(s) (model I) and it
+    behind the angle and all-channel filters, then II-IV."""
+    ydq = assemble_ydq(case, parasitics)
+    j = build_j_of_s(ydq, solve_powerflow(case))
+    return [ydq, build_jdp(ydq, TAU), build_jdf(ydq, TAU)] + [build_polar_model(model, j, TAU) for model in MODELS[1:]]
 
 
 @pytest.mark.parametrize("name", BOUND_CASES)
 def test_record_bound_is_dense_gershgorin_and_never_clears_the_minimum(ieee9, monkeypatch, name):
     # The record's bound is Gershgorin's on U^H H U, with H = G + G^H formed
-    # densely, and lies below every point's lambda_min. The sweep eigensolves
-    # only the points it leaves, and the grid minimum is always among them.
+    # densely, and lies below every point's lambda_min within the sweep's
+    # rounding margin delta. The sweep eigensolves exactly the points it
+    # leaves, and the grid minimum is always among them.
     case, _ = BOUND_CASES[name](ieee9)
     eye = np.eye(case.n_bus)
     u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
-    evals = _logged(monkeypatch, "eval_tf")
-    for ss in _polar_models(case):
+    evals = _logged(monkeypatch, "_min_eigs")
+    for ss in _record_models(case):
         samples = sweep_samples(ss)
         omegas, lams = np.array(samples).T
         lower, scale = ss._network.gershgorin(1j * omegas)
@@ -655,13 +659,16 @@ def test_record_bound_is_dense_gershgorin_and_never_clears_the_minimum(ieee9, mo
         norms = np.linalg.norm(h, axis=(-2, -1))
         assert (np.abs(lower - dense) <= 1e-14 * norms).all()
         assert (scale >= norms).all()
-        assert (lower <= lams).all()
+        first = int(np.argmin(lower))
+        delta = passcheck._SCREEN_C * np.finfo(float).eps * (scale + abs(lams[first]))
+        assert (lower <= lams + delta).all()
         evals.clear()
         rep = sweep_psd(ss)
         k = int(np.argmin(lams))
         assert (rep.min_eig, rep.worst_omega) == (lams[k], omegas[k])
-        evaluated = _evaluated(evals)
-        assert evaluated.size <= omegas.size // 2
+        evaluated = _eigensolved(evals)
+        assert evaluated[0] == omegas[first]
+        assert set(evaluated) == set(omegas[(lower <= lams[first] + delta) | (omegas == omegas[first])])
         assert omegas[k] in evaluated
 
 
@@ -670,36 +677,58 @@ def test_sweep_without_the_record_bound_is_unchanged(ieee9, monkeypatch):
     def nothing(self, s):
         return np.full(s.shape, -np.inf), np.zeros(s.shape)
 
-    with_bound = [sweep_psd(ss) for ss in _polar_models(ieee9)]
+    with_bound = [sweep_psd(ss) for ss in _record_models(ieee9)]
     monkeypatch.setattr(_Network, "gershgorin", nothing)
-    for ss, rep in zip(_polar_models(ieee9), with_bound):
+    for ss, rep in zip(_record_models(ieee9), with_bound):
         assert sweep_psd(ss) == rep
         assert_sweep_is_full_minimum(rep, ss)
 
 
 def test_record_bound_on_a_stiff_network(ieee9, monkeypatch):
     # r_series_cap = 1e-7 puts ||D|| of J(s) near 4e7, and the bound's margin
-    # scales with it; it must still rule out most points.
-    evals = _logged(monkeypatch, "eval_tf")
-    models = _polar_models(ieee9, ParasiticConfig(r_series_cap=1e-7))
-    assert np.linalg.norm(models[0].d) > 1e7
+    # scales with it; it must still rule out most points, except for model I,
+    # whose bound on ieee9 ties its structural zero at every point.
+    evals = _logged(monkeypatch, "_min_eigs")
+    models = _record_models(ieee9, ParasiticConfig(r_series_cap=1e-7))
+    assert np.linalg.norm(models[-3].d) > 1e7
     for ss in models:
         evals.clear()
         rep = sweep_psd(ss)
-        assert _evaluated(evals).size <= rep.n_points // 2
+        assert ss is models[0] or _eigensolved(evals).size <= rep.n_points // 2
         assert_sweep_is_full_minimum(rep, ss)
 
 
 def test_record_bound_leaves_few_dense_evaluations(ieee9, monkeypatch):
-    # Wideband II-IV eigensolve the lowest-bound point and the few points
-    # whose bound its eigenvalue does not clear, each once.
-    evals = _logged(monkeypatch, "eval_tf")
+    # Every record model eigensolves the lowest-bound point and the few
+    # points whose bound its eigenvalue does not clear, each once: at most 4
+    # for II-IV and 8 for the others. On ieee9 the bound of model I rules out
+    # nothing: the generator buses sit behind lossless transformers, so their
+    # rows of 2 Re Y are zero and every bound ties the structural zero.
+    evals = _logged(monkeypatch, "_min_eigs")
     for name in BOUND_CASES:
-        for ss in _polar_models(BOUND_CASES[name](ieee9)[0]):
+        models = _record_models(BOUND_CASES[name](ieee9)[0])
+        for ss, most in zip(models, (8, 8, 8, 4, 4, 4)):
             evals.clear()
             assert sweep_psd(ss).n_points == 141
-            evaluated = _evaluated(evals)
-            assert evaluated.size <= 4 and np.unique(evaluated).size == evaluated.size, name
+            evaluated = _eigensolved(evals)
+            if name == "ieee9" and ss is models[0]:
+                assert evaluated.size == 141
+                continue
+            assert evaluated.size <= most and np.unique(evaluated).size == evaluated.size, name
+
+
+def test_screen_margin_keeps_the_grid_minimum(ieee9, monkeypatch):
+    # Wideband model I touches zero near omega0, where its bound and its
+    # eigenvalue are both rounding: the margin delta (`_SCREEN_C`) is what
+    # keeps the point the eigensolve would rank lowest from being ruled out.
+    no_b = VariantFlags(no_shunt_b=True)
+    cases = (ieee9, derive_variant(ieee9, no_b), derive_variant(_synthcase().mesh_case(40, 0), no_b))
+    models = [assemble_ydq(case) for case in cases]
+    reports = [sweep_psd(ss) for ss in models]
+    for rep, ss in zip(reports, models):
+        assert_sweep_is_full_minimum(rep, ss)
+    monkeypatch.setattr(passcheck, "_SCREEN_C", 0.0)
+    assert [sweep_psd(ss).min_eig for ss in models] != [rep.min_eig for rep in reports]
 
 
 def test_sweep_conjugate_symmetry(ieee9_j2):

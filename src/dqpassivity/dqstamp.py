@@ -20,12 +20,14 @@ Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
 Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
 record, attached by `assemble_ydq` and the polar builders, scatter-adds
 both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
-them, `sweep_psd` reads model I's Y_DQ + Y_DQ^H as 2 Re of each, and it
-bounds lambda_min(G + G^H) of every model with a record from their
-entries alone (`_Network.gershgorin`). It also gives the model's poles,
-p_e +/- j omega0 per dynamic element and a zero per channel integrator,
-and each imaginary-axis residue in closed form, so a model with a record
-never eigendecomposes A. A `dataclasses.replace` copy has no record.
+them, and `sweep_psd` takes model I's Y_DQ + Y_DQ^H as 2 Re of each,
+eigensolved by the same `passcheck.hermitian_min_eig` as every other
+model's G + G^H. It bounds lambda_min(G + G^H) of every model with a
+record from their entries alone (`_Network.gershgorin`). It also gives
+the model's poles, p_e +/- j omega0 per dynamic element and a zero per
+channel integrator, and each imaginary-axis residue in closed form, so a
+model with a record never eigendecomposes A. A `dataclasses.replace`
+copy has no record.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ __all__ = [
 # without a network record (user-built, a `replace` copy, low-frequency
 # III/IV) is evaluated from `StateSpace.modes`, and by the dense resolvent
 # solve when the eigenvector matrix V has kappa_1(V) above _MODAL_KAPPA_MAX.
-# Every realization built from ieee9 and a seeded 40-bus mesh (all four
-# variants; models I-IV wideband, low-frequency III/IV) has kappa_1(V)
-# between 1 and 345; a Jordan block gives 9e15 or more.
+# No package-built wideband model computes V. Low-frequency III/IV have A = 0
+# and take V = I; the `replace` copies of wideband I-IV built from ieee9 and
+# the seeded 40-bus meshes 0-3 (all four variants) have kappa_1(V) between 2
+# and 345; a Jordan block gives 9e15 or more.
 _POLE_TOL = 1e-9
 _MODAL_KAPPA_MAX = 1e6
 

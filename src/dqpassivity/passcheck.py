@@ -82,7 +82,7 @@ VARIANT_COLUMNS = (
 # took 61 ms instead of 84 ms but raised the peak RSS by 4.3 MB.
 _CHUNK_STEPS = 128
 
-# Grid points per `eval_tf` call and stacked eigensolve of `_min_eigs`. It
+# Grid points per `_min_eigs` evaluation and `hermitian_min_eig` call. It
 # bounds the memory of the points a sweep has left to eigensolve, such as all
 # 141 of the default grid for model I on the nine-bus case, whose record bound
 # rules out none.
@@ -107,8 +107,8 @@ _CHUNK_POINTS = 8
 # - `eval_tf` forms each entry of the dense H from the same y_e through the
 #   scatter, rotation, change of basis, reflection, filter and G + G^H, so
 #   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.
-#   Model I's entries are a gamma_d scatter of 2 Re y_e in the sequence basis
-#   (`_min_eigs`), inside the same bound.
+#   Model I's entries are 2 Re of the gamma_d scatter of y_e into the sequence
+#   blocks (`_min_eigs`), inside the same bound.
 # - `eigvalsh` returns lambda_min within p(m) u ||H||_2 (LAPACK Users' Guide,
 #   3rd ed., 4.7), p(m) modest, taken here as m^2: at most m^2 u 2 mu.
 # Together (2 m^2 + 4 m + 6 d + 74) u mu, below 16 (m + d)^2 u mu for every
@@ -175,9 +175,11 @@ class _Report:
 # ---------------------------------------------------------------------------
 
 
-def hermitian_min_eig(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a (complex) Hermitian matrix."""
-    return float(np.linalg.eigvalsh(h)[0])
+def hermitian_min_eig(h: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of a (complex) Hermitian matrix, or of each of a
+    stack (..., m, m): a float for one matrix, else an array of shape h.shape[:-2]."""
+    lam = np.linalg.eigvalsh(h)[..., 0]
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def _psd(lam: float) -> bool:
@@ -325,9 +327,9 @@ def _sweep_omegas(ss: StateSpace, grid: SweepGrid | None) -> np.ndarray:
 
 
 def _min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
-    """lambda_min(G + G^H) at each of `omegas`, _CHUNK_POINTS points per evaluation:
-    from 2 Re of the sequence blocks for the bare admittance (Y = Y^T), else
-    from H = G + G^H of one `eval_tf` call."""
+    """lambda_min(G + G^H) at each of `omegas`, one `hermitian_min_eig` call per
+    _CHUNK_POINTS points: of H = G + G^H from one `eval_tf` call, or for the
+    bare admittance (Y = Y^T) of 2 Re of both sequence blocks, the smaller per point."""
     net = _bare_admittance(ss)
     lams = []
     for first in range(0, omegas.size, _CHUNK_POINTS):
@@ -335,14 +337,9 @@ def _min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
         if net is None:
             g = eval_tf(ss, 1j * part)
             g += g.conj().swapaxes(-1, -2)
-            lams += [hermitian_min_eig(h) for h in g]
+            lams += hermitian_min_eig(g).tolist()
         else:
-            # 2 Re y_e of each sequence rides as one lane of a single complex
-            # scatter: half the work of scattering the complex blocks, and their
-            # summation order, so the blocks are 2 Re of theirs bit for bit.
-            y = 2.0 * net.sequence_admittances(1j * part).real
-            blocks = net._scatter_add(y[0] + 1j * y[1])
-            lams += np.linalg.eigvalsh(np.stack([blocks.real, blocks.imag]))[..., 0].min(axis=0).tolist()
+            lams += hermitian_min_eig(2.0 * net.sequence_blocks(1j * part).real).min(axis=0).tolist()
     return lams
 
 
@@ -356,7 +353,8 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     (as np.argmin), and the number of points swept; `sweep_samples` gives
     every point's value.
 
-    Every point's lambda_min is taken by `_min_eigs`, except at the points
+    Every point's lambda_min is taken by `_min_eigs`, which eigensolves a
+    chunk of points in one `hermitian_min_eig` call, except at the points
     a model with a network record rules out from it, by one rule for every
     record. Its Gershgorin bound (`_Network.gershgorin`, O(nnz) per point)
     gives a lower bound of lambda_min at every point; the point with the
@@ -370,7 +368,7 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     point. Model I is eigensolved in the sequence domain: G + G^H at jw is
     unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
     with Y the real-coefficient n x n nodal admittance, so lambda_min is the
-    smaller of two real symmetric n x n minima.
+    smaller of the minima of the two real symmetric n x n blocks.
 
     The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
     as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
@@ -390,7 +388,8 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     one of those two.
     """
     if ss.n_states == 0:
-        return _static_sweep(hermitian_min_eig(ss.d + ss.d.T))
+        lam = hermitian_min_eig(ss.d + ss.d.T)
+        return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=None, n_points=1)
     omegas = _sweep_omegas(ss, grid)
     lams = np.full(omegas.size, np.inf)
     todo = np.arange(omegas.size)
@@ -404,11 +403,6 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     k = int(np.argmin(lams))
     lam = float(lams[k])
     return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=float(omegas[k]), n_points=omegas.size)
-
-
-def _static_sweep(lam: float) -> SweepReport:
-    """The sweep of a zero-state model, G = D, from lambda_min(D + D^T)."""
-    return SweepReport(passed=_psd(lam), min_eig=lam, worst_omega=None, n_points=1)
 
 
 def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[float, float], ...]:
@@ -724,11 +718,10 @@ class PassivityVerdict(_Report):
 def _state_space_checks(
     ss: StateSpace, grid: SweepGrid | None, op: OperatingPoint | None
 ) -> tuple[PoleReport, SweepReport, tuple[ResidueReport, ...], FeedthroughReport, bool]:
-    """Conditions 1-3 and the feedthrough certificate; the last item is the verdict.
-    A zero-state model's sweep reuses the feedthrough's eigensolve of D + D^T."""
+    """Conditions 1-3 and the feedthrough certificate; the last item is the verdict."""
     poles = check_poles(ss)
     feed = check_feedthrough(ss, op=op)
-    sweep = _static_sweep(feed.min_eig) if ss.n_states == 0 else sweep_psd(ss, grid)
+    sweep = sweep_psd(ss, grid)
     # A defective cluster has no residue and fails condition 3 outright.
     residues = tuple(
         check_residue_psd_hermitian(p.residue, omega=p.omega)

@@ -79,12 +79,20 @@ def negative_resistance_case():
 
 
 def test_hermitian_embedding_matches_direct():
+    # One matrix gives a float; a stack (..., m, m) gives each matrix's
+    # minimum bit for bit, in the stack's shape.
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = m + m.conj().T
-        direct = np.linalg.eigvalsh(h)
-        assert hermitian_min_eig(h) == pytest.approx(direct[0], rel=1e-12, abs=1e-12)
+    m = rng.normal(size=(2, 5, 6, 6)) + 1j * rng.normal(size=(2, 5, 6, 6))
+    h = m + m.conj().swapaxes(-1, -2)
+    lams = hermitian_min_eig(h)
+    assert lams.shape == (2, 5)
+    for row, lam_row in zip(h, lams):
+        for x, lam in zip(row, lam_row):
+            single = hermitian_min_eig(x)
+            assert type(single) is float and single == lam
+            assert single == pytest.approx(np.linalg.eigvalsh(x)[0], rel=1e-12, abs=1e-12)
+    real = h.real[0]
+    assert hermitian_min_eig(real).tolist() == [hermitian_min_eig(x) for x in real]
 
 
 # -- Poles and residues --------------------------------------------------------
@@ -616,15 +624,29 @@ def _eigensolved(evals):
     return np.concatenate([omegas for _, omegas in evals])
 
 
+def _matrices(calls):
+    """The number of matrices the `hermitian_min_eig` calls logged by `_logged` eigensolved."""
+    return sum(math.prod(h.shape[:-2]) for (h,) in calls)
+
+
 @pytest.mark.parametrize("model", ["II", "III", "IV"])
 def test_screened_sweep_eigensolves_few_points(ieee9_j2, model, monkeypatch):
     calls, evals = _logged(monkeypatch, "hermitian_min_eig"), _logged(monkeypatch, "eval_tf")
     ss = build_polar_model(model, ieee9_j2, TAU)
-    assert sweep_psd(ss).n_points == 141 and len(calls) <= 5
+    assert sweep_psd(ss).n_points == 141 and _matrices(calls) <= 5
     # The lowest-bound point alone, then the points its eigenvalue leaves, in chunks.
     assert len(evals) <= math.ceil(140 / passcheck._CHUNK_POINTS) + 1
     calls.clear()
-    assert len(sweep_samples(ss)) == 141 and len(calls) == 141
+    assert len(sweep_samples(ss)) == 141 and _matrices(calls) == 141
+
+
+def test_model_one_sweep_eigensolves_through_hermitian_min_eig(ieee9, monkeypatch):
+    # Model I's sweep takes both sequence blocks of every point, one chunk per call.
+    calls = _logged(monkeypatch, "hermitian_min_eig")
+    ss = assemble_ydq(ieee9)
+    assert len(sweep_samples(ss)) == 141
+    assert _matrices(calls) == 2 * 141
+    assert len(calls) == math.ceil(141 / passcheck._CHUNK_POINTS)
 
 
 BOUND_CASES = {"ieee9": SEQUENCE_CASES["ieee9"], **{f"mesh-40-{seed}": _mesh(seed) for seed in range(4)}}

@@ -322,7 +322,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CASE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

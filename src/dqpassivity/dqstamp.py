@@ -20,13 +20,13 @@ Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
 Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
 record, attached by `assemble_ydq` and the polar builders, scatter-adds
 both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
-them, and `sweep_psd` takes model I's Y_DQ + Y_DQ^H as 2 Re of each,
-eigensolved by the same `passcheck.hermitian_min_eig` as every other
-model's G + G^H. It bounds lambda_min(G + G^H) of every model with a
-record from their entries alone (`_Network.gershgorin`). It also gives
-the model's poles, p_e +/- j omega0 per dynamic element and a zero per
-channel integrator, and each imaginary-axis residue in closed form, so a
-model with a record never eigendecomposes A. A `dataclasses.replace`
+them, and `_hermitian_blocks` gives condition 2 model I's Y_DQ + Y_DQ^H
+as 2 Re of each, every other model's G + G^H from `eval_tf`. It bounds
+lambda_min(G + G^H) of every model with a record from their entries
+alone (`_Network.gershgorin`). It also gives the model's poles,
+p_e +/- j omega0 per dynamic element and a zero per channel integrator,
+and each imaginary-axis residue in closed form (`StateSpace._axis_cluster`),
+so a model with a record never eigendecomposes A. A `dataclasses.replace`
 copy has no record.
 """
 
@@ -55,11 +55,12 @@ __all__ = [
 # `eval_tf` raises SingularFrequencyError within _POLE_TOL of a pole. A model
 # without a network record (user-built, a `replace` copy, low-frequency
 # III/IV) is evaluated from `StateSpace.modes`, and by the dense resolvent
-# solve when the eigenvector matrix V has kappa_1(V) above _MODAL_KAPPA_MAX.
-# No package-built wideband model computes V. Low-frequency III/IV have A = 0
-# and take V = I; the `replace` copies of wideband I-IV built from ieee9 and
-# the seeded 40-bus meshes 0-3 (all four variants) have kappa_1(V) between 2
-# and 345; a Jordan block gives 9e15 or more.
+# solve when the eigenvector matrix V has kappa_1(V) above _MODAL_KAPPA_MAX;
+# above the same bound `StateSpace._axis_cluster` tests each imaginary-axis
+# cluster for a defect. No package-built wideband model computes V.
+# Low-frequency III/IV have A = 0 and take V = I; the `replace` copies of
+# wideband I-IV built from ieee9 and the seeded 40-bus meshes 0-3 (all four
+# variants) have kappa_1(V) between 2 and 345; a Jordan block, 9e15 or more.
 _POLE_TOL = 1e-9
 _MODAL_KAPPA_MAX = 1e6
 
@@ -436,6 +437,33 @@ class StateSpace:
         """From the network record if the model has one, else from `modes`."""
         return self._network.poles if self._network is not None else self.modes[0]
 
+    def _axis_cluster(self, omega: float, members: np.ndarray, radius: float) -> tuple[int, np.ndarray | None]:
+        """Geometric multiplicity and residue lim (s - j omega) G(s) (None when
+        defective) of the imaginary-axis cluster poles[members] of `radius`.
+
+        A model with a network record reads the residue in closed form
+        (`_Network.residue`): its A is block diagonal with normal 2 x 2 blocks
+        and the integrators sit above a nonsingular block, so every cluster is
+        semisimple. Any other sums (C V)[:, k] (V^-1 B)[k, :] over the cluster
+        from `modes`, and looks for a defect, by the numerical rank of
+        A - j omega I, only when kappa_1(V) is above the _MODAL_KAPPA_MAX under
+        which `eval_tf` trusts the modal factors; a singular V raises LinAlgError.
+        """
+        if self._network is not None:
+            return members.size, self._network.residue(members)
+        _, cv, vib, kappa = self.modes
+        geo = members.size
+        if kappa > _MODAL_KAPPA_MAX:
+            sv = np.linalg.svd(self.a - 1j * omega * np.eye(self.n_states), compute_uv=False)
+            # Null directions of the cluster: standard numerical-rank cutoff,
+            # widened to the cluster radius so near-coincident eigenvalues count.
+            geo = int(np.sum(sv <= max(10.0 * radius, float(sv[0]) * len(sv) * np.finfo(float).eps)))
+        if geo < members.size:
+            return geo, None
+        if vib is None:
+            raise np.linalg.LinAlgError("eigenvector matrix of A is singular")
+        return geo, cv[:, members] @ vib[members, :]
+
 
 @dataclass(frozen=True)
 class ParasiticConfig:
@@ -535,6 +563,23 @@ def eval_tf(ss: StateSpace, s: complex | np.ndarray) -> np.ndarray:
     else:
         out = ss.c @ np.linalg.solve(s[..., None, None] * np.eye(ss.n_states) - ss.a, ss.b) + ss.d
     return out if s.imag.any() else out.real
+
+
+def _hermitian_blocks(ss: StateSpace, s: np.ndarray) -> np.ndarray:
+    """A stack whose eigenvalues together are those of G(s) + G^H(s) at each s
+    on the imaginary axis; shape (k,) + s.shape + (m, m), k = 2 or 1.
+
+    For the bare admittance (Y = Y^T), Y_DQ(jw) + Y_DQ^H(jw) is unitarily
+    similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0))) with Y the
+    real-coefficient n x n nodal admittance, so the stack is those two real
+    symmetric blocks; for any other model it is G + G^H from `eval_tf`.
+    """
+    net = _bare_admittance(ss)
+    if net is not None:
+        return 2.0 * net.sequence_blocks(s).real
+    g = eval_tf(ss, s)
+    g += g.conj().swapaxes(-1, -2)
+    return g[None]
 
 
 def storage_energy(x: np.ndarray, meta: tuple[StateMeta, ...]) -> float | np.ndarray:

@@ -26,14 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dqstamp import (
-    _MODAL_KAPPA_MAX,
-    StateSpace,
-    _bare_admittance,
-    _storage_diagonal,
-    assemble_ydq,
-    eval_tf,
-)
+from .dqstamp import StateSpace, _hermitian_blocks, _storage_diagonal, assemble_ydq, eval_tf
 from .netcase import NetworkCase, VariantFlags, derive_variant
 from .passivate import RegulationSet, apply_qv_contribution, min_eig_excluding_uniform_angle
 from .polarmodels import _check_tau, build_j_of_s, build_polar_model
@@ -108,9 +101,9 @@ _CHUNK_POINTS = 8
 #   scatter, rotation, change of basis, reflection, filter and G + G^H, so
 #   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.
 #   Model I's entries are 2 Re of the gamma_d scatter of y_e into the sequence
-#   blocks (`_min_eigs`), inside the same bound.
+#   blocks (`dqstamp._hermitian_blocks`), inside the same bound.
 # - `eigvalsh` returns lambda_min within p(m) u ||H||_2 (LAPACK Users' Guide,
-#   3rd ed., 4.7), p(m) modest, taken here as m^2: at most m^2 u 2 mu.
+#   3rd ed., 4.7), p(m) of low degree, taken here as m^2: at most m^2 u 2 mu.
 # Together (2 m^2 + 4 m + 6 d + 74) u mu, below 16 (m + d)^2 u mu for every
 # m >= 2, d >= 1; the |lambda_0| term covers the rounding of lambda_0 + delta.
 # So a point the bound clears would have eigensolved strictly above lambda_0,
@@ -215,15 +208,11 @@ def check_poles(ss: StateSpace) -> PoleReport:
     cluster fails condition 3 outright when defective (Jordan block). For a
     first-order (semisimple) cluster the total residue lim (s-jw)G(s) is
     attached for the PSD-Hermitian test: the sum of its member poles'
-    residues. A package-built model reads its poles and those residues in
-    closed form from its network record (`_Network.residue`); its A is
-    block diagonal with normal 2 x 2 blocks and the integrators sit above
-    a nonsingular block, so every cluster is semisimple. Any other model
-    (user-built, a `replace` copy, low-frequency III/IV) takes them from
-    `_modal_cluster`; for low-frequency III/IV, whose A = 0, that is the
-    one origin cluster with residue C B and no eigendecomposition.
+    residues. The model gives both per cluster (`StateSpace._axis_cluster`):
+    in closed form from a network record, whose clusters are all semisimple,
+    else from the modal factors; for low-frequency III/IV, whose A = 0, that
+    is the one origin cluster with residue C B and no eigendecomposition.
     """
-    net = ss._network
     eigs = ss.poles
     unstable = tuple(complex(z) for z in eigs[eigs.real > _TOL])
     on_axis = np.flatnonzero(np.abs(eigs.real) <= _TOL)
@@ -237,7 +226,7 @@ def check_poles(ss: StateSpace) -> PoleReport:
     for group in clusters:
         omega = float(np.mean(eigs[group].imag))
         sel = np.sort(group)
-        geo, residue = (sel.size, net.residue(sel)) if net is not None else _modal_cluster(ss, omega, sel)
+        geo, residue = ss._axis_cluster(omega, sel, _CLUSTER_TOL)
         poles.append(
             ImaginaryAxisPole(
                 omega=omega,
@@ -248,32 +237,6 @@ def check_poles(ss: StateSpace) -> PoleReport:
             )
         )
     return PoleReport(passed=not unstable, unstable=unstable, imaginary_axis=tuple(poles))
-
-
-def _modal_cluster(ss: StateSpace, omega: float, sel: np.ndarray) -> tuple[int, np.ndarray | None]:
-    """Geometric multiplicity and residue (None when defective) of the
-    imaginary-axis cluster `sel` of `StateSpace.modes`' poles.
-
-    A defect is looked for, by the numerical rank of A - jwI, only when
-    kappa_1(V) is above the bound under which `eval_tf` trusts the modal
-    factors. The residue is the sum over the cluster's eigenvalues k of
-    (C V)[:, k] (V^-1 B)[k, :]; a singular V raises LinAlgError.
-    """
-    _, cv, vib, kappa = ss.modes
-    if kappa <= _MODAL_KAPPA_MAX:
-        # Eigenvectors as well-conditioned as `eval_tf` trusts: A is diagonalizable.
-        geo = sel.size
-    else:
-        sv = np.linalg.svd(ss.a - 1j * omega * np.eye(ss.n_states), compute_uv=False)
-        # Null directions of the cluster: standard numerical-rank cutoff,
-        # widened to the cluster radius so near-coincident eigenvalues count.
-        rank_tol = max(10.0 * _CLUSTER_TOL, float(sv[0]) * len(sv) * np.finfo(float).eps)
-        geo = int(np.sum(sv <= rank_tol))
-    if geo < sel.size:
-        return geo, None
-    if vib is None:
-        raise np.linalg.LinAlgError("eigenvector matrix of A is singular")
-    return geo, cv[:, sel] @ vib[sel, :]
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +290,13 @@ def _sweep_omegas(ss: StateSpace, grid: SweepGrid | None) -> np.ndarray:
 
 
 def _min_eigs(ss: StateSpace, omegas: np.ndarray) -> list[float]:
-    """lambda_min(G + G^H) at each of `omegas`, one `hermitian_min_eig` call per
-    _CHUNK_POINTS points: of H = G + G^H from one `eval_tf` call, or for the
-    bare admittance (Y = Y^T) of 2 Re of both sequence blocks, the smaller per point."""
-    net = _bare_admittance(ss)
+    """lambda_min(G + G^H) at each of `omegas`: one `hermitian_min_eig` call
+    per _CHUNK_POINTS points on the stack `dqstamp._hermitian_blocks` gives,
+    the smallest over its blocks per point."""
     lams = []
     for first in range(0, omegas.size, _CHUNK_POINTS):
-        part = omegas[first : first + _CHUNK_POINTS]
-        if net is None:
-            g = eval_tf(ss, 1j * part)
-            g += g.conj().swapaxes(-1, -2)
-            lams += hermitian_min_eig(g).tolist()
-        else:
-            lams += hermitian_min_eig(2.0 * net.sequence_blocks(1j * part).real).min(axis=0).tolist()
+        blocks = _hermitian_blocks(ss, 1j * omegas[first : first + _CHUNK_POINTS])
+        lams += hermitian_min_eig(blocks).min(axis=0).tolist()
     return lams
 
 
@@ -365,10 +322,8 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     of every point's eigensolve bit for bit; delta covers rounding and is
     not a verdict tolerance. Only a model without a record (low-frequency
     III/IV, user-built models, `replace` copies) is eigensolved at every
-    point. Model I is eigensolved in the sequence domain: G + G^H at jw is
-    unitarily similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0)))
-    with Y the real-coefficient n x n nodal admittance, so lambda_min is the
-    smaller of the minima of the two real symmetric n x n blocks.
+    point. Model I is eigensolved in the sequence domain, as the two real
+    symmetric n x n blocks `dqstamp._hermitian_blocks` gives.
 
     The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
     as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
@@ -736,15 +691,17 @@ def _state_space_checks(
 class _Variant:
     """One variant network of a verdict grid and the work its cells share.
 
-    `case` is the variant without the decoupled flag, which only the
-    low-frequency Jacobian consumes (`_realize`). Its operating point,
-    Y_DQ(s), J_LF and J(s) are each built on first use and at most once.
+    `flags` names the variant and `case` is its network, both without the
+    decoupled flag, which only the low-frequency Jacobian consumes
+    (`_realize`). Its operating point, Y_DQ(s), J_LF and J(s) are each
+    built on first use and at most once.
     Every cell copies what it changes (`decouple`, `apply_qv_contribution`,
     `replace`), so the cells read the same objects and nothing else.
     """
 
     def __init__(self, case: NetworkCase, flags: VariantFlags) -> None:
-        self.case = derive_variant(case, replace(flags, decoupled=False))
+        self.flags = replace(flags, decoupled=False)
+        self.case = derive_variant(case, self.flags)
 
     @cached_property
     def op(self) -> OperatingPoint:
@@ -833,10 +790,13 @@ def classify_model(
 
     A caller with several cells of one variant (`classify_grid`) passes a
     `_Variant` as `case`, so that they share one variant case, operating
-    point, Y_DQ(s), J_LF and J(s).
+    point, Y_DQ(s), J_LF and J(s). One built for other flags than `flags`,
+    `decoupled` aside, is a ValueError.
     """
     # A context of its own is dropped once the cell is realized, J(s) with it.
     work = case if isinstance(case, _Variant) else _Variant(case, flags)
+    if work.flags != replace(flags, decoupled=False):
+        raise ValueError(f"the variant was built for {work.flags}, not for {flags}")
     ss, op, jlf = _realize(work, flags.decoupled, model, analysis, tau, regulation)
     del work
     notes = {
@@ -894,10 +854,12 @@ def classify_grid(
     once and shared by its cells and the wideband row: one case, operating
     point, Y_DQ(s) and J_LF per column, one J(s) for the grid. A caller
     that has already used the base case's context (`cli.cmd_tables`)
-    passes it as `case`: it is the lossy_b column, and the other columns
-    derive from its case.
+    passes it as `case`: it is the lossy_b column, so it must be built for
+    VariantFlags(), and the other columns derive from its case.
     """
     base = case if isinstance(case, _Variant) else _Variant(case, VariantFlags())
+    if base.flags != VariantFlags():
+        raise ValueError(f"the lossy_b column needs the base variant, not one built for {base.flags}")
     works = {"lossy_b": base, **{name: _Variant(base.case, flags) for name, flags in VARIANT_COLUMNS[1:]}}
     out: dict[str, dict[str, str]] = {}
     for model in MODELS:

@@ -71,6 +71,14 @@ def test_duplicate_bus_id():
         parse_case(bad)
 
 
+def test_one_bus_case_is_connected():
+    one = MINI.replace("2  1.0  0.0  0.0\n", "").replace("1  2  0.0  0.1  0.0  1.0\n", "")
+    case = parse_case(one.replace("2  pq     -0.5  0.0  -\n", ""))
+    assert case.n_bus == 1
+    assert case.branches == ()
+    assert [inj.kind for inj in case.injections] == ["slack"]
+
+
 def test_disconnected_graph():
     bad = MINI.replace(
         "2  1.0  0.0  0.0", "2  1.0  0.0  0.0\n3  1.0  0.0  0.0"

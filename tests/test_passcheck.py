@@ -50,7 +50,7 @@ from dqpassivity import (
     sweep_psd,
     sweep_samples,
 )
-from dqpassivity import passcheck
+from dqpassivity import dqstamp, passcheck
 from dqpassivity.dqstamp import _Network
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
 from dqpassivity.reference import EXPECTED_GRID
@@ -145,6 +145,39 @@ def test_double_integrator_defective():
     assert pole.geometric_multiplicity == 1
     assert not pole.semisimple
     assert pole.residue is None
+    # A defective cluster has no residue and fails condition 3 outright.
+    _, _, residues, _, ok = passcheck._state_space_checks(ss, None, None)
+    failed = passcheck.ResidueReport(passed=False, hermitian_deviation=math.inf, min_eig=-math.inf, omega=0.0)
+    assert residues == (failed,)
+    assert ok is False
+
+
+def test_cluster_rank_test_follows_the_eval_tf_kappa_bound(ieee9, monkeypatch):
+    # Above dqstamp._MODAL_KAPPA_MAX, eval_tf leaves the modal factors and
+    # check_poles looks for a defect by the rank of A - jwI, with the same bound.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    want = check_poles(replace(assemble_ydq(ieee9)))
+    assert calls == []
+    monkeypatch.setattr(dqstamp, "_MODAL_KAPPA_MAX", -1.0)
+    got = check_poles(replace(assemble_ydq(ieee9)))
+    assert len(calls) == len(got.imaginary_axis) == 2
+    for g, w in zip(got.imaginary_axis, want.imaginary_axis):
+        assert (g.omega, g.multiplicity, g.geometric_multiplicity) == (w.omega, 3, 3)
+        assert g.semisimple and abs(abs(g.omega) - 376.99) < 0.01
+        np.testing.assert_array_equal(g.residue, w.residue)
+
+
+def test_variant_must_match_its_flags(ieee9):
+    lossless = passcheck._Variant(ieee9, VariantFlags(lossless=True))
+    with pytest.raises(ValueError, match="built for"):
+        classify_model(lossless, VariantFlags(decoupled=True), "III", "lowfreq", TAU, REG)
+    with pytest.raises(ValueError, match="lossy_b"):
+        classify_grid(lossless, TAU, REG)
+    # The decoupled flag acts on the cell alone, so any setting of it matches.
+    v = classify_model(lossless, VariantFlags(lossless=True, decoupled=True), "III", "lowfreq", TAU, REG)
+    assert v.overall == EXPECTED_GRID["III"]["lossless_b/decoupled"]
 
 
 def test_cluster_residue_sums_every_chained_member():

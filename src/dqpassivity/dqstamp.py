@@ -22,8 +22,8 @@ record, attached by `assemble_ydq` and the polar builders, scatter-adds
 both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
 them, and `_hermitian_blocks` gives condition 2 model I's Y_DQ + Y_DQ^H
 as 2 Re of each, every other model's G + G^H from `eval_tf`. It bounds
-lambda_min(G + G^H) of every model with a record from their entries
-alone (`_Network.gershgorin`). It also gives the model's poles,
+lambda_min(G + G^H) of every model with a record from the same y_e, by a
+real scatter (`_Network.gershgorin`). It also gives the model's poles,
 p_e +/- j omega0 per dynamic element and a zero per channel integrator,
 and each imaginary-axis residue in closed form (`StateSpace._axis_cluster`),
 so a model with a record never eigendecomposes A. A `dataclasses.replace`
@@ -32,7 +32,6 @@ copy has no record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -113,12 +112,18 @@ class _Network:
     tau: float = 0.0
 
     def element_admittances(self, s: complex | np.ndarray) -> np.ndarray:
-        """y_e(s) of every element at each s; shape s.shape + (m,)."""
+        """y_e(s) of every element at each s, each kind on its `_kinds` set; shape s.shape + (m,)."""
         s = np.asarray(s, dtype=complex)[..., None]
-        z = self.r + s * self.l
-        y = self.g + s * self.c / (1.0 + s * self.r * self.c)
-        y += np.divide(1.0, z, out=np.zeros_like(z), where=self.l > 0)
+        branch, cap = self._kinds
+        y = np.full(s.shape[:-1] + self.g.shape, self.g, dtype=complex)
+        y[..., branch] = 1.0 / (self.r[branch] + s * self.l[branch])
+        y[..., cap] = s * self.c[cap] / (1.0 + s * self.r[cap] * self.c[cap])
         return y
+
+    @cached_property
+    def _kinds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dynamic branches and the capacitors; every other element is static, y_e = g."""
+        return np.flatnonzero(self.l > 0), np.flatnonzero(self.c > 0)
 
     def admittance(self, s: complex | np.ndarray) -> np.ndarray:
         """Y(s) = K diag(y_e(s)) K^T as one dense product; shape s.shape + (n, n).
@@ -130,7 +135,7 @@ class _Network:
         """`replace(self, **changes)` sharing the caches of the element table,
         so that a family of records computes each once."""
         out = replace(self, **changes)
-        for name in ("_scatter", "_dynamic"):
+        for name in ("_scatter", "_kinds", "_rows", "_dynamic"):
             vars(out)[name] = getattr(self, name)
         return out
 
@@ -138,12 +143,26 @@ class _Network:
     def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(targets, element, weight, starts) of the <= 4 entries of each K_e K_e^T."""
         elem, bus = np.nonzero(self.k.T)
-        i, j = np.nonzero(elem[:, None] == elem)
+        # Each incidence i with each j of its element, in row-major (i, j) order.
+        first, last = np.searchsorted(elem, elem), np.searchsorted(elem, elem, side="right")
+        i = np.repeat(np.arange(elem.size), last - first)
+        j = np.repeat(last - np.cumsum(last - first), last - first) + np.arange(i.size)
         flat = bus[i] * self.k.shape[0] + bus[j]
         order = np.argsort(flat, kind="stable")
         i, j, flat = i[order], j[order], flat[order]
         starts = np.flatnonzero(np.diff(flat, prepend=-1))
         return flat[starts], elem[i], self.k[bus[i], elem[i]] * self.k[bus[j], elem[i]], starts
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The row segments: (row, col) of the `_scatter` targets, sorted by row; the diagonal
+        and the off-diagonal ones; the latter in column order, which sorts their columns into
+        their rows as Y is symmetric; and (bus, element, |K|) of each nonzero of K, by bus."""
+        n = self.k.shape[0]
+        row, col = np.divmod(self._scatter[0], n)
+        on, off = np.flatnonzero(row == col), np.flatnonzero(row != col)
+        bus, elem = np.nonzero(self.k)
+        return row, col, on, off, np.argsort(col[off] * n + row[off]), (bus, elem, np.abs(self.k[bus, elem]))
 
     def _scatter_values(self, y: np.ndarray) -> np.ndarray:
         """The entries of K diag(y) K^T at the `_scatter` targets, for each stacked (m,) row of y."""
@@ -219,50 +238,48 @@ class _Network:
             H12 = rho/2 (b Y(s - j w0) o W + (b Y(s + j w0) o W)*) + Re(a) Q,
         each on Y's pattern, so Gershgorin's bound (Varga 2004),
         lambda_min(H) >= min_i (H_ii - sum_{j != i} |H_ij|), costs O(nnz) per
-        point from the entries `_scatter_values` gives. The scale is
-        (2n + d)^2 mu, with d the most terms `_scatter` adds into one target,
-        phi = max(|f_phi|, |f_V|) and
-        mu = phi max_i (2 |Q_ii| + |v_i| sum_j M_ij |v_j|),
-        M = |K| diag(|y_e(s - j w0)| + |y_e(s + j w0)|) |K|^T: 4 mu bounds every
+        point: one real `_scatter_values` of Re(rho a y_e) gives H11 and H22,
+        a complex one of b y_e gives H12 only if b != 0 (model III, `build_jdp`),
+        and each row sum is one run of the sorted `_rows`. The scale is (2n + d)^2 mu, with d
+        the most terms `_scatter` adds into one target, phi = max(|f_phi|, |f_V|),
+        mu = phi max_i (2 |Q_ii| + |v_i| sum_j M_ij |v_j|) and
+        M = |K| diag(|y_e(s - j w0)| + |y_e(s + j w0)|) |K|^T, whose row sums take
+        O(m) per point through each element's <= 2 incidences: 4 mu bounds every
         row sum of an entrywise majorant of H in either basis. The margin
         `passcheck.sweep_psd` adds to the bound for rounding is derived at
         `passcheck._SCREEN_C`.
         """
         n = self.k.shape[0]
         v, i, rho = (self.v, self.i, -1j) if self.v is not None else (np.ones(n), np.zeros(n), 1.0)
-        targets, elem, _, starts = self._scatter
-        row, col = np.divmod(targets, n)
-        w, abs_kt = v.conj()[row] * v[col], np.abs(self.k.T)
+        row, col, on, off, by_col, (bus, elem, abs_k) = self._rows
+        w, abs_v = v.conj()[row] * v[col], np.abs(v)
         s = np.asarray(s, dtype=complex)
         y = self.sequence_admittances(s)
-        vals = self._scatter_values(y)
         f, one = (1.0 + s * self.tau) / s, np.ones(s.shape)
         f_phi, f_v = f if self.filtered else one, f if self.filtered == 2 * n else one
         a, b, phi = f_phi + f_v, f_phi - f_v, np.maximum(np.abs(f_phi), np.abs(f_v))
         q = 1j * i * v.conj()
-        on, off = row == col, row != col
-        # The centers: the diagonals of H11 and H22, bus by bus.
-        h = a[..., None] * vals
+        # H11 and H22 from one real scatter of Re(rho a y_e): centers less radii by row.
+        h = a[..., None] * y
         h[0] *= rho
         h[1] *= np.conj(rho)
-        h = h.real
-        centers = np.zeros(h.shape[:-1] + (n,))
-        centers[..., row[on]] = h[..., on] * np.abs(w[on])
-        centers += np.stack([(b[..., None] * q).real, (b.conj()[..., None] * q).real])
-        # H12 on Y's pattern; its diagonal lies in row i of both halves.
-        h12 = b[..., None] * vals * w
-        h12 = h12[0] + h12[1].conj()
-        h12_diag = np.zeros(s.shape + (n,), dtype=complex)
-        h12_diag[..., row[on]] = 0.5 * rho * h12[..., on]
-        h12_diag += a.real[..., None] * q
-        # The radii: off-diagonal moduli of H11, H22 and H12 by row, of H21 = H12^H by column of H12.
-        abs_w, abs_h12 = np.abs(w[off]), 0.5 * np.abs(h12[..., off])
-        by_row = _bus_sums(np.concatenate([np.abs(h[..., off]) * abs_w, abs_h12[None]]), row[off], n)
-        lower = np.minimum(
-            centers[0] - by_row[0] - by_row[2], centers[1] - by_row[1] - _bus_sums(abs_h12, col[off], n)
-        ) - np.abs(h12_diag)
-        majorant = ((np.abs(y) * (abs_kt @ np.abs(v))) @ abs_kt).sum(axis=0) * np.abs(v) + 2.0 * np.abs(q)
-        depth = np.diff(starts, append=elem.size).max()
+        h = self._scatter_values(h.real)
+        lower = np.stack([(b[..., None] * q).real, (b.conj()[..., None] * q).real])
+        lower[..., row[on]] += h[..., on] * np.abs(w[on])
+        lower -= _segment_sums(np.abs(h[..., off]) * np.abs(w[off]), row[off], n)
+        # H12 = Re(a) Q where b = 0. Its diagonal lies in row i of both halves, its
+        # other moduli in the rows of H11 and, as H21 = H12^H, the columns of H22.
+        h12_diag = a.real[..., None] * q
+        if b.any():
+            h12 = self._scatter_values(b[..., None] * y) * w
+            h12 = h12[0] + h12[1].conj()
+            h12_diag[..., row[on]] += 0.5 * rho * h12[..., on]
+            h12 = 0.5 * np.abs(h12[..., off])
+            lower -= _segment_sums(np.stack([h12, h12[..., by_col]]), row[off], n)
+        lower = lower.min(axis=0) - np.abs(h12_diag)
+        t = (np.abs(y[0]) + np.abs(y[1])) * np.bincount(elem, abs_k * abs_v[bus], y.shape[-1])
+        majorant = _segment_sums(t[..., elem] * abs_k, bus, n) * abs_v + 2.0 * np.abs(q)
+        depth = np.diff(self._scatter[3], append=self._scatter[1].size).max()
         return lower.min(axis=-1), (2 * n + depth) ** 2 * phi * majorant.max(axis=-1)
 
     @cached_property
@@ -350,12 +367,14 @@ def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Network,
     return _Network(k, r, l, c, g, w0), tuple(labels)
 
 
-def _bus_sums(values: np.ndarray, buses: np.ndarray, n: int) -> np.ndarray:
-    """Sums of the last axis of `values` into the n bins `buses`; shape values.shape[:-1] + (n,)."""
-    lead = values.shape[:-1]
-    p = math.prod(lead)
-    index = (np.arange(p)[:, None] * n + buses).ravel()
-    return np.bincount(index, values.reshape(-1), p * n).reshape(lead + (n,))
+def _segment_sums(values: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the last axis of `values` into n bins, entry k into bin bins[k] (sorted):
+    one np.add.reduceat over the runs of bins, 0 in a bin with no run; shape values.shape[:-1] + (n,)."""
+    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+    out = np.zeros(values.shape[:-1] + (n,))
+    if starts.size:  # a one-bus record has no off-diagonal target to sum
+        out[..., bins[starts]] = np.add.reduceat(values, starts, axis=-1)
+    return out
 
 
 def _bare_admittance(ss: StateSpace) -> _Network | None:

@@ -92,11 +92,13 @@ _CHUNK_POINTS = 8
 # that `eval_tf` uses. Both scatter |y_e| through |K|, so they also bound the
 # moduli of the terms each entry sums (d at most). Three errors separate b
 # from the eigensolve, with u = eps / 2:
-# - Each entry b reads is a scatter sum (gamma_d) and a few complex
-#   products, so within (d + 10) u M_ij of H's; the row sum rounds by
-#   gamma_m sum_j |h_ij| (Higham, Accuracy and Stability of Numerical
-#   Algorithms, 2002, 3.1). So b is at most (m + d + 12) u 4 mu above the
-#   exact bound of H, which is <= lambda_min(H).
+# - Each entry b reads is formed per element, as Re(rho a y_e) or b y_e
+#   (one complex product; rho = 1 or -j is exact), then summed by the
+#   scatter (gamma_d) and rotated by a few complex products, so within
+#   (d + 10) u M_ij of H's; the row sum rounds by gamma_m sum_j |h_ij|
+#   (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
+#   So b is at most (m + d + 12) u 4 mu above the exact bound of H, which
+#   is <= lambda_min(H).
 # - `eval_tf` forms each entry of the dense H from the same y_e through the
 #   scatter, rotation, change of basis, reflection, filter and G + G^H, so
 #   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.

@@ -471,8 +471,8 @@ def test_record_copies_share_the_element_caches(ieee9, ieee9_op):
     ydq = assemble_ydq(ieee9)
     j = build_j_of_s(ydq, ieee9_op)
     for ss in (j, build_jdp(j, TAU), build_jdf(j, TAU)):
-        assert ss._network._scatter is ydq._network._scatter
-        assert ss._network._dynamic is ydq._network._dynamic
+        for table in ("_scatter", "_kinds", "_rows", "_dynamic"):
+            assert getattr(ss._network, table) is getattr(ydq._network, table), table
 
 
 IDENTITY_CASES = {
@@ -682,7 +682,56 @@ def test_model_one_sweep_eigensolves_through_hermitian_min_eig(ieee9, monkeypatc
     assert len(calls) == math.ceil(141 / passcheck._CHUNK_POINTS)
 
 
-BOUND_CASES = {"ieee9": SEQUENCE_CASES["ieee9"], **{f"mesh-40-{seed}": _mesh(seed) for seed in range(4)}}
+BOUND_CASES = {
+    "ieee9": SEQUENCE_CASES["ieee9"],
+    **{f"mesh-40-{seed}": _mesh(seed) for seed in range(4)},
+    # Each off-diagonal target sums two parallel branches, one off-nominal.
+    "parallel-branches": lambda c: (
+        _sequence_case(
+            (
+                Branch(1, 2, r=0.01, x=0.1, b_line=0.2),
+                Branch(1, 2, r=0.02, x=0.15, ratio=1.05),
+                Branch(2, 3, r=0.0, x=0.08, ratio=0.98),
+            ),
+            (Bus(id=1), Bus(id=2), Bus(id=3, g_shunt=0.5)),
+        ),
+        None,
+    ),
+    # The only row has no off-diagonal target.
+    "one-bus-shunts": lambda c: (_sequence_case((), (Bus(id=1, g_shunt=0.3, b_shunt=0.2),)), None),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_scatter_table_is_the_pairwise_one(ieee9, name):
+    # `_scatter` pairs each incidence with those of its element in linear
+    # time; here every pair of incidences is compared, as a reference.
+    net = assemble_ydq(BOUND_CASES[name](ieee9)[0])._network
+    elem, bus = np.nonzero(net.k.T)
+    i, j = np.nonzero(elem[:, None] == elem)
+    flat = bus[i] * net.k.shape[0] + bus[j]
+    order = np.argsort(flat, kind="stable")
+    i, j, flat = i[order], j[order], flat[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    want = (flat[starts], elem[i], net.k[bus[i], elem[i]] * net.k[bus[j], elem[i]], starts)
+    assert all(got.dtype == ref.dtype and np.array_equal(got, ref) for got, ref in zip(net._scatter, want))
+    # The column order of the off-diagonal targets sorts their columns into their rows.
+    row, col, _, off, by_col, _ = net._rows
+    assert np.array_equal(col[off][by_col], row[off])
+
+
+@pytest.mark.parametrize("name", [*BOUND_CASES, "static-branch-and-g-shunt"])
+def test_element_admittances_are_the_masked_formula(ieee9, name):
+    # Each kind evaluated on its own index set gives the values of one
+    # formula over every element, bit for bit: eval_tf, build_ybus and the
+    # record bound share them.
+    net = assemble_ydq({**BOUND_CASES, **SEQUENCE_CASES}[name](ieee9)[0])._network
+    s = 1j * np.array([0.5, 10.0, 200.0, 1e3, 5e4])
+    s = np.stack([s - 1j * net.omega0, s + 1j * net.omega0])[..., None]
+    z = net.r + s * net.l
+    want = net.g + s * net.c / (1.0 + s * net.r * net.c)
+    want += np.divide(1.0, z, out=np.zeros_like(z), where=net.l > 0)
+    assert np.array_equal(net.element_admittances(s[..., 0]), want)
 
 
 def _record_models(case, parasitics=None):
@@ -758,9 +807,10 @@ def test_record_bound_leaves_few_dense_evaluations(ieee9, monkeypatch):
     # points whose bound its eigenvalue does not clear, each once: at most 4
     # for II-IV and 8 for the others. On ieee9 the bound of model I rules out
     # nothing: the generator buses sit behind lossless transformers, so their
-    # rows of 2 Re Y are zero and every bound ties the structural zero.
+    # rows of 2 Re Y are zero and every bound ties the structural zero. The
+    # small row-shape cases of BOUND_CASES make no such claim.
     evals = _logged(monkeypatch, "_min_eigs")
-    for name in BOUND_CASES:
+    for name in ("ieee9", *(f"mesh-40-{seed}" for seed in range(4))):
         models = _record_models(BOUND_CASES[name](ieee9)[0])
         for ss, most in zip(models, (8, 8, 8, 4, 4, 4)):
             evals.clear()

@@ -24,7 +24,7 @@ import numpy as np
 from . import reference
 from .dqstamp import StateSpace, _matrix_blocks, export_matrices
 from .netcase import CaseError, NetworkCase, VariantFlags, derive_variant, load_ieee9, parse_case
-from .passcheck import MODELS, SweepGrid, _realize, _Variant, classify_grid, classify_model, sweep_samples
+from .passcheck import MODELS, SweepGrid, _Variant, classify_grid, classify_model, sweep_samples
 from .passivate import RegulationSet, apply_qv_contribution
 from .powerflow import PowerFlowError, build_jlf_analytic, solve_powerflow, symmetric_part_eigenvalues
 
@@ -134,7 +134,7 @@ def cmd_passivity(args: argparse.Namespace) -> tuple[int, dict, str]:
         if verdict.cond2.worst_omega is None:
             print("note: model is frequency-independent, no sweep CSV written", file=sys.stderr)
         else:
-            ss = _realize(work, flags.decoupled, args.model, args.analysis, args.tau, reg)[0]
+            ss = work.realize(args.model, args.analysis, flags.decoupled, args.tau)
             rows = ["omega,min_eig"] + [f"{w!r},{lam!r}" for w, lam in sweep_samples(ss, grid)]
             Path(args.csv).write_text("\n".join(rows) + "\n")
     lines = [f"model {verdict.model} ({verdict.analysis}) -> {verdict.overall}"]
@@ -243,11 +243,11 @@ def cmd_tables(args: argparse.Namespace) -> tuple[int, dict, str]:
 def cmd_dump_model(args: argparse.Namespace) -> tuple[int, None, str]:
     case = _read_case(args.case)
     flags = _parse_variant(args.variant)
-    # The wideband realization that `passivity` judges, or the J_LF of low-frequency model II.
+    # The wideband realization that `passivity` judges, or low-frequency model II, which is J_LF.
     work = _Variant(case, flags)
     if args.model == "LF":
-        return EXIT_OK, None, _jacobian_dump(_realize(work, flags.decoupled, "II", "lowfreq", args.tau)[2])
-    return EXIT_OK, None, export_matrices(_realize(work, flags.decoupled, args.model, "wideband", args.tau)[0])
+        return EXIT_OK, None, _jacobian_dump(work.realize("II", "lowfreq", flags.decoupled, args.tau))
+    return EXIT_OK, None, export_matrices(work.realize(args.model, "wideband", flags.decoupled, args.tau))
 
 
 def build_parser() -> argparse.ArgumentParser:

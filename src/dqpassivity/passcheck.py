@@ -694,10 +694,10 @@ class _Variant:
     """One variant network of a verdict grid and the work its cells share.
 
     `flags` names the variant and `case` is its network, both without the
-    decoupled flag, which only the low-frequency Jacobian consumes
-    (`_realize`). Its operating point, Y_DQ(s), J_LF and J(s) are each
-    built on first use and at most once.
-    Every cell copies what it changes (`decouple`, `apply_qv_contribution`,
+    decoupled flag, which only the low-frequency Jacobian consumes. Its
+    operating point, Y_DQ(s), J_LF, decoupled J_LF and J(s) are each built
+    on first use and at most once, and `realize` builds a cell's model from
+    them. Every cell copies what it changes (`apply_qv_contribution`,
     `replace`), so the cells read the same objects and nothing else.
     """
 
@@ -718,51 +718,40 @@ class _Variant:
         return build_jlf_analytic(self.case, self.op)
 
     @cached_property
+    def jlf_decoupled(self) -> StateSpace:
+        return decouple(self.jlf)
+
+    @cached_property
     def j_of_s(self) -> StateSpace:
         op = self.op  # the loading is checked before the network is assembled
         return build_j_of_s(self.ydq, op)
 
+    def realize(self, model: str, analysis: str, decoupled: bool, tau: float) -> StateSpace:
+        """The state-space realization of one cell of this variant.
 
-def _realize(
-    work: _Variant,
-    decoupled: bool,
-    model: str,
-    analysis: str,
-    tau: float,
-    regulation: RegulationSet | None = None,
-) -> tuple[StateSpace, OperatingPoint | None, StateSpace | None]:
-    """The cell's realization, its operating point (II-IV) and its J_LF.
+        Low-frequency II-IV are built from J_LF, decoupled when asked; model
+        II is J_LF itself. An invalid combination raises ValueError before
+        any power flow runs.
+        """
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        if analysis not in ("wideband", "lowfreq"):
+            raise ValueError(f"unknown analysis {analysis!r}")
+        if decoupled and analysis != "lowfreq":
+            raise ValueError("the decoupled simplification applies to low-frequency models only")
+        if decoupled and model == "I":
+            raise ValueError("the decoupled simplification does not apply to the rectangular model")
+        _check_tau(tau)
 
-    J_LF is returned for low-frequency II-IV only, decoupled when asked and
-    with `regulation` applied when one is given; the realization is built
-    from the unregulated J_LF. An invalid combination raises ValueError
-    before any power flow runs.
-    """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if analysis not in ("wideband", "lowfreq"):
-        raise ValueError(f"unknown analysis {analysis!r}")
-    if decoupled and analysis != "lowfreq":
-        raise ValueError("the decoupled simplification applies to low-frequency models only")
-    if decoupled and model == "I":
-        raise ValueError("the decoupled simplification does not apply to the rectangular model")
-    if regulation and analysis != "lowfreq":
-        raise ValueError("regulation contributions apply to low-frequency models only")
-    if regulation and model == "I":
-        raise ValueError("the rectangular model needs no regulation")
-    _check_tau(tau)
-
-    if model == "I":
+        if model == "I":
+            if analysis == "wideband":
+                return self.ydq
+            m = self.ydq.n_inputs
+            zero_state = dict(a=np.zeros((0, 0)), b=np.zeros((0, m)), c=np.zeros((m, 0)), state_meta=())
+            return replace(self.ydq, d=eval_tf(self.ydq, 0.0), **zero_state)
         if analysis == "wideband":
-            return work.ydq, None, None
-        m = work.ydq.n_inputs
-        zero_state = dict(a=np.zeros((0, 0)), b=np.zeros((0, m)), c=np.zeros((m, 0)), state_meta=())
-        return replace(work.ydq, d=eval_tf(work.ydq, 0.0), **zero_state), None, None
-    if analysis == "wideband":
-        return build_polar_model(model, work.j_of_s, tau), work.op, None
-    jlf = decouple(work.jlf) if decoupled else work.jlf
-    ss = build_polar_model(model, jlf, tau)
-    return ss, work.op, apply_qv_contribution(jlf, regulation) if regulation else jlf
+            return build_polar_model(model, self.j_of_s, tau)
+        return build_polar_model(model, self.jlf_decoupled if decoupled else self.jlf, tau)
 
 
 def classify_model(
@@ -791,21 +780,28 @@ def classify_model(
     zero in the symmetric part); III and IV re-run the pipeline.
 
     A caller with several cells of one variant (`classify_grid`) passes a
-    `_Variant` as `case`, so that they share one variant case, operating
-    point, Y_DQ(s), J_LF and J(s). One built for other flags than `flags`,
-    `decoupled` aside, is a ValueError.
+    `_Variant` as `case`, so that they share its work. One built for other
+    flags than `flags`, `decoupled` aside, is a ValueError before any power
+    flow, as is a regulation set on a wideband or rectangular cell.
     """
     # A context of its own is dropped once the cell is realized, J(s) with it.
     work = case if isinstance(case, _Variant) else _Variant(case, flags)
     if work.flags != replace(flags, decoupled=False):
         raise ValueError(f"the variant was built for {work.flags}, not for {flags}")
-    ss, op, jlf = _realize(work, flags.decoupled, model, analysis, tau, regulation)
+    if regulation and analysis != "lowfreq":
+        raise ValueError("regulation contributions apply to low-frequency models only")
+    if regulation and model == "I":
+        raise ValueError("the rectangular model needs no regulation")
+    ss = work.realize(model, analysis, flags.decoupled, tau)
+    op = work.op if model == "III" else None
+    if regulation:  # applied at once, so an unknown bus fails a passing cell too
+        jlf = apply_qv_contribution(work.jlf_decoupled if flags.decoupled else work.jlf, regulation)
     del work
     notes = {
         ("I", "lowfreq"): ("static rectangular model Y_DQ(0)",),
         ("II", "lowfreq"): ("static load-flow Jacobian J_LF",),
     }.get((model, analysis), ())
-    poles, sweep, residues, feed, ok = _state_space_checks(ss, grid, op if model == "III" else None)
+    poles, sweep, residues, feed, ok = _state_space_checks(ss, grid, op)
     regulated = None
     overall = "passive" if ok else "non-passive"
     if not ok and regulation:
@@ -854,8 +850,8 @@ def classify_grid(
     "<column>/decoupled": verdict, ...}}; the rectangular model has a
     single verdict per column. Each column's variant (`_Variant`) is built
     once and shared by its cells and the wideband row: one case, operating
-    point, Y_DQ(s) and J_LF per column, one J(s) for the grid. A caller
-    that has already used the base case's context (`cli.cmd_tables`)
+    point, Y_DQ(s), J_LF and decoupled J_LF per column, one J(s) for the
+    grid. A caller that has used the base case's context (`cli.cmd_tables`)
     passes it as `case`: it is the lossy_b column, so it must be built for
     VariantFlags(), and the other columns derive from its case.
     """

@@ -68,7 +68,7 @@ def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
         raise ValueError("admittance model and operating point bus orders differ")
     e, c, f = interface_matrices(op)
     j = StateSpace(
-        a=ydq.a.copy(),
+        a=ydq.a,
         b=ydq.b @ f,
         c=e @ ydq.c,
         d=(e @ ydq.d + c) @ f,

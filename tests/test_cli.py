@@ -244,6 +244,19 @@ def test_passivity_integrator_only_csv_has_two_rows(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_passivity_decoupled_lowfreq_csv_matches_the_verdict(tmp_path, capsys):
+    # The CSV realizes the decoupled J_LF behind integrators outside the
+    # verdict; its two samples hold the verdict's minimum and where it lies.
+    csv = tmp_path / "lf3d.csv"
+    argv = ["passivity", "ieee9", "--model", "III", "--analysis", "lowfreq", "--variant", "decoupled"]
+    code = main([*argv, "--csv", str(csv), "--format", "json"])
+    assert code == EXIT_NON_PASSIVE
+    sweep = json.loads(capsys.readouterr().out)["cond2_sweep"]
+    rows = [tuple(map(float, r.split(","))) for r in csv.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 2
+    assert min(rows, key=lambda r: r[1]) == (sweep["worst_omega"], sweep["min_eig"])
+
+
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_passivity_sweep_grid_emptied_by_pole_exclusion_exits_2(fmt, capsys):
     code = main([

@@ -69,7 +69,7 @@ def test_passive_model_one_stays_stable_with_passive_devices(ieee9, seed):
     cells = [(VariantFlags(), "wideband")] + [(flags, "lowfreq") for _, flags in VARIANT_COLUMNS]
     for flags, analysis in cells:
         assert classify_model(case, flags, "I", analysis, TAU).overall == "passive"
-        ss, _, _ = passcheck._realize(passcheck._Variant(case, flags), False, "I", analysis, TAU)
+        ss = passcheck._Variant(case, flags).realize("I", analysis, False, TAU)
         for _ in range(DEVICES):
             margin = stability_margin(feedback(ss, passive_device(rng, ss.n_inputs)))
             assert margin <= 1.0, (flags, analysis, margin)
@@ -77,7 +77,7 @@ def test_passive_model_one_stays_stable_with_passive_devices(ieee9, seed):
 
 def test_non_passive_wideband_two_is_destabilized_by_a_passive_device(ieee9):
     assert classify_model(ieee9, model="II", analysis="wideband", tau=TAU).overall == "non-passive"
-    ss, _, _ = passcheck._realize(passcheck._Variant(ieee9, VariantFlags()), False, "II", "wideband", TAU)
+    ss = passcheck._Variant(ieee9, VariantFlags()).realize("II", "wideband", False, TAU)
     rng = np.random.default_rng(5)
     margins = [stability_margin(feedback(ss, passive_device(rng, ss.n_inputs))) for _ in range(DEVICES)]
     assert max(margins) > 1.0

@@ -457,7 +457,7 @@ def test_builders_carry_the_network_record(ieee9, ieee9_op):
     assert ydq._network.v is None and j._network.v is not None
     jlf = build_jlf_analytic(ieee9, ieee9_op)
     lowfreq = (
-        passcheck._realize(passcheck._Variant(ieee9, VariantFlags()), False, "I", "lowfreq", TAU)[0],
+        passcheck._Variant(ieee9, VariantFlags()).realize("I", "lowfreq", False, TAU),
         *(build_polar_model(model, jlf, TAU) for model in MODELS[1:]),
     )
     copies = (replace(ydq, d=2.0 * ydq.d), *(replace(ss) for ss in built))
@@ -574,9 +574,11 @@ def test_screened_sweep_equals_full_sweep_on_ieee9_grid(ieee9, regulated):
     for flags, model, analysis in _grid_cells():
         reg = REG if regulated and analysis == "lowfreq" and model != "I" else None
         v = classify_model(ieee9, flags, model, analysis, TAU, reg)
-        ss, _, jlf = passcheck._realize(passcheck._Variant(ieee9, flags), flags.decoupled, model, analysis, TAU, reg)
+        work = passcheck._Variant(ieee9, flags)
+        ss = work.realize(model, analysis, flags.decoupled, TAU)
         assert_sweep_is_full_minimum(v.cond2, ss)
         if v.regulated is not None and v.regulated.sweep is not None:
+            jlf = apply_qv_contribution(work.realize("II", "lowfreq", flags.decoupled, TAU), reg)
             assert_sweep_is_full_minimum(v.regulated.sweep, build_polar_model(model, jlf, TAU))
             regulated_sweeps += 1
     assert (regulated_sweeps > 0) == regulated
@@ -1387,8 +1389,10 @@ def test_mesh_grid_matches_ieee9_under_uniform_regulation(seed):
 
 
 def test_classify_grid_builds_each_variant_once(ieee9, monkeypatch):
-    # One case, power flow, Y_DQ and J_LF per variant column; one J(s), for the wideband row.
-    calls = dict.fromkeys(("derive_variant", "solve_powerflow", "build_jlf_analytic", "assemble_ydq", "build_j_of_s"), 0)
+    # One case, power flow, Y_DQ, J_LF and decoupled J_LF per variant column;
+    # one J(s), for the wideband row.
+    names = ("derive_variant", "solve_powerflow", "build_jlf_analytic", "decouple", "assemble_ydq", "build_j_of_s")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
 
         def counted(*args, _name=name, _f=getattr(passcheck, name), **kwargs):
@@ -1397,7 +1401,7 @@ def test_classify_grid_builds_each_variant_once(ieee9, monkeypatch):
 
         monkeypatch.setattr(passcheck, name, counted)
     assert classify_grid(ieee9, regulation=REG) == EXPECTED_GRID
-    assert list(calls.values()) == [4, 4, 4, 4, 1]
+    assert list(calls.values()) == [4, 4, 4, 4, 4, 1]
     # A loading with no power-flow solution still fails the grid at its first polar cell.
     with pytest.raises(PowerFlowError):
         classify_grid(two_bus_case(load_p=-100))

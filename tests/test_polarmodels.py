@@ -84,6 +84,12 @@ def test_j_of_s_matches_formula(ieee9_models, ieee9_op):
         assert np.linalg.norm(got - direct) <= 1e-9 * np.linalg.norm(direct)
 
 
+def test_j_of_s_shares_the_admittance_state_matrix(ieee9_models):
+    # The power-polar ports change B, C and D only; no builder writes into A.
+    ydq, j2 = ieee9_models
+    assert j2.a is ydq.a
+
+
 def test_j_at_zero_equals_analytic_jacobian(ieee9, ieee9_op, ieee9_models):
     _, j2 = ieee9_models
     jlf = build_jlf_analytic(ieee9, ieee9_op).d

@@ -13,17 +13,17 @@ form, which is what the dissipation checks integrate against.
 
 One private network record (`_Network`) describes the network: an
 incidence column and (r, L, C, g) per element. `assemble_ydq` derives A,
-B, C, D from it with array assignments, and `powerflow.build_ybus`
-evaluates it at omega0. The network is balanced and has real
-coefficients, so in complex-vector form (Harnefors 2007)
+B, C from it with array assignments and D by its scatter-add, and
+`powerflow.build_ybus` evaluates it at omega0. The network is balanced
+and has real coefficients, so in complex-vector form (Harnefors 2007)
 Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
 Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
 record, attached by `assemble_ydq` and the polar builders, scatter-adds
 both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
-them, and `_hermitian_blocks` gives condition 2 model I's Y_DQ + Y_DQ^H
-as 2 Re of each, every other model's G + G^H from `eval_tf`. It bounds
-lambda_min(G + G^H) of every model with a record from the same y_e, by a
-real scatter (`_Network.gershgorin`). It also gives the model's poles,
+them. It bounds lambda_min(G + G^H) of every model with a record from the
+same y_e, by a real scatter (`_Network.gershgorin`), and that scatter of
+2 Re y_e gives model I's sequence blocks in condition 2 (`_hermitian_blocks`;
+any other model's G + G^H comes from `eval_tf`). It also gives the poles,
 p_e +/- j omega0 per dynamic element and a zero per channel integrator,
 and each imaginary-axis residue in closed form (`StateSpace._axis_cluster`),
 so a model with a record never eigendecomposes A. A `dataclasses.replace`
@@ -505,7 +505,7 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
     axis, with u = K_e^T v the element voltage, an inductor obeys
     L i' = u - r i and injects K_e i, a capacitor obeys r C v' = u - v and
     injects K_e (u - v) / r; A adds the +/- omega0 coupling of the rotating
-    frame, and D = K diag(delta) K^T on both axes.
+    frame, and D = K diag(delta) K^T on both axes, scatter-added by the record.
     """
     par = parasitics if parasitics is not None else ParasiticConfig()
     n, w0 = case.n_bus, case.system.omega0
@@ -538,7 +538,7 @@ def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -
     c = np.zeros((2 * n, nx))
     c[:n, 0::2] = c[n:, 1::2] = el.k[:, dyn] * gamma
     d = np.zeros((2 * n, 2 * n))
-    d[:n, :n] = d[n:, n:] = (el.k * delta) @ el.k.T
+    d[:n, :n] = d[n:, n:] = el._scatter_add(delta) + 0.0  # + 0.0: a lossless branch scatters -0.0
     kinds = [("inductor", "i") if i else ("capacitor", "v") for i in ind.tolist()]
     storage = np.where(ind, el.l[dyn], el.c[dyn]).tolist()
     meta = tuple(
@@ -589,13 +589,13 @@ def _hermitian_blocks(ss: StateSpace, s: np.ndarray) -> np.ndarray:
     on the imaginary axis; shape (k,) + s.shape + (m, m), k = 2 or 1.
 
     For the bare admittance (Y = Y^T), Y_DQ(jw) + Y_DQ^H(jw) is unitarily
-    similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0))) with Y the
-    real-coefficient n x n nodal admittance, so the stack is those two real
-    symmetric blocks; for any other model it is G + G^H from `eval_tf`.
+    similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0))), and 2 Re Y =
+    K diag(2 Re y_e) K^T: the stack is those two real blocks, scattered from
+    the values `_Network.gershgorin` reads; else G + G^H from `eval_tf`.
     """
     net = _bare_admittance(ss)
     if net is not None:
-        return 2.0 * net.sequence_blocks(s).real
+        return net._scatter_add(2.0 * net.sequence_admittances(s).real)
     g = eval_tf(ss, s)
     g += g.conj().swapaxes(-1, -2)
     return g[None]

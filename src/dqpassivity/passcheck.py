@@ -102,8 +102,8 @@ _CHUNK_POINTS = 8
 # - `eval_tf` forms each entry of the dense H from the same y_e through the
 #   scatter, rotation, change of basis, reflection, filter and G + G^H, so
 #   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.
-#   Model I's entries are 2 Re of the gamma_d scatter of y_e into the sequence
-#   blocks (`dqstamp._hermitian_blocks`), inside the same bound.
+#   Model I's eigensolved entries are the bound's own values, the real
+#   scatter of 2 Re y_e (`dqstamp._hermitian_blocks`), inside the same bound.
 # - `eigvalsh` returns lambda_min within p(m) u ||H||_2 (LAPACK Users' Guide,
 #   3rd ed., 4.7), p(m) of low degree, taken here as m^2: at most m^2 u 2 mu.
 # Together (2 m^2 + 4 m + 6 d + 74) u mu, below 16 (m + d)^2 u mu for every

@@ -17,12 +17,14 @@ from dqpassivity import (
     StateSpace,
     SweepGrid,
     SystemParams,
+    VariantFlags,
     assemble_ydq,
     build_j_of_s,
     build_jdf,
     build_jdp,
     build_jlf_analytic,
     build_polar_model,
+    derive_variant,
     eval_tf,
     storage_energy,
     sweep_psd,
@@ -31,6 +33,7 @@ from dqpassivity import (
 from dqpassivity import dqstamp
 from dqpassivity.dqstamp import _MODAL_KAPPA_MAX, _POLE_TOL
 from conftest import random_case, random_solved_case
+from test_passcheck import _synthcase
 
 W0 = SystemParams().omega0
 
@@ -90,6 +93,27 @@ def test_feedthrough_block_structure(ieee9):
     assert np.linalg.norm(ss.d[n:, :n]) == 0.0
     assert np.allclose(ss.d[n:, n:], d1)
     assert np.max(np.abs(d1 - d1.T)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["ieee9", "ieee9-lossless", "mesh-40-0"])
+def test_feedthrough_is_the_dense_product_without_negative_zeros(ieee9, name):
+    # D = K diag(delta) K^T on both axes, delta = g + 1/r_c on capacitors; the
+    # scatter writes -0.0 where a lossless branch has delta_e = 0, which D
+    # (and `dump-model`) must not hold.
+    cases = {
+        "ieee9": lambda: ieee9,
+        "ieee9-lossless": lambda: derive_variant(ieee9, VariantFlags(lossless=True)),
+        "mesh-40-0": lambda: _synthcase().mesh_case(40, 0),
+    }
+    ss = assemble_ydq(cases[name]())
+    net, n = ss._network, len(ss.bus_ids)
+    delta = net.g.copy()
+    cap = net.c > 0
+    delta[cap] += 1.0 / net.r[cap]
+    want = (net.k * delta) @ net.k.T
+    assert np.array_equal(ss.d[:n, :n], want) and np.array_equal(ss.d[n:, n:], want)
+    assert not ss.d[:n, n:].any() and not ss.d[n:, :n].any()
+    assert not np.signbit(ss.d[ss.d == 0.0]).any()
 
 
 def test_propriety_error_with_capacitors(ieee9):

@@ -502,7 +502,8 @@ def test_ydq_is_the_sequence_transform_of_the_element_table(ieee9, name):
 
 
 # The network record's scattered sequence blocks against the dense product
-# K diag(y_e) K^T: bare for model I, rotated by the bus voltages for J(s).
+# K diag(y_e) K^T: bare for Y_DQ's response (`eval_tf`), rotated by the bus
+# voltages for J(s). Model I's sweep scatters 2 Re y_e instead (below).
 RECORD_CASES = {
     "ieee9": lambda c: c,
     "ratio": IDENTITY_CASES["ratio"],
@@ -523,6 +524,51 @@ def test_sequence_blocks_equal_the_dense_admittance(ieee9, name):
         want = np.stack([net.admittance(s - 1j * w0) * rot, net.admittance(s + 1j * w0) * rot.conj()])
         err = np.abs(net.sequence_blocks(s) - want).max(axis=(-2, -1))
         assert (err <= 1e-12 * np.abs(want).max(axis=(-2, -1))).all(), name
+
+
+MODEL_I_CASES = {
+    "ieee9": lambda c: c,
+    "mesh-40-0": lambda c: _synthcase().mesh_case(40, 0),
+    "mesh-40-1": lambda c: _synthcase().mesh_case(40, 1),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_I_CASES)
+def test_model_i_eigensolves_the_entries_its_bound_reads(ieee9, name):
+    # Model I's sweep blocks are the real scatter of 2 Re y_e that
+    # `_Network.gershgorin` reads (rho = 1, a = 2), bit for bit, on Y's
+    # pattern and zero elsewhere.
+    ydq = assemble_ydq(MODEL_I_CASES[name](ieee9))
+    net, s = ydq._network, 1j * SweepGrid().points()
+    n = net.k.shape[0]
+    blocks = dqstamp._hermitian_blocks(ydq, s).reshape(2, s.size, n * n)
+    on_pattern = np.zeros(n * n, dtype=bool)
+    on_pattern[net._scatter[0]] = True
+    want = net._scatter_values(2.0 * net.sequence_admittances(s).real)
+    assert np.array_equal(blocks[..., on_pattern], want)
+    assert not blocks[..., ~on_pattern].any()
+
+
+CONDUCTANCE_CASES = {
+    **{f"ieee9-{column}": lambda c, f=flags: derive_variant(c, f) for column, flags in VARIANT_COLUMNS},
+    **{f"mesh-40-{seed}": lambda c, k=seed: _synthcase().mesh_case(40, k) for seed in range(4)},
+    "negative-resistance": lambda c: negative_resistance_case(),
+}
+
+
+@pytest.mark.parametrize("name", CONDUCTANCE_CASES)
+def test_element_conductances_match_the_model_i_verdict(ieee9, name):
+    # Re Y(jW) = K diag(Re y_e(jW)) K^T: with every Re y_e(j(w -/+ w0)) >= 0
+    # on the grid, model I's sweep blocks are PSD by construction, and the
+    # sweep passes; one negative element conductance fails it.
+    case = CONDUCTANCE_CASES[name](ieee9)
+    net = assemble_ydq(case)._network
+    conductance = net.sequence_admittances(1j * SweepGrid().points()).real.min()
+    overall = classify_model(case, model="I", analysis="wideband").overall
+    if name == "negative-resistance":
+        assert conductance < -19.0 and overall == "non-passive"
+    else:
+        assert conductance >= 0.0 and overall == "passive", (conductance, overall)
 
 
 @pytest.mark.parametrize("analysis", ["lowfreq", "wideband"])

@@ -68,12 +68,12 @@ VARIANT_COLUMNS = (
 )
 
 
-# Steps per chunk of the dissipation integrator: inputs, states, supplied
-# energy and margins are vectorized over a chunk, and the states advance by
-# anchors every isqrt(_CHUNK_STEPS) = 11 steps (`_advance`). On the nine-bus
-# case (0.5 s at dt = 2e-5, one BLAS thread, shared 2-vCPU host) 1024 steps
-# took 61 ms instead of 84 ms but raised the peak RSS by 4.3 MB.
-_CHUNK_STEPS = 128
+# Steps per chunk of the dissipation integrator; anchors every
+# isqrt(_CHUNK_STEPS) = 16 steps (`_advance`). `bench/run.py` ieee9-dissipation
+# (0.5 s at dt = 2e-5, one BLAS thread, shared 2-vCPU Xeon, medians of 3 runs):
+# 128, 256, 512 and 1024 steps gave 22, 29, 24 and 26 items/s at a peak RSS of
+# 40.07, 40.08, 40.5 and 41.2 MB; chunks past 256 cost memory and run no faster.
+_CHUNK_STEPS = 256
 
 # Grid points per `_min_eigs` evaluation and `hermitian_min_eig` call. It
 # bounds the memory of the points a sweep has left to eigensolve, such as all
@@ -444,13 +444,15 @@ class MultisineInput:
     amplitudes: np.ndarray  # (n_channels, k)
     phases: np.ndarray  # (n_channels, k)
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return np.hstack((self.amplitudes * np.cos(self.phases), self.amplitudes * np.sin(self.phases))).T
+
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
-        # a sin(wt + p) = sin(wt) a cos(p) + cos(wt) a sin(p): one sine and
-        # one cosine per tone and time instead of one sine per channel too.
+        # a sin(wt + p) = sin(wt) a cos(p) + cos(wt) a sin(p): one sine and one
+        # cosine per tone and time, times the weights [a cos p; a sin p] formed once.
         wt = np.multiply.outer(t, self.omegas)
-        a_cos = self.amplitudes * np.cos(self.phases)
-        a_sin = self.amplitudes * np.sin(self.phases)
-        return np.sin(wt) @ a_cos.T + np.cos(wt) @ a_sin.T
+        return np.concatenate((np.sin(wt), np.cos(wt)), -1) @ self._weights
 
 
 def random_multisine(rng: np.random.Generator, n_channels: int) -> MultisineInput:
@@ -476,31 +478,30 @@ class DissipationReport(_Report):
         return self.min_margin >= 0.0
 
 
-def _rk4_step_map(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One RK4 step of the model as an exact affine map and quadratic supply.
+def _rk4_step_map(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step of the model as an exact affine map and its supply.
 
     With the inputs sampled at t, t + dt/2 and t + dt stacked as
-    w = [u1; u2; u3], the step is x+ = phi x + gamma w and the supplied
-    energy of the step, dt/6 * sum_i c_i u_i^T (C x_i + D u_i) over the
-    stages (weights 1, 2, 2, 1), is z^T Q z with z = [x; w] and Q symmetric.
+    w = [u1; u2; u3], the step is x+ = phi x + gamma w, and its supplied
+    energy dt/6 * sum_i c_i u_i^T y_i over the stages (weights 1, 2, 2, 1,
+    outputs y_i = C x_i + D u_i) is w^T O [x; w] with the weighted stage
+    outputs O = dt/6 [y1; 2 (y2 + y3); y4], one row per input sample.
+    Returns phi and the input map [gamma^T | O_x | O_w], rows per input
+    sample: in row form a step supplies x . (w O_x) + w . (w O_w).
     Both follow from pushing identity blocks through the four stages.
     """
     n, m = ss.n_states, ss.n_inputs
-    eye = np.eye(n + 3 * m)
-    x1 = eye[:n]
-    u1, u2, u3 = eye[n : n + m], eye[n + m : n + 2 * m], eye[n + 2 * m :]
+    x1, u1, u2, u3 = np.split(np.eye(n + 3 * m), [n, n + m, n + 2 * m])
     stage_u = (u1, u2, u2, u3)
     stage_x = [x1]
     slopes = [ss.a @ x1 + ss.b @ u1]
     for frac, ui in zip((0.5, 0.5, 1.0), stage_u[1:]):
         stage_x.append(x1 + frac * dt * slopes[-1])
         slopes.append(ss.a @ stage_x[-1] + ss.b @ ui)
-    weights = (1.0, 2.0, 2.0, 1.0)
-    step = x1 + dt / 6.0 * sum(c * k for c, k in zip(weights, slopes))
-    supply = dt / 6.0 * sum(
-        c * ui.T @ (ss.c @ xi + ss.d @ ui) for c, xi, ui in zip(weights, stage_x, stage_u)
-    )
-    return step[:, :n], step[:, n:], 0.5 * (supply + supply.T)
+    step = x1 + dt / 6.0 * (slopes[0] + 2.0 * slopes[1] + 2.0 * slopes[2] + slopes[3])
+    y1, y2, y3, y4 = (ss.c @ xi + ss.d @ ui for xi, ui in zip(stage_x, stage_u))
+    outputs = dt / 6.0 * np.vstack((y1, 2.0 * (y2 + y3), y4))
+    return step[:, :n], np.hstack((step[:, n:].T, outputs))
 
 
 def _advance(powers: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -511,25 +512,24 @@ def _advance(powers: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     c_i = sum_r phi^(s-1-r) f_{is+r} from one product; the states between
     anchors then follow one offset at a time, for all anchors at once. That
     is about k/s + s products instead of k, and agrees with the per-step
-    recurrence to rounding.
+    recurrence to rounding. Each state x_{j+1} overwrites f_j in one buffer.
     """
     s = powers.shape[0] - 1
     k, n = f.shape
     q = -(-k // s)
-    blocks = np.zeros((q, s, n))  # f padded with zero steps to q blocks of s
-    blocks.reshape(q * s, n)[:k] = f
+    xs = np.zeros((q * s + 1, n))  # x, then f padded with zero steps to q blocks of s
+    xs[0], xs[1 : k + 1] = x, f
     # Row form: c_i^T = sum_r f_{is+r}^T (phi^(s-1-r))^T.
-    c = blocks.reshape(q, s * n) @ powers[s - 1 :: -1].transpose(0, 2, 1).reshape(s * n, n)
-    xs = np.empty((q * s + 1, n))
-    # Views of xs: anchor i is x_{is}; block i, offset r is x_{is+r}.
+    c = xs[1:].reshape(q, s * n) @ powers[s - 1 :: -1].transpose(0, 2, 1).reshape(s * n, n)
+    # Views of xs: anchor i is x_{is}; block i, offset r is x_{is+r}, which
+    # holds f_{is+r-1} until the state replaces it.
     anchors, states = xs[::s], xs[:-1].reshape(q, s, n)
-    anchors[0] = x
     phi_s = powers[s].T
     for i in range(q):
         anchors[i + 1] = anchors[i] @ phi_s + c[i]
     phi = powers[1].T
     for r in range(1, s):
-        states[:, r] = states[:, r - 1] @ phi + blocks[:, r - 1]
+        states[:, r] += states[:, r - 1] @ phi
     return xs[: k + 1]
 
 
@@ -549,18 +549,19 @@ def simulate_dissipation(
     sides share the same quadrature order.
 
     On an LTI model one RK4 step is exactly the affine map
-    x+ = phi x + gamma [u1; u2; u3] and its supplied energy exactly a
-    quadratic form in [x; u1; u2; u3] (`_rk4_step_map`). The run advances
-    in chunks of L = `_CHUNK_STEPS` steps: `u` is evaluated once per chunk on
-    the array of its 2L + 1 step and half-step times and must return an
-    array that broadcasts to (2L + 1, n_inputs), so a constant vector
-    works as well as a `MultisineInput`. Within a chunk the states follow
-    x+ = phi x + gamma w by an anchored recurrence (`_advance`): anchors
-    every s = isqrt(L) steps advance by phi^s, and the states between them
-    follow for all anchors at once, which agrees with the per-step loop to
-    rounding. The supplied energy, the stored energy and the margin are
-    computed per chunk on the stored states. The run needs a finite
-    dt > 0 and a finite t_end of at least one step.
+    x+ = phi x + gamma w, w = [u1; u2; u3], and its supplied energy exactly
+    x . (w O_x) + w . (w O_w) with O the weighted stage outputs
+    (`_rk4_step_map`). The run advances in chunks of L = `_CHUNK_STEPS`
+    steps: `u` is evaluated once per chunk on the array of its 2L + 1 step
+    and half-step times and must return an array that broadcasts to
+    (2L + 1, n_inputs), so a constant vector works as well as a
+    `MultisineInput`. Per chunk, w @ [gamma^T | O_x] and w @ O_w are two
+    products; the states follow x+ = phi x + gamma w by an anchored
+    recurrence (`_advance`): anchors every s = isqrt(L) steps advance by
+    phi^s, and the states between them follow for all anchors at once,
+    which agrees with the per-step loop to rounding. The supply, the stored
+    energy and the margin are then row dots over the chunk's steps. The run
+    needs a finite dt > 0 and a finite t_end of at least one step.
     """
     if not (0.0 < dt < math.inf and math.isfinite(t_end) and t_end / dt > 0.5):
         raise ValueError(f"need a finite dt > 0 and t_end of at least one step, got dt={dt}, t_end={t_end}")
@@ -581,48 +582,52 @@ def simulate_dissipation(
             f"{worst:.3e} rad/s; reduce the step below {2.5 / worst:.3e} s"
         )
 
-    phi, gamma, q = _rk4_step_map(ss, dt)
-    n_steps = int(round(t_end / dt))
-    supplied = 0.0
-    min_margin = math.inf
-    t_at_min = 0.0
-    t = 0.0
+    phi, in_map = _rk4_step_map(ss, dt)
+    n, n_steps = ss.n_states, int(round(t_end / dt))
+    supplied, min_margin, t_at_min, t = 0.0, math.inf, 0.0, 0.0
     # Overflow, in the states or in phi^s itself, is caught by the per-chunk
     # finite check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [np.eye(ss.n_states)]
+        powers = [np.eye(n)]
         for _ in range(math.isqrt(_CHUNK_STEPS)):
             powers.append(phi @ powers[-1])
-        powers = np.array(powers)
+        # powers[j] = phi^j as a view of the (phi^j)^T stacked from j = s down,
+        # so the transposed stack `_advance` multiplies is a view, not a copy.
+        powers = np.array([p.T for p in powers[::-1]])[::-1].transpose(0, 2, 1)
         for first in range(0, n_steps, _CHUNK_STEPS):
             n_chunk = min(_CHUNK_STEPS, n_steps - first)
             # Step times are a running sum of dt, as a step-by-step integrator
             # advances them; the half-step times sit between.
             t_steps = np.cumsum(np.concatenate(([t], np.full(n_chunk, dt))))
-            times = np.empty(2 * n_chunk + 1)
-            times[0::2] = t_steps
-            times[1::2] = t_steps[:-1] + 0.5 * dt
-            w_all = np.asarray(u(times), dtype=float)
+            times = np.repeat(t_steps, 2)[:-1]
+            times[1::2] += 0.5 * dt
+            w = np.asarray(u(times), dtype=float)
             try:
-                w_all = np.broadcast_to(w_all, (times.size, ss.n_inputs))
+                w = np.broadcast_to(w, (times.size, ss.n_inputs))
             except ValueError:
                 raise ValueError(
-                    f"u returned shape {w_all.shape} for {times.size} times; "
+                    f"u returned shape {w.shape} for {times.size} times; "
                     f"expected an array broadcastable to ({times.size}, {ss.n_inputs})"
                 ) from None
-            w = np.hstack((w_all[0:-1:2], w_all[1::2], w_all[2::2]))
-            xs = _advance(powers, x, w @ gamma.T)
-            z = np.hstack((xs[:-1], w))
-            supplied_run = supplied + np.cumsum(((z @ q) * z).sum(axis=1))
-            margin = supplied_run - (0.5 * (xs[1:] * xs[1:]) @ storage - e0)
-            # The margin is non-finite once a state, its energy or the supply is.
-            finite = np.isfinite(xs[1:]).all(axis=1) & np.isfinite(margin)
+            # Row k holds the inputs at times[2k + j], j = 0, 1, 2.
+            w = np.hstack((w[0:-1:2], w[1::2], w[2::2]))
+            supply = np.einsum("ij,ij->i", w, w @ in_map[:, 2 * n :])
+            fx = w @ in_map[:, : 2 * n]
+            xs = _advance(powers, x, fx[:, :n])
+            supply += np.einsum("ij,ij->i", xs[:-1], fx[:, n:])
+            supplied_run = supplied + np.cumsum(supply)
+            margin = supplied_run - (0.5 * np.einsum("ij,ij,j->i", xs[1:], xs[1:], storage) - e0)
+            # Only the margin is checked. A non-finite state entry makes its
+            # energy term inf * inf * L (nan where L is 0), a non-finite input
+            # sample w_j its supply term w_j (w O_w)_j, and a sum with an inf
+            # or nan term, the running supply too, stays non-finite.
+            finite = np.isfinite(margin)
             if not finite.all():
                 k_bad = int(np.argmin(finite))
-                # Step k reads the inputs at times[2k : 2k + 3].
-                bad_u = ~np.isfinite(w_all[: 2 * k_bad + 3]).all(axis=1)
+                bad_u = ~np.isfinite(w[: k_bad + 1].reshape(k_bad + 1, 3, ss.n_inputs)).all(axis=2)
                 if bad_u.any():
-                    raise ValueError(f"u is not finite at t={times[np.argmax(bad_u)]:.4g}s")
+                    k, j = divmod(int(np.argmax(bad_u)), 3)
+                    raise ValueError(f"u is not finite at t={times[2 * k + j]:.4g}s")
                 raise SimulationUnstableError(
                     f"state overflow at t={t_steps[1 + k_bad]:.4g}s; reduce the integration step"
                 )
@@ -630,17 +635,12 @@ def simulate_dissipation(
             if margin[k_min] < min_margin:
                 min_margin = float(margin[k_min])
                 t_at_min = float(t_steps[k_min + 1])
-            x = xs[-1]
+            x = xs[-1].copy()
             supplied = float(supplied_run[-1])
             t = float(t_steps[-1])
-    return DissipationReport(
-        min_margin=float(min_margin),
-        t_at_min=float(t_at_min),
-        supplied=float(supplied),
-        stored_delta=float(0.5 * (x * x) @ storage - e0),
-        n_steps=n_steps,
-        dt=dt,
-    )
+            del w, fx, xs  # before the next chunk allocates its own
+    stored_delta = float(0.5 * (x * x) @ storage - e0)
+    return DissipationReport(min_margin, t_at_min, supplied, stored_delta, n_steps, dt)
 
 
 # ---------------------------------------------------------------------------

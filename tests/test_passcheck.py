@@ -1075,14 +1075,32 @@ def test_dissipation_requires_physical_meta(ieee9_j2):
         simulate_dissipation(j3, lambda t: np.zeros(18), t_end=0.01, dt=1e-5)
 
 
-def per_step_rk4_dissipation(ss, u, t_end, dt, x0):
-    """Reference: explicit RK4 per step, inputs and supply evaluated stage by stage."""
+def rk4_step(ss, x, u1, u2, u3, dt):
+    """One explicit RK4 step: the next state and dt/6 * sum_i c_i u_i^T y_i over the stages."""
     a, b, c, d = ss.a, ss.b, ss.c, ss.d
-    storage = np.array([m.storage for m in ss.state_meta])
-    x = np.asarray(x0, dtype=float).copy()
 
     def output(xv, uv):
         return c @ xv + d @ uv
+
+    k1x = a @ x + b @ u1
+    k1w = float(u1 @ output(x, u1))
+    x2 = x + 0.5 * dt * k1x
+    k2x = a @ x2 + b @ u2
+    k2w = float(u2 @ output(x2, u2))
+    x3 = x + 0.5 * dt * k2x
+    k3x = a @ x3 + b @ u2
+    k3w = float(u2 @ output(x3, u2))
+    x4 = x + dt * k3x
+    k4x = a @ x4 + b @ u3
+    k4w = float(u3 @ output(x4, u3))
+    x_next = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    return x_next, dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+
+
+def per_step_rk4_dissipation(ss, u, t_end, dt, x0):
+    """Reference: explicit RK4 per step, inputs and supply evaluated stage by stage."""
+    storage = np.array([m.storage for m in ss.state_meta])
+    x = np.asarray(x0, dtype=float).copy()
 
     def energy(xv):
         return 0.5 * float(np.dot(storage, xv * xv))
@@ -1093,28 +1111,37 @@ def per_step_rk4_dissipation(ss, u, t_end, dt, x0):
     t_at_min = 0.0
     t = 0.0
     for _ in range(int(round(t_end / dt))):
-        u1 = u(t)
-        u2 = u(t + 0.5 * dt)
-        u3 = u(t + dt)
-        k1x = a @ x + b @ u1
-        k1w = float(u1 @ output(x, u1))
-        x2 = x + 0.5 * dt * k1x
-        k2x = a @ x2 + b @ u2
-        k2w = float(u2 @ output(x2, u2))
-        x3 = x + 0.5 * dt * k2x
-        k3x = a @ x3 + b @ u2
-        k3w = float(u2 @ output(x3, u2))
-        x4 = x + dt * k3x
-        k4x = a @ x4 + b @ u3
-        k4w = float(u3 @ output(x4, u3))
-        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        supplied += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        x, step_supply = rk4_step(ss, x, u(t), u(t + 0.5 * dt), u(t + dt), dt)
+        supplied += step_supply
         t += dt
         margin = supplied - (energy(x) - e0)
         if margin < min_margin:
             min_margin = margin
             t_at_min = t
     return min_margin, t_at_min, supplied, energy(x) - e0
+
+
+@pytest.mark.parametrize("network", ["ieee9_sim", "negative_resistance"])
+def test_rk4_step_map_matches_one_explicit_step(ieee9_sim, network):
+    if network == "ieee9_sim":
+        ss, dt = ieee9_sim, 2e-5
+    else:
+        ss, dt = assemble_ydq(negative_resistance_case()), 1e-5
+    n, m = ss.n_states, ss.n_inputs
+    phi, in_map = passcheck._rk4_step_map(ss, dt)
+    assert phi.shape == (n, n) and in_map.shape == (3 * m, 2 * n + 3 * m)
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=n)
+    u1, u2, u3 = rng.normal(size=(3, m))
+    w = np.concatenate((u1, u2, u3))
+    want_free, _ = rk4_step(ss, x, np.zeros(m), np.zeros(m), np.zeros(m), dt)
+    want_x, want_supply = rk4_step(ss, x, u1, u2, u3, dt)
+    # Row form, as the integrator multiplies: [gamma^T | O_x | O_w].
+    got_x = phi @ x + w @ in_map[:, :n]
+    got_supply = x @ (w @ in_map[:, n : 2 * n]) + w @ (w @ in_map[:, 2 * n :])
+    assert np.abs(phi @ x - want_free).max() <= 1e-13 * np.abs(want_free).max()
+    assert np.abs(got_x - want_x).max() <= 1e-13 * np.abs(want_x).max()
+    assert abs(got_supply - want_supply) <= 1e-13 * abs(want_supply)
 
 
 @pytest.mark.parametrize("network", ["ieee9_sim", "negative_resistance"])
@@ -1135,6 +1162,37 @@ def test_dissipation_matches_per_step_rk4_reference(ieee9_sim, network):
         (rep.stored_delta, stored_delta),
     ):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_dissipation_chunk_length_changes_only_rounding(ieee9_sim, monkeypatch):
+    ss, dt = ieee9_sim, 2e-5
+    rng = np.random.default_rng(25)
+    u = random_multisine(rng, ss.n_inputs)
+    x0 = 0.2 * rng.normal(size=ss.n_states)
+    # An input non-finite at one half-step time only (column block 1 of
+    # step 300's row), and one non-finite only at t = 256 dt, which ends a
+    # chunk of 128 and of 256 steps (block 2 of that chunk's last row).
+    t_half, t_step = 300.5 * dt, 256 * dt
+
+    def only_at(t_bad):
+        def u_bad(t):
+            return np.where(np.abs(np.asarray(t) - t_bad)[:, None] < 0.25 * dt, np.nan, u(t))
+
+        return u_bad
+
+    reports = []
+    for chunk in (37, 128, passcheck._CHUNK_STEPS):
+        monkeypatch.setattr(passcheck, "_CHUNK_STEPS", chunk)
+        reports.append(simulate_dissipation(ss, u, t_end=0.05, dt=dt, x0=x0).to_dict())
+        for t_bad in (t_half, t_step):
+            with pytest.raises(ValueError, match="u is not finite") as err:
+                simulate_dissipation(ss, only_at(t_bad), t_end=0.05, dt=dt, x0=x0)
+            assert str(err.value) == f"u is not finite at t={t_bad:.4g}s", chunk
+    assert reports[0]["n_steps"] == 2500
+    for rep in reports[1:]:
+        assert rep["n_steps"] == reports[0]["n_steps"]
+        for key, want in reports[0].items():
+            assert abs(rep[key] - want) <= 1e-12 * max(1.0, abs(want)), key
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1187,7 +1245,7 @@ def test_anchored_recurrence_matches_per_step_loop(ieee9_sim, network):
     s = math.isqrt(passcheck._CHUNK_STEPS)
     powers = np.array([np.linalg.matrix_power(phi, j) for j in range(s + 1)])
     rng = np.random.default_rng(22)
-    # 1030 steps end on a short chunk of 1030 % 128 = 6 steps; 100 ends on
+    # 1030 steps end on a short chunk of 1030 % 256 = 6 steps; 100 ends on
     # a partial block after several anchors.
     for k in (1, s - 1, s, s + 1, passcheck._CHUNK_STEPS, 1030 % passcheck._CHUNK_STEPS, 100):
         x0 = rng.normal(size=ss.n_states)
@@ -1228,7 +1286,7 @@ def test_dissipation_rejects_non_finite_x0_and_input(ieee9_sim):
         simulate_dissipation(ieee9_sim, lambda t: np.zeros(18), t_end=0.01, dt=2e-5, x0=x0)
     with pytest.raises(ValueError, match=r"u is not finite at t=0s"):
         simulate_dissipation(ieee9_sim, lambda t: np.full(18, np.nan), t_end=0.01, dt=2e-5)
-    # Goes non-finite in the second chunk of steps.
+    # Goes non-finite at step 200 of 500, after some steps have run.
     def late(t):
         return np.where(np.asarray(t)[:, None] >= 0.004, np.inf, np.zeros(18))
 

@@ -1,14 +1,12 @@
 """Command-line front end.
 
-Subcommands: `pf` (power flow report), `passivity` (classify one model /
-variant combination), `tables` (reproduce the reference eigenvalue lists
-and the verdict grid for the bundled nine-bus network), `dump-model`
-(state-space matrix dump). Verdict exit codes: 0 passive, 10 non-passive,
-11 passive-after-regulation; case/input errors exit 2, power-flow and
-computation errors (numpy's LinAlgError included) exit 3. `main` writes
-every report once, from the (exit code, JSON document, text) each `cmd_*`
-returns: the document under `--format json`, else the text, to stdout or
-to `--out`.
+Subcommands: `pf` (power flow), `passivity` (classify one model / variant),
+`tables` (the reference eigenvalue lists and verdict grid of the bundled
+nine-bus network), `dump-model` (state-space matrices). Exit codes: 0
+passive, 10 non-passive, 11 passive-after-regulation; 2 on case or input
+errors, 3 on power-flow and computation errors (LinAlgError included).
+`main` writes the (exit code, JSON document, text) each `cmd_*` returns: the
+document under `--format json`, else the text, to stdout or `--out`.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -250,7 +249,9 @@ def cmd_dump_model(args: argparse.Namespace) -> tuple[int, None, str]:
     return EXIT_OK, None, export_matrices(work.realize(args.model, "wideband", flags.decoupled, args.tau))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="dqpassivity",
         description="D-Q network models and passivity classification",

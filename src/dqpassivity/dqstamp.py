@@ -1,39 +1,29 @@
 """Wide-band D-Q admittance state-space model of an R-L-C network.
 
 Every series R-L branch contributes one (i_D, i_Q) state pair with the
-synchronous-frame cross-coupling +/- omega0; every shunt capacitor (behind
-a small series parasitic resistance) contributes a (v_D, v_Q) pair. Inputs
-are the bus voltage deviations (all D components stacked, then all Q),
-outputs the current injections into the network in the same ordering, so
-the assembled model is the multi-port admittance Y_DQ(s).
+synchronous-frame cross-coupling +/- omega0, every shunt capacitor (behind a
+small series parasitic resistance) one (v_D, v_Q) pair. Inputs are the bus
+voltage deviations (all D, then all Q), outputs the current injections in
+the same order: the multi-port admittance Y_DQ(s). Each state's metadata
+carries its L or C (pu-s), so the stored energy is a diagonal quadratic form.
 
-State metadata carries the physical storage parameter (L or C in pu-s) of
-each state so the stored electromagnetic energy is a diagonal quadratic
-form, which is what the dissipation checks integrate against.
-
-One private network record (`_Network`) describes the network: an
-incidence column and (r, L, C, g) per element. `assemble_ydq` derives A,
-B, C from it with array assignments and D by its scatter-add, and
-`powerflow.build_ybus` evaluates it at omega0. The network is balanced
-and has real coefficients, so in complex-vector form (Harnefors 2007)
-Y_DQ(s) = U diag(Y(s - j omega0), Y(s + j omega0)) U^H with U unitary and
-Y(s) = K diag(y_e(s)) K^T the n x n nodal admittance of the elements. The
-record, attached by `assemble_ydq` and the polar builders, scatter-adds
-both blocks at a stack of s: `eval_tf` forms G(s) of wideband I-IV from
-them. It bounds lambda_min(G + G^H) of every model with a record from the
-same y_e, by a real scatter (`_Network.gershgorin`), and that scatter of
-2 Re y_e gives model I's sequence blocks in condition 2 (`_hermitian_blocks`;
-any other model's G + G^H comes from `eval_tf`). It also gives the poles,
-p_e +/- j omega0 per dynamic element and a zero per channel integrator,
-and each imaginary-axis residue in closed form (`StateSpace._axis_cluster`),
-so a model with a record never eigendecomposes A. A `dataclasses.replace`
-copy has no record.
+One private network record (`_Network`, one table per case) holds each
+element's endpoints, incidence weight and (r, L, C, g). The network is
+balanced with real coefficients, so (Harnefors 2007) Y_DQ(s) =
+U diag(Y(s - j omega0), Y(s + j omega0)) U^H, U unitary, Y(s) = K diag(y_e(s)) K^T.
+The record, attached by `assemble_ydq` and the polar builders, scatter-adds
+both blocks at a stack of s (`eval_tf`), bounds lambda_min(G + G^H) by a real
+scatter (`_Network.gershgorin`) whose 2 Re y_e are model I's condition-2
+blocks, and gives the poles and residues in closed form. So no check of a
+model with a record reads A, B or C; they are formed only when read
+(`StateSpace._of_record`). `powerflow.build_ybus` is its dense Y(j omega0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -52,14 +42,11 @@ __all__ = [
 ]
 
 # `eval_tf` raises SingularFrequencyError within _POLE_TOL of a pole. A model
-# without a network record (user-built, a `replace` copy, low-frequency
-# III/IV) is evaluated from `StateSpace.modes`, and by the dense resolvent
-# solve when the eigenvector matrix V has kappa_1(V) above _MODAL_KAPPA_MAX;
-# above the same bound `StateSpace._axis_cluster` tests each imaginary-axis
-# cluster for a defect. No package-built wideband model computes V.
-# Low-frequency III/IV have A = 0 and take V = I; the `replace` copies of
-# wideband I-IV built from ieee9 and the seeded 40-bus meshes 0-3 (all four
-# variants) have kappa_1(V) between 2 and 345; a Jordan block, 9e15 or more.
+# without a record is evaluated from `StateSpace.modes`, or by the dense
+# resolvent solve when kappa_1(V) of its eigenvectors exceeds _MODAL_KAPPA_MAX,
+# above which `StateSpace._axis_cluster` also tests each cluster for a defect.
+# The `replace` copies of wideband I-IV of ieee9 and the seeded 40-bus meshes
+# have kappa_1(V) of 2 to 345, a Jordan block 9e15 or more.
 _POLE_TOL = 1e-9
 _MODAL_KAPPA_MAX = 1e6
 
@@ -88,10 +75,11 @@ class StateMeta:
 class _Network:
     """A package-built model from its R-L-C elements: Y(s) = K diag(y_e(s)) K^T.
 
-    Column e of K is element e's incidence, 1/ratio on a branch's from side.
-    Exactly one of l, c, g is nonzero per element: y_e(s) = 1/(r + s l) for
-    a dynamic branch, s c/(1 + s r c) for a capacitor behind its series
-    parasitic r, and g for a static branch or bus shunt conductance. The
+    Column e of the n x m K is kept as its endpoints: `weight` (1/ratio on a
+    branch's from side, 1 on a shunt) at bus `head`, -1 at bus `tail` (-1 if
+    none). Exactly one of l, c, g is nonzero per element: y_e(s) = 1/(r + s l)
+    for a dynamic branch, s c/(1 + s r c) for a capacitor behind its series
+    parasitic r, g for a static branch or bus shunt conductance. The
     model is Y_DQ(s), or with bus voltages v and currents i (D + jQ)
     J(s) = (E Y_DQ(s) + C) F, its first `filtered` inputs behind
     (1 + s tau)/s. In the sequence basis U the rotations E, F are
@@ -100,7 +88,10 @@ class _Network:
     [diag(-j i* v), j v Y(s + j w0) v*]].
     """
 
-    k: np.ndarray  # (n, m)
+    n: int
+    head: np.ndarray  # (m,)
+    tail: np.ndarray  # (m,)
+    weight: np.ndarray  # (m,)
     r: np.ndarray  # (m,)
     l: np.ndarray  # (m,)
     c: np.ndarray  # (m,)
@@ -125,58 +116,82 @@ class _Network:
         """The dynamic branches and the capacitors; every other element is static, y_e = g."""
         return np.flatnonzero(self.l > 0), np.flatnonzero(self.c > 0)
 
+    def _incidence(self) -> np.ndarray:
+        """The dense n x m K, for the one-off products of `admittance` and of a realization's B and C."""
+        m = self.head.size
+        k = np.zeros((self.n, m))
+        k[self.head, np.arange(m)] = self.weight
+        two = np.flatnonzero(self.tail >= 0)
+        k[self.tail[two], two] -= 1.0
+        return k
+
     def admittance(self, s: complex | np.ndarray) -> np.ndarray:
-        """Y(s) = K diag(y_e(s)) K^T as one dense product; shape s.shape + (n, n).
-        For the one-off s of `powerflow.build_ybus`: per ieee9 build, table
-        included, 102 us against 210 us by `sequence_blocks` (2-vCPU Xeon)."""
-        return (self.k * self.element_admittances(s)[..., None, :]) @ self.k.T
+        """Y(s) = K diag(y_e(s)) K^T as one dense product, for the one-off s of
+        `powerflow.build_ybus`; shape s.shape + (n, n)."""
+        k = self._incidence()
+        return (k * self.element_admittances(s)[..., None, :]) @ k.T
 
     def _derive(self, **changes) -> _Network:
-        """`replace(self, **changes)` sharing the caches of the element table,
-        so that a family of records computes each once."""
+        """`replace(self, **changes)` sharing the caches the changes leave valid: the pattern, the
+        bound's `_rows` once built (a record never swept never builds them), the poles unless r changes."""
         out = replace(self, **changes)
-        for name in ("_scatter", "_kinds", "_rows", "_dynamic"):
+        shared = ("_scatter", "_kinds", "_scatter_runs") + (() if "r" in changes else ("_dynamic",))
+        for name in shared + (("_rows",) if "_rows" in vars(self) else ()):
             vars(out)[name] = getattr(self, name)
         return out
 
     @cached_property
-    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(targets, element, weight, starts) of the <= 4 entries of each K_e K_e^T."""
-        elem, bus = np.nonzero(self.k.T)
-        # Each incidence i with each j of its element, in row-major (i, j) order.
-        first, last = np.searchsorted(elem, elem), np.searchsorted(elem, elem, side="right")
-        i = np.repeat(np.arange(elem.size), last - first)
-        j = np.repeat(last - np.cumsum(last - first), last - first) + np.arange(i.size)
-        flat = bus[i] * self.k.shape[0] + bus[j]
-        order = np.argsort(flat, kind="stable")
-        i, j, flat = i[order], j[order], flat[order]
-        starts = np.flatnonzero(np.diff(flat, prepend=-1))
-        return flat[starts], elem[i], self.k[bus[i], elem[i]] * self.k[bus[j], elem[i]], starts
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(target = row n + col, element, weight) of the <= 4 entries of each K_e K_e^T, by target
+        and element: (head, head) weight^2, (tail, tail) 1, -weight at (head, tail) and (tail, head)."""
+        n, e = self.n, np.arange(self.head.size)
+        two = e[self.tail >= 0]
+        head, tail, w = self.head, self.tail[two], self.weight
+        elem = np.concatenate([e, two, two, two])
+        flat = np.concatenate([head * (n + 1), head[two] * n + tail, tail * n + head[two], tail * (n + 1)])
+        weight = np.concatenate([w * w, -w[two], -w[two], np.ones(two.size)])
+        order = np.argsort(flat * e.size + elem, kind="stable")
+        return flat[order], elem[order], weight[order]
+
+    @cached_property
+    def _scatter_runs(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], list[int]]:
+        """The `_runs` of `_scatter`'s targets: each target, and the (element,
+        weight) of each slot's terms and their count, for `_run_sums`."""
+        flat, elem, weight = self._scatter
+        targets, slots = _runs(flat)
+        return targets, tuple((elem[j], weight[j]) for j in slots), [j.size for j in slots]
 
     @cached_property
     def _rows(self) -> tuple:
-        """The row segments: (row, col) of the `_scatter` targets, sorted by row; the diagonal
-        and the off-diagonal ones; the latter in column order, which sorts their columns into
-        their rows as Y is symmetric; and (bus, element, |K|) of each nonzero of K, by bus."""
-        n = self.k.shape[0]
-        row, col = np.divmod(self._scatter[0], n)
-        on, off = np.flatnonzero(row == col), np.flatnonzero(row != col)
-        bus, elem = np.nonzero(self.k)
-        return row, col, on, off, np.argsort(col[off] * n + row[off]), (bus, elem, np.abs(self.k[bus, elem]))
+        """The row segments: (row, col) of each `_scatter_sums` entry; the diagonal and the
+        off-diagonal ones, each by (row, col); the latter by (col, row), which sorts their
+        columns into their rows as Y is symmetric; the `_runs` of their rows; and
+        (bus, element, |K|) of each nonzero of K, by bus, with the `_runs` of its buses."""
+        n, e = self.n, np.arange(self.head.size)
+        targets = self._scatter_runs[0]
+        row, col = np.divmod(targets, n)
+        by_target = np.argsort(targets)
+        on, off = by_target[row[by_target] == col[by_target]], by_target[row[by_target] != col[by_target]]
+        two = e[self.tail >= 0]
+        bus, elem = np.concatenate([self.head, self.tail[two]]), np.concatenate([e, two])
+        by_bus = np.argsort(bus * e.size + elem, kind="stable")
+        abs_k = np.concatenate([np.abs(self.weight), np.ones(two.size)])[by_bus]
+        bus, elem = bus[by_bus], elem[by_bus]
+        return row, col, on, off, np.argsort(col[off] * n + row[off]), _runs(row[off]), (bus, elem, abs_k, _runs(bus))
 
-    def _scatter_values(self, y: np.ndarray) -> np.ndarray:
-        """The entries of K diag(y) K^T at the `_scatter` targets, for each stacked (m,) row of y."""
-        _, elem, weight, starts = self._scatter
-        return np.add.reduceat(y[..., elem] * weight, starts, axis=-1)
+    def _scatter_sums(self, y: np.ndarray) -> np.ndarray:
+        """The entries of K diag(y) K^T at the `_scatter_runs` targets, for each stacked (m,)
+        row of y: each target's terms y_e weight, gathered slot by slot, summed by `_run_sums`."""
+        _, slots, sizes = self._scatter_runs
+        return _run_sums(lambda j: y[..., slots[j][0]] * slots[j][1], sizes)
 
     def _scatter_add(self, y: np.ndarray) -> np.ndarray:
         """K diag(y) K^T for each stacked (m,) row of element values y, real or
         complex as y is; shape y.shape[:-1] + (n, n). Scatter-added over
-        `_scatter` (np.add.reduceat): O(n^2 + m) per row, not n^2 m."""
-        n = self.k.shape[0]
-        out = np.zeros(y.shape[:-1] + (n * n,), dtype=y.dtype)
-        out[..., self._scatter[0]] = self._scatter_values(y)
-        return out.reshape(y.shape[:-1] + (n, n))
+        `_scatter` (`_scatter_sums`): O(n^2 + m) per row, not n^2 m."""
+        out = np.zeros(y.shape[:-1] + (self.n * self.n,), dtype=y.dtype)
+        out[..., self._scatter_runs[0]] = self._scatter_sums(y)
+        return out.reshape(y.shape[:-1] + (self.n, self.n))
 
     def sequence_admittances(self, s: np.ndarray) -> np.ndarray:
         """y_e(s - j w0) and y_e(s + j w0) at each s; shape (2,) + s.shape + (m,)."""
@@ -226,9 +241,8 @@ class _Network:
         rounding; shape s.shape each.
 
         In the sequence basis U^H G U = S Phi with S = [[N, Q], [Q*, P]],
-        N = rho Y(s - j w0) o W, P = rho* Y(s + j w0) o W* and
-        Q = diag(j i v*), W = v* v^T (class docstring): rho = -j with the bus
-        v and i of II-IV, and a record without them is read as v = 1, i = 0,
+        N = rho Y(s - j w0) o W, P = rho* Y(s + j w0) o W*, Q = diag(j i v*),
+        W = v* v^T: rho = -j with the bus v and i of II-IV, else v = 1, i = 0,
         rho = 1. Phi = [[a, b], [b, a]] / 2 is the channel filter, with
         f = (1 + s tau)/s on the angle channels (f_phi) if any are filtered and
         on the magnitude channels (f_V) if all are, 1 elsewhere:
@@ -238,20 +252,17 @@ class _Network:
             H12 = rho/2 (b Y(s - j w0) o W + (b Y(s + j w0) o W)*) + Re(a) Q,
         each on Y's pattern, so Gershgorin's bound (Varga 2004),
         lambda_min(H) >= min_i (H_ii - sum_{j != i} |H_ij|), costs O(nnz) per
-        point: one real `_scatter_values` of Re(rho a y_e) gives H11 and H22,
-        a complex one of b y_e gives H12 only if b != 0 (model III, `build_jdp`),
-        and each row sum is one run of the sorted `_rows`. The scale is (2n + d)^2 mu, with d
-        the most terms `_scatter` adds into one target, phi = max(|f_phi|, |f_V|),
+        point: H11 and H22 from one real `_scatter_sums` of Re(rho a y_e), H12
+        from a complex one of b y_e only if b != 0 (model III). The scale is
+        (2n + d)^2 mu, d the most terms of one target, phi = max(|f_phi|, |f_V|),
         mu = phi max_i (2 |Q_ii| + |v_i| sum_j M_ij |v_j|) and
-        M = |K| diag(|y_e(s - j w0)| + |y_e(s + j w0)|) |K|^T, whose row sums take
-        O(m) per point through each element's <= 2 incidences: 4 mu bounds every
-        row sum of an entrywise majorant of H in either basis. The margin
-        `passcheck.sweep_psd` adds to the bound for rounding is derived at
-        `passcheck._SCREEN_C`.
+        M = |K| diag(|y_e(s - j w0)| + |y_e(s + j w0)|) |K|^T: 4 mu bounds every
+        row sum of an entrywise majorant of H in either basis (the margin is
+        derived at `passcheck._SCREEN_C`).
         """
-        n = self.k.shape[0]
+        n = self.n
         v, i, rho = (self.v, self.i, -1j) if self.v is not None else (np.ones(n), np.zeros(n), 1.0)
-        row, col, on, off, by_col, (bus, elem, abs_k) = self._rows
+        row, col, on, off, by_col, off_rows, (bus, elem, abs_k, bus_runs) = self._rows
         w, abs_v = v.conj()[row] * v[col], np.abs(v)
         s = np.asarray(s, dtype=complex)
         y = self.sequence_admittances(s)
@@ -263,23 +274,23 @@ class _Network:
         h = a[..., None] * y
         h[0] *= rho
         h[1] *= np.conj(rho)
-        h = self._scatter_values(h.real)
+        h = self._scatter_sums(h.real)
         lower = np.stack([(b[..., None] * q).real, (b.conj()[..., None] * q).real])
         lower[..., row[on]] += h[..., on] * np.abs(w[on])
-        lower -= _segment_sums(np.abs(h[..., off]) * np.abs(w[off]), row[off], n)
+        lower -= _segment_sums(np.abs(h[..., off]) * np.abs(w[off]), off_rows, n)
         # H12 = Re(a) Q where b = 0. Its diagonal lies in row i of both halves, its
         # other moduli in the rows of H11 and, as H21 = H12^H, the columns of H22.
         h12_diag = a.real[..., None] * q
         if b.any():
-            h12 = self._scatter_values(b[..., None] * y) * w
+            h12 = self._scatter_sums(b[..., None] * y) * w
             h12 = h12[0] + h12[1].conj()
             h12_diag[..., row[on]] += 0.5 * rho * h12[..., on]
             h12 = 0.5 * np.abs(h12[..., off])
-            lower -= _segment_sums(np.stack([h12, h12[..., by_col]]), row[off], n)
+            lower -= _segment_sums(np.stack([h12, h12[..., by_col]]), off_rows, n)
         lower = lower.min(axis=0) - np.abs(h12_diag)
         t = (np.abs(y[0]) + np.abs(y[1])) * np.bincount(elem, abs_k * abs_v[bus], y.shape[-1])
-        majorant = _segment_sums(t[..., elem] * abs_k, bus, n) * abs_v + 2.0 * np.abs(q)
-        depth = np.diff(self._scatter[3], append=self._scatter[1].size).max()
+        majorant = _segment_sums(t[..., elem] * abs_k, bus_runs, n) * abs_v + 2.0 * np.abs(q)
+        depth = len(self._scatter_runs[1])
         return lower.min(axis=-1), (2 * n + depth) ** 2 * phi * majorant.max(axis=-1)
 
     @cached_property
@@ -291,8 +302,10 @@ class _Network:
         dyn = np.flatnonzero((self.l > 0) | (self.c > 0))
         ind, r = self.l[dyn] > 0, self.r[dyn]
         tau = np.where(ind, self.l[dyn], r * self.c[dyn])
-        rate = -np.where(ind, r, 1.0) / tau
-        return dyn, tau, rate, np.where(ind, 1.0, rate) / np.where(ind, tau, r)
+        # A value that overflows is left for `assemble_ydq` to reject by name.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rate = -np.where(ind, r, 1.0) / tau
+            return dyn, tau, rate, np.where(ind, 1.0, rate) / np.where(ind, tau, r)
 
     @cached_property
     def poles(self) -> np.ndarray:
@@ -307,21 +320,20 @@ class _Network:
     def residue(self, members: np.ndarray) -> np.ndarray:
         """lim (s - p) G(s) summed over the poles p = poles[members].
 
-        y_e has the residue `_dynamic` gives at p_e, so p_e + j w0 is a pole of
-        the negative-sequence block alone and p_e - j w0 of the positive one.
-        That residue is scattered into its block, rotated like the response,
-        and its filtered columns are scaled by (1 + p tau)/p; C F is static and
-        has none. The integrators' poles at 0 give the unfiltered J(0) on the
-        filtered columns.
+        p_e + j w0 is a pole of the negative-sequence block alone, p_e - j w0
+        of the positive one: y_e's residue (`_dynamic`) is scattered into its
+        block, rotated like the response and scaled by (1 + p tau)/p on the
+        filtered columns. The integrators' poles at 0 give the unfiltered J(0)
+        on the filtered columns.
         """
         dyn, _, _, res = self._dynamic
         members = np.asarray(members)
         q = members[members < 2 * dyn.size]
-        f, n = self.filtered, self.k.shape[0]
+        f, n = self.filtered, self.n
         g = np.zeros((2 * n, 2 * n), dtype=complex)
         for p in np.unique(self.poles[q]):
             at = q[self.poles[q] == p]
-            y = np.zeros((2, self.k.shape[1]), dtype=complex)
+            y = np.zeros((2, self.head.size), dtype=complex)
             np.add.at(y, (at % 2, dyn[at // 2]), res[at // 2])
             term = self._dq(*self._rotated(self._scatter_add(y)))
             term[:, :f] *= (1.0 + p * self.tau) / p
@@ -331,49 +343,88 @@ class _Network:
         return g
 
 
-def _network_elements(case: NetworkCase, r_series_cap: float) -> tuple[_Network, tuple[str, ...]]:
+def _network_elements(case: NetworkCase) -> tuple[_Network, tuple[str, ...]]:
     """The network record of `case` (its element table), and one label per element.
 
-    Branches come first (case order), then one capacitor per bus with
-    positive total shunt susceptance (bus order) behind `r_series_cap`,
-    then the bus shunt conductances. A branch with x = 0 is the static
-    conductance 1/r. `netcase._check_elements`, the one list of element
-    rules, checks the case first.
+    Branches come first (case order; x = 0 is the static conductance 1/r),
+    then one capacitor per bus with positive total shunt susceptance (bus
+    order), with r = 0 (`assemble_ydq` sets its parasitic), then the bus
+    shunt conductances. `netcase._check_elements` checks the case first. The
+    table is built once per case and kept on it, as `_positions` is, so the
+    power flow, J_LF and Y_DQ of one variant read one table.
     """
-    _check_elements(case)
-    w0 = case.system.omega0
-    b_shunt = case.shunt_susceptance()
-    # One row per element: incidence head and its weight, then r, l, c, g.
-    rows: list[tuple[float, ...]] = []
-    tails, labels = [], []
-    for br in case.branches:
-        # v_from enters through the off-nominal ratio on the from side.
-        g = 0.0 if br.x > 0 else 1.0 / br.r
-        rows.append((case.bus_index(br.from_bus), 1.0 / br.ratio, br.r, br.x / w0, 0.0, g))
-        tails.append(case.bus_index(br.to_bus))
-        labels.append(f"{br.from_bus}-{br.to_bus}")
-    for i, (bus, b) in enumerate(zip(case.buses, b_shunt)):
-        if b > 0:
-            rows.append((i, 1.0, r_series_cap, 0.0, b / w0, 0.0))
-            labels.append(str(bus.id))
-    for i, bus in enumerate(case.buses):
-        if bus.g_shunt != 0.0:
-            rows.append((i, 1.0, 0.0, 0.0, 0.0, bus.g_shunt))
-            labels.append(str(bus.id))
-    heads, weights, r, l, c, g = np.array(rows, dtype=float).reshape(-1, 6).T
-    k = np.zeros((case.n_bus, heads.size))
-    k[heads.astype(int), np.arange(heads.size)] = weights
-    k[tails, np.arange(len(tails))] -= 1.0
-    return _Network(k, r, l, c, g, w0), tuple(labels)
+    table = vars(case).get("_network_elements")
+    if table is None:
+        _check_elements(case)
+        w0, buses, branches = case.system.omega0, case.buses, case.branches
+        # Per element: endpoints, the weight of v_from (off-nominal ratio), r, l, c, g.
+        rows = [
+            (case.bus_index(br.from_bus), case.bus_index(br.to_bus), 1.0 / br.ratio, br.r, br.x / w0, 0.0,
+             0.0 if br.x > 0 else 1.0 / br.r)
+            for br in branches
+        ]
+        rows += [(i, -1, 1.0, 0.0, 0.0, b / w0, 0.0) for i, b in enumerate(case.shunt_susceptance()) if b > 0]
+        rows += [(i, -1, 1.0, 0.0, 0.0, 0.0, bus.g_shunt) for i, bus in enumerate(buses) if bus.g_shunt != 0.0]
+        head, tail, weight, r, l, c, g = np.array(rows, dtype=float).reshape(-1, 7).T
+        head, tail = head.astype(np.intp), tail.astype(np.intp)
+        labels = [f"{br.from_bus}-{br.to_bus}" for br in branches] + [str(buses[i].id) for i in head[len(branches) :]]
+        table = _Network(case.n_bus, head, tail, weight, r, l, c, g, w0), tuple(labels)
+        vars(case)["_network_elements"] = table
+    return table
 
 
-def _segment_sums(values: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
-    """Sums of the last axis of `values` into n bins, entry k into bin bins[k] (sorted):
-    one np.add.reduceat over the runs of bins, 0 in a bin with no run; shape values.shape[:-1] + (n,)."""
-    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The runs of equal entries of the sorted (non-negative) `keys`, set out for
+    `_run_sums`: the key of each run, longest run first (stable), and per slot j
+    the index of term j of every run longer than j, a prefix of those runs.
+    There is at least one slot, an empty one if there is no run."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    lengths = np.diff(starts, append=keys.size)
+    order = np.argsort(-lengths, kind="stable")
+    first, lengths = starts[order], lengths[order]
+    return keys[first], tuple(first[: np.count_nonzero(lengths > j)] + j for j in range(max(1, lengths.max(initial=0))))
+
+
+def _run_sums(term: Callable[[int], np.ndarray], sizes: list[int]) -> np.ndarray:
+    """The sum of each run, in `_runs`' order, from term(j): the sizes[j] terms of
+    slot j, term j of every run longer than j, on the last axis. A run adds
+    t0 + S(t1, ..., tk) as np.add.reduceat does (numpy's pairwise sum of up to
+    128 doubles): S is a chain when k < w = 8 real (4 complex) terms, else w
+    accumulators over its whole blocks of w, added as a balanced tree, then
+    the remaining terms in turn; a few whole-array operations per slot.
+    """
+    out = term(0)
+    width = 4 if out.dtype.kind == "c" else 8
+    count = [*sizes, *[0] * 2 * width]  # count[i]: the runs with at least i terms after t0
+    rest, acc = None, []
+    for j in range(1, len(sizes)):
+        terms, block = term(j), (j - 1) // width + 1
+        blocked = count[width * block]  # the runs whose term j lies in their block `block`
+        if rest is None:
+            rest = terms
+        else:
+            rest[..., blocked : terms.shape[-1]] += terms[..., blocked:]
+        if blocked and j <= width:
+            acc.append(terms[..., :blocked].copy())
+        elif blocked:
+            acc[(j - 1) % width][..., :blocked] += terms[..., :blocked]
+        if blocked and j % width == 0:  # the runs with no further block take their tree
+            done = count[width * (block + 1)]
+            tree = [a[..., done:blocked] for a in acc]
+            while len(tree) > 1:
+                tree = [tree[i] + tree[i + 1] for i in range(0, len(tree), 2)]
+            rest[..., done:blocked] = tree[0]
+    if rest is not None:
+        out[..., : rest.shape[-1]] += rest
+    return out
+
+
+def _segment_sums(values: np.ndarray, runs: tuple[np.ndarray, tuple[np.ndarray, ...]], n: int) -> np.ndarray:
+    """Sums of the last axis of `values` into n bins by the `_runs` of their sorted
+    bins, 0 in a bin with no run; shape values.shape[:-1] + (n,)."""
+    bins, slots = runs
     out = np.zeros(values.shape[:-1] + (n,))
-    if starts.size:  # a one-bus record has no off-diagonal target to sum
-        out[..., bins[starts]] = np.add.reduceat(values, starts, axis=-1)
+    out[..., bins] = _run_sums(lambda j: values[..., slots[j]], [j.size for j in slots])
     return out
 
 
@@ -385,7 +436,9 @@ def _bare_admittance(ss: StateSpace) -> _Network | None:
 
 @dataclass(eq=False)
 class StateSpace:
-    """Finite real (A, B, C, D) of a square model with >= 1 port, its port labels and per-state physical metadata."""
+    """Finite real (A, B, C, D) of a square model with >= 1 port, its port labels and per-state
+    physical metadata. A model with a network record forms A, B, C and state_meta when first
+    read (`_of_record`): by `export_matrices`, `simulate_dissipation`, `modes` or `replace`."""
 
     a: np.ndarray
     b: np.ndarray
@@ -418,30 +471,59 @@ class StateSpace:
         if not self.n_outputs == self.n_inputs > 0:
             raise ValueError("D must be square, with at least one port")
 
+    @classmethod
+    def _of_record(cls, net: _Network | None, build: Callable[[], tuple], d: np.ndarray, **ports) -> StateSpace:
+        """The model with D, `ports` (labels, bus_ids) and (A, B, C, state_meta) = build():
+        at once without a record, else when first read (`_materialize`). Until then
+        only D is checked here; the builder has checked the record's derived values."""
+        if net is None:
+            a, b, c, meta = build()
+            return cls(a, b, c, d, state_meta=meta, **ports)
+        if not np.isfinite(d).all():
+            raise ValueError("D must be finite")
+        ss = cls.__new__(cls)
+        vars(ss).update(d=d, _network=net, _build=build, **ports)
+        return ss
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: A, B, C or state_meta
+        # of a model from `_of_record` that nothing has read yet.
+        if name not in ("a", "b", "c", "state_meta") or "_build" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._materialize()
+        return vars(self)[name]
+
+    def _materialize(self) -> None:
+        """Form A, B, C and state_meta by the builder `_of_record` kept, checked by `__post_init__` on a copy."""
+        a, b, c, meta = vars(self).pop("_build")()
+        vars(self).update(vars(replace(self, a=a, b=b, c=c, state_meta=meta)))
+
     @property
     def n_states(self) -> int:
-        return self.a.shape[0]
+        """From the record's poles if the model has one, so that A need not be formed."""
+        return self._network.poles.size if self._network is not None else self.a.shape[0]
 
     @property
     def n_inputs(self) -> int:
-        return self.b.shape[1]
+        return self.d.shape[1]
 
     @property
     def n_outputs(self) -> int:
-        return self.c.shape[0]
+        return self.d.shape[0]
+
+    @property
+    def _a_is_zero(self) -> bool:
+        """Whether A = 0; with a record, whether no element is dynamic (each block holds +/- omega0)."""
+        return not self._network._dynamic[0].size if self._network is not None else not self.a.any()
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
-        """Modal factors (p, C V, V^-1 B, kappa_1(V)) of A = V diag(p) V^-1.
-
-        The poles, the imaginary-axis residues and `eval_tf` of a model
-        without a network record: user-built, a `replace` copy or
-        low-frequency III/IV. A model with one reads them from the record and
-        never computes this. A singular V gives V^-1 B = None, kappa = inf.
-        An A with no nonzero entry (low-frequency III/IV, zero-state models)
-        is diag(0) with V = I, so it takes no eigendecomposition.
+        """Modal factors (p, C V, V^-1 B, kappa_1(V)) of A = V diag(p) V^-1:
+        the poles, residues and `eval_tf` of a model without a network record.
+        A singular V gives V^-1 B = None, kappa = inf. An A with no nonzero
+        entry (low-frequency III/IV) is diag(0) with V = I: no eigendecomposition.
         """
-        if not self.a.any():
+        if self._a_is_zero:
             return np.zeros(self.n_states), self.c.astype(float, copy=False), self.b.astype(float, copy=False), 1.0
         poles, v = np.linalg.eig(self.a)
         try:
@@ -461,12 +543,11 @@ class StateSpace:
         defective) of the imaginary-axis cluster poles[members] of `radius`.
 
         A model with a network record reads the residue in closed form
-        (`_Network.residue`): its A is block diagonal with normal 2 x 2 blocks
-        and the integrators sit above a nonsingular block, so every cluster is
-        semisimple. Any other sums (C V)[:, k] (V^-1 B)[k, :] over the cluster
-        from `modes`, and looks for a defect, by the numerical rank of
-        A - j omega I, only when kappa_1(V) is above the _MODAL_KAPPA_MAX under
-        which `eval_tf` trusts the modal factors; a singular V raises LinAlgError.
+        (`_Network.residue`): its A is block diagonal with normal 2 x 2 blocks,
+        the integrators above a nonsingular block, so every cluster is
+        semisimple. Any other sums (C V)[:, k] (V^-1 B)[k, :] over the cluster,
+        and tests for a defect by the numerical rank of A - j omega I when
+        kappa_1(V) exceeds _MODAL_KAPPA_MAX; a singular V raises LinAlgError.
         """
         if self._network is not None:
             return members.size, self._network.residue(members)
@@ -498,76 +579,70 @@ class ParasiticConfig:
 def assemble_ydq(case: NetworkCase, parasitics: ParasiticConfig | None = None) -> StateSpace:
     """The D-Q admittance model Y_DQ(s) of the network's element table.
 
-    Inputs (over bus order): Delta v_D then Delta v_Q; outputs: the matching
-    current injections into the network. Each dynamic element holds one
-    (D, Q) state pair, branch inductor currents first (case branch order),
-    capacitor voltages second (bus order), D before Q inside a pair. Per
-    axis, with u = K_e^T v the element voltage, an inductor obeys
-    L i' = u - r i and injects K_e i, a capacitor obeys r C v' = u - v and
-    injects K_e (u - v) / r; A adds the +/- omega0 coupling of the rotating
-    frame, and D = K diag(delta) K^T on both axes, scatter-added by the record.
+    Inputs (bus order): Delta v_D then Delta v_Q; outputs: the matching
+    current injections. Each dynamic element holds one (D, Q) state pair,
+    inductor currents (branch order) before capacitor voltages (bus order).
+    Per axis, with u = K_e^T v, an inductor obeys L i' = u - r i and injects
+    K_e i, a capacitor r C v' = u - v and injects K_e (u - v) / r; A adds the
+    +/- omega0 coupling. D = K diag(delta) K^T on both axes is scattered
+    here; A, B, C and the state labels are formed when first read.
     """
     par = parasitics if parasitics is not None else ParasiticConfig()
     n, w0 = case.n_bus, case.system.omega0
-    el, labels = _network_elements(case, par.r_series_cap)
-    is_cap = el.c > 0
+    table, labels = _network_elements(case)
+    is_cap = table.c > 0
     if is_cap.any() and par.r_series_cap <= 0:
         raise ProprietyError(
             "shunt capacitance present with r_series_cap = 0: a capacitor directly "
             "across a voltage port differentiates its input and the admittance is "
             "not proper; configure a positive series parasitic resistance"
         )
-    # Per axis tau x' = u - rho x, with -rho/tau the element's pole p_e
-    # (`_Network._dynamic`), and the element injects gamma x: gamma = 1 for
-    # an inductor and -1/r for a capacitor.
+    el = table._derive(r=np.where(is_cap, par.r_series_cap, table.r))
+    # Per axis tau x' = u - rho x with the pole p_e = -rho/tau (`_Network._dynamic`), injecting
+    # gamma x: gamma = 1 for an inductor, -1/r for a capacitor. A, B (K_e/tau) and C (K_e gamma)
+    # are formed only when read, so their entries are checked here as `__post_init__` would.
     dyn, tau, rate, _ = el._dynamic
     ind, r = el.l[dyn] > 0, el.r[dyn]
-    gamma = np.ones(dyn.size)
-    gamma[~ind] = -1.0 / r[~ind]
-    delta = el.g.copy()
-    delta[is_cap] += 1.0 / el.r[is_cap]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gamma = np.ones(dyn.size)
+        gamma[~ind] = -1.0 / r[~ind]
+        delta = el.g.copy()
+        delta[is_cap] += 1.0 / el.r[is_cap]
+        for name, values in (("A", rate), ("B", el.weight[dyn] / tau), ("B", 1.0 / tau), ("C", gamma)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        d = np.zeros((2 * n, 2 * n))
+        d[:n, :n] = d[n:, n:] = el._scatter_add(delta) + 0.0  # + 0.0: a lossless branch scatters -0.0
 
-    nx = 2 * dyn.size
-    rd = np.arange(0, nx, 2)
-    a = np.zeros((nx, nx))
-    a[rd, rd] = a[rd + 1, rd + 1] = rate
-    a[rd, rd + 1] = -w0
-    a[rd + 1, rd] = w0
-    b = np.zeros((nx, 2 * n))
-    b[0::2, :n] = b[1::2, n:] = el.k[:, dyn].T / tau[:, None]
-    c = np.zeros((2 * n, nx))
-    c[:n, 0::2] = c[n:, 1::2] = el.k[:, dyn] * gamma
-    d = np.zeros((2 * n, 2 * n))
-    d[:n, :n] = d[n:, n:] = el._scatter_add(delta) + 0.0  # + 0.0: a lossless branch scatters -0.0
-    kinds = [("inductor", "i") if i else ("capacitor", "v") for i in ind.tolist()]
-    storage = np.where(ind, el.l[dyn], el.c[dyn]).tolist()
-    meta = tuple(
-        StateMeta(kind, x, f"{var}_{axis}:{labels[e]}")
-        for e, x, (kind, var) in zip(dyn.tolist(), storage, kinds)
-        for axis in "DQ"
-    )
-    ss = StateSpace(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        input_labels=tuple(f"v_D:{i}" for i in case.bus_ids) + tuple(f"v_Q:{i}" for i in case.bus_ids),
-        output_labels=tuple(f"i_D:{i}" for i in case.bus_ids) + tuple(f"i_Q:{i}" for i in case.bus_ids),
-        state_meta=meta,
-        bus_ids=case.bus_ids,
-    )
-    ss._network = el
-    return ss
+    def matrices() -> tuple:
+        nx = 2 * dyn.size
+        rd = np.arange(0, nx, 2)
+        a = np.zeros((nx, nx))
+        a[rd, rd] = a[rd + 1, rd + 1] = rate
+        a[rd, rd + 1] = -w0
+        a[rd + 1, rd] = w0
+        k = el._incidence()[:, dyn]
+        b = np.zeros((nx, 2 * n))
+        b[0::2, :n] = b[1::2, n:] = k.T / tau[:, None]
+        c = np.zeros((2 * n, nx))
+        c[:n, 0::2] = c[n:, 1::2] = k * gamma
+        kinds = [("inductor", "i") if i else ("capacitor", "v") for i in ind.tolist()]
+        states = zip(dyn.tolist(), np.where(ind, el.l[dyn], el.c[dyn]).tolist(), kinds)
+        meta = tuple(StateMeta(kind, x, f"{var}_{axis}:{labels[e]}") for e, x, (kind, var) in states for axis in "DQ")
+        return a, b, c, meta
+
+    ids = case.bus_ids
+    inputs, outputs = (tuple(f"{var}_{axis}:{i}" for axis in "DQ" for i in ids) for var in "vi")
+    return StateSpace._of_record(el, matrices, d, input_labels=inputs, output_labels=outputs, bus_ids=ids)
 
 
 def eval_tf(ss: StateSpace, s: complex | np.ndarray) -> np.ndarray:
     """Evaluate G(s) = C (sI - A)^-1 B + D at s, a scalar or an array.
 
-    Shape s.shape + (p, m), real if every s is. A package-built model is
-    formed from its network record (`_Network`); any other from the modal
-    factors, G(s) = (C V) diag(1/(s - p)) (V^-1 B) + D, or by a dense solve
-    when V is too ill-conditioned, as for a defective A. An s within
-    _POLE_TOL of a pole raises SingularFrequencyError naming that s.
+    Shape s.shape + (p, m), real if every s is. From the network record
+    (`_Network.response`) if the model has one, else from the modal factors,
+    or by a dense solve when V is too ill-conditioned. An s within _POLE_TOL
+    of a pole raises SingularFrequencyError naming that s.
     """
     s = np.asarray(s, dtype=complex)
     poles = ss.poles
@@ -589,9 +664,9 @@ def _hermitian_blocks(ss: StateSpace, s: np.ndarray) -> np.ndarray:
     on the imaginary axis; shape (k,) + s.shape + (m, m), k = 2 or 1.
 
     For the bare admittance (Y = Y^T), Y_DQ(jw) + Y_DQ^H(jw) is unitarily
-    similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0))), and 2 Re Y =
-    K diag(2 Re y_e) K^T: the stack is those two real blocks, scattered from
-    the values `_Network.gershgorin` reads; else G + G^H from `eval_tf`.
+    similar to blockdiag(2 Re Y(j(w - w0)), 2 Re Y(j(w + w0))): those two real
+    blocks, scattered from the values `_Network.gershgorin` reads; else
+    G + G^H from `eval_tf`.
     """
     net = _bare_admittance(ss)
     if net is not None:

@@ -149,13 +149,11 @@ def _require_finite(element: object, where: str) -> None:
 
 
 def _check_elements(case: NetworkCase) -> None:
-    """Raise unless every element of `case` has a place in an element table.
-
-    The one list of rules that every path into the model applies
-    (`validate_case` and `dqstamp._network_elements`): finite numbers in
-    the system, the buses and the branches; omega0 > 0; unique bus ids;
-    b_shunt >= 0; per branch no self-loop, x >= 0, b_line >= 0, ratio > 0
-    and not r = x = 0 (x = 0 makes it the conductance 1/r); at least one bus.
+    """Raise unless every element of `case` has a place in an element table:
+    the rules of `validate_case` and `dqstamp._network_elements`. Finite
+    numbers in the system, buses and branches; omega0 > 0; unique bus ids;
+    b_shunt >= 0; per branch no self-loop, x >= 0, b_line >= 0, ratio > 0 and
+    not r = x = 0 (x = 0 is the conductance 1/r); at least one bus.
     """
     _require_finite(case.system, "system")
     if case.system.omega0 <= 0:

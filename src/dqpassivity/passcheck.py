@@ -1,20 +1,15 @@
 """Passivity conditions, dissipation simulation and model classification.
 
-A square LTI model is tested against the three frequency-domain
-positive-real conditions: no right-half-plane poles; G(jw) + G^H(jw)
-positive semi-definite on the imaginary axis away from poles; and
-first-order imaginary-axis poles whose residues are PSD Hermitian. The
-necessary time-domain consequence D + D^T >= 0 is checked separately as a
-cheap certificate: a trace of zero with a nonzero matrix already proves
-indefiniteness.
+A square LTI model is tested against the three positive-real conditions:
+no right-half-plane poles; G(jw) + G^H(jw) PSD on the imaginary axis away
+from poles; first-order imaginary-axis poles with PSD Hermitian residues.
+D + D^T >= 0, a necessary consequence, is checked as a cheap certificate.
 
-`classify_model` realizes each of the four interface-variable
-formulations, wideband or low-frequency, under the lossless / no-shunt-B /
-decoupled simplifications as one `StateSpace` and runs the same checks on
-all of them; the static low-frequency models I and II are zero-state
-realizations, whose sweep is the symmetric-part spectrum of D. Q-V
-regulation contributions are folded in where they can rescue a
-low-frequency failure.
+`classify_model` realizes each of the four interface-variable models,
+wideband or low-frequency, under the lossless / no-shunt-B / decoupled
+simplifications as one `StateSpace` and runs the same checks on all of them;
+static low-frequency I and II are zero-state. Q-V regulation contributions
+are folded in where they can rescue a low-frequency failure.
 """
 
 from __future__ import annotations
@@ -68,17 +63,14 @@ VARIANT_COLUMNS = (
 )
 
 
-# Steps per chunk of the dissipation integrator; anchors every
-# isqrt(_CHUNK_STEPS) = 16 steps (`_advance`). `bench/run.py` ieee9-dissipation
-# (0.5 s at dt = 2e-5, one BLAS thread, shared 2-vCPU Xeon, medians of 3 runs):
-# 128, 256, 512 and 1024 steps gave 22, 29, 24 and 26 items/s at a peak RSS of
-# 40.07, 40.08, 40.5 and 41.2 MB; chunks past 256 cost memory and run no faster.
+# Steps per chunk of the dissipation integrator, anchored every isqrt of it
+# (`_advance`). On `bench/run.py` ieee9-dissipation (one BLAS thread, shared
+# 2-vCPU Xeon) 128, 256, 512 and 1024 gave 22, 29, 24 and 26 items/s at 40.07,
+# 40.08, 40.5 and 41.2 MB peak RSS.
 _CHUNK_STEPS = 256
 
-# Grid points per `_min_eigs` evaluation and `hermitian_min_eig` call. It
-# bounds the memory of the points a sweep has left to eigensolve, such as all
-# 141 of the default grid for model I on the nine-bus case, whose record bound
-# rules out none.
+# Grid points per `_min_eigs` evaluation and `hermitian_min_eig` call: it
+# bounds the memory of the points a sweep has left to eigensolve.
 _CHUNK_POINTS = 8
 
 # Margin of the record's Gershgorin bound in `sweep_psd`: a point whose
@@ -93,12 +85,12 @@ _CHUNK_POINTS = 8
 # moduli of the terms each entry sums (d at most). Three errors separate b
 # from the eigensolve, with u = eps / 2:
 # - Each entry b reads is formed per element, as Re(rho a y_e) or b y_e
-#   (one complex product; rho = 1 or -j is exact), then summed by the
-#   scatter (gamma_d) and rotated by a few complex products, so within
-#   (d + 10) u M_ij of H's; the row sum rounds by gamma_m sum_j |h_ij|
-#   (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
-#   So b is at most (m + d + 12) u 4 mu above the exact bound of H, which
-#   is <= lambda_min(H).
+#   (one complex product; rho = 1 or -j is exact), summed by the scatter
+#   (gamma_d, in any order of its d terms) and rotated by a few complex
+#   products, so within (d + 10) u M_ij of H's; the row sum rounds by
+#   gamma_m sum_j |h_ij| (Higham, Accuracy and Stability of Numerical
+#   Algorithms, 2002, 3.1 and 4.2). So b is at most (m + d + 12) u 4 mu above
+#   the exact bound of H, which is <= lambda_min(H).
 # - `eval_tf` forms each entry of the dense H from the same y_e through the
 #   scatter, rotation, change of basis, reflection, filter and G + G^H, so
 #   within (d + 13) u of its majorant: ||H_computed - H||_2 <= (d + 13) u 2 mu.
@@ -206,14 +198,10 @@ class PoleReport(_Report):
 def check_poles(ss: StateSpace) -> PoleReport:
     """Condition 1 (no RHP poles) and the pole-side part of condition 3.
 
-    Imaginary-axis eigenvalues are clustered within `_CLUSTER_TOL`. A
-    cluster fails condition 3 outright when defective (Jordan block). For a
-    first-order (semisimple) cluster the total residue lim (s-jw)G(s) is
-    attached for the PSD-Hermitian test: the sum of its member poles'
-    residues. The model gives both per cluster (`StateSpace._axis_cluster`):
-    in closed form from a network record, whose clusters are all semisimple,
-    else from the modal factors; for low-frequency III/IV, whose A = 0, that
-    is the one origin cluster with residue C B and no eigendecomposition.
+    Imaginary-axis poles are clustered within `_CLUSTER_TOL`. A defective
+    cluster (Jordan block) fails condition 3 outright; a semisimple one carries
+    its total residue lim (s - jw) G(s) for the PSD-Hermitian test. The model
+    gives both per cluster (`StateSpace._axis_cluster`).
     """
     eigs = ss.poles
     unstable = tuple(complex(z) for z in eigs[eigs.real > _TOL])
@@ -286,7 +274,7 @@ def _sweep_omegas(ss: StateSpace, grid: SweepGrid | None) -> np.ndarray:
     if omegas.size == 0:
         poles = np.unique(axis).tolist()
         raise ValueError(f"{grid} has no point left after excluding the poles at omega={poles}")
-    if not ss.a.any() and omegas.size > 2:
+    if ss._a_is_zero and omegas.size > 2:
         omegas = omegas[[0, -1]]
     return omegas
 
@@ -309,40 +297,28 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
     covers the whole axis. Pass iff `_psd` accepts the global minimum.
     A zero-state model is G = D at every frequency: one point, no omega.
     The report holds the grid minimum, its first grid point on an exact tie
-    (as np.argmin), and the number of points swept; `sweep_samples` gives
-    every point's value.
+    (as np.argmin), and the number of points swept (`sweep_samples` gives
+    every point's value).
 
-    Every point's lambda_min is taken by `_min_eigs`, which eigensolves a
-    chunk of points in one `hermitian_min_eig` call, except at the points
-    a model with a network record rules out from it, by one rule for every
-    record. Its Gershgorin bound (`_Network.gershgorin`, O(nnz) per point)
-    gives a lower bound of lambda_min at every point; the point with the
-    lowest bound is eigensolved first, giving lambda_0, and of the others
-    only those whose bound is at most lambda_0 + delta (`_SCREEN_C`). A
-    skipped point would have eigensolved strictly above lambda_0, which is
-    at least the grid minimum, so the minimum and its first index are those
-    of every point's eigensolve bit for bit; delta covers rounding and is
-    not a verdict tolerance. Only a model without a record (low-frequency
-    III/IV, user-built models, `replace` copies) is eigensolved at every
-    point. Model I is eigensolved in the sequence domain, as the two real
-    symmetric n x n blocks `dqstamp._hermitian_blocks` gives.
+    `_min_eigs` eigensolves each point, except where a model with a network
+    record rules it out: its Gershgorin bound (`_Network.gershgorin`) is a
+    lower bound of lambda_min at every point; the lowest-bound point is
+    eigensolved first, giving lambda_0, and of the others only those whose
+    bound is at most lambda_0 + delta (`_SCREEN_C`, a rounding margin, not a
+    tolerance). A skipped point would have eigensolved strictly above
+    lambda_0, so the minimum and its first index are those of every point's
+    eigensolve, bit for bit.
 
-    The sweep skips the model's own imaginary-axis poles (|Re p| <= _TOL,
-    as in `check_poles`): it drops every grid point within _CLUSTER_TOL of
-    some |Im p|, and a grid left empty is a ValueError. So no point is
-    singular for `eval_tf`: an off-axis pole is more than _TOL >=
-    dqstamp._POLE_TOL from the axis, an on-axis one more than _CLUSTER_TOL.
+    The sweep drops every grid point within _CLUSTER_TOL of the model's own
+    imaginary-axis poles (|Re p| <= _TOL, as in `check_poles`), so none is
+    singular for `eval_tf`; a grid left empty is a ValueError.
 
     An integrator-only model (A = 0, as low-frequency III/IV) is evaluated
     at the first and last grid points only, which gives the grid minimum
-    exactly. Its transfer matrix is G(jw) = D + R/(jw) with R = CB, so
-    G + G^H = (D + D^T) + t K with t = 1/w and K = -j(R - R^T) Hermitian.
-    Then lambda_min(G + G^H) = min over unit v of v^H (D + D^T) v + t v^H K v
-    is a minimum of functions affine in t, hence concave in t (Lewis &
-    Overton, Acta Numerica 1996). A concave function on an interval is at
-    least its smaller end value, so on the grid points, which all lie
-    between the first and last (in t as in w), the minimum is attained at
-    one of those two.
+    exactly: G(jw) = D + R/(jw) with R = CB, so G + G^H = (D + D^T) + t K with
+    t = 1/w and K = -j(R - R^T) Hermitian, and lambda_min is a minimum of
+    functions affine in t, hence concave in t (Lewis & Overton, Acta Numerica
+    1996), so at least its smaller end value on the grid's interval.
     """
     if ss.n_states == 0:
         lam = hermitian_min_eig(ss.d + ss.d.T)
@@ -363,12 +339,9 @@ def sweep_psd(ss: StateSpace, grid: SweepGrid | None = None) -> SweepReport:
 
 
 def sweep_samples(ss: StateSpace, grid: SweepGrid | None = None) -> tuple[tuple[float, float], ...]:
-    """(omega, lambda_min(G + G^H)) at every point `sweep_psd` sweeps.
-
-    The same points as `sweep_psd`, each one evaluated by the same
-    `_min_eigs`: its minimum, first index on ties, is that sweep's
-    `min_eig` at `worst_omega`. A zero-state model has no sweep points.
-    """
+    """(omega, lambda_min(G + G^H)) at every point `sweep_psd` sweeps, by the same
+    `_min_eigs`: their first minimum is its `min_eig` at `worst_omega`. A
+    zero-state model has no sweep points."""
     if ss.n_states == 0:
         return ()
     omegas = _sweep_omegas(ss, grid)
@@ -481,14 +454,11 @@ class DissipationReport(_Report):
 def _rk4_step_map(ss: StateSpace, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step of the model as an exact affine map and its supply.
 
-    With the inputs sampled at t, t + dt/2 and t + dt stacked as
-    w = [u1; u2; u3], the step is x+ = phi x + gamma w, and its supplied
-    energy dt/6 * sum_i c_i u_i^T y_i over the stages (weights 1, 2, 2, 1,
-    outputs y_i = C x_i + D u_i) is w^T O [x; w] with the weighted stage
-    outputs O = dt/6 [y1; 2 (y2 + y3); y4], one row per input sample.
-    Returns phi and the input map [gamma^T | O_x | O_w], rows per input
-    sample: in row form a step supplies x . (w O_x) + w . (w O_w).
-    Both follow from pushing identity blocks through the four stages.
+    With the inputs at t, t + dt/2 and t + dt stacked as w = [u1; u2; u3], the
+    step is x+ = phi x + gamma w, and its supplied energy (stage weights
+    1, 2, 2, 1, outputs y_i = C x_i + D u_i) is w^T O [x; w] with the weighted
+    stage outputs O = dt/6 [y1; 2 (y2 + y3); y4]. Returns phi and the input
+    map [gamma^T | O_x | O_w]: a step supplies x . (w O_x) + w . (w O_w).
     """
     n, m = ss.n_states, ss.n_inputs
     x1, u1, u2, u3 = np.split(np.eye(n + 3 * m), [n, n + m, n + 2 * m])
@@ -508,11 +478,10 @@ def _advance(powers: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """States x_0 = x, ..., x_k of x_{j+1} = phi x_j + f_j for the k rows of f.
 
     `powers` stacks phi^0 ... phi^s. Anchors every s steps advance as
-    x_{(i+1)s} = phi^s x_{is} + c_i, with every forcing
-    c_i = sum_r phi^(s-1-r) f_{is+r} from one product; the states between
-    anchors then follow one offset at a time, for all anchors at once. That
-    is about k/s + s products instead of k, and agrees with the per-step
-    recurrence to rounding. Each state x_{j+1} overwrites f_j in one buffer.
+    x_{(i+1)s} = phi^s x_{is} + c_i, every c_i = sum_r phi^(s-1-r) f_{is+r}
+    from one product; the states between anchors then follow one offset at a
+    time for all anchors at once: about k/s + s products instead of k, equal
+    to the per-step recurrence up to rounding. x_{j+1} overwrites f_j.
     """
     s = powers.shape[0] - 1
     k, n = f.shape
@@ -543,25 +512,14 @@ def simulate_dissipation(
     """Integrate the model with RK4 and track the dissipation margin.
 
     The margin is integral(u^T y) - (S(x) - S(x0)) with S the physical
-    stored energy from the state metadata; for a passive model it must
-    stay non-negative up to integration error. The supplied-energy
-    integral is advanced with the same RK4 stages as the state, so both
-    sides share the same quadrature order.
-
-    On an LTI model one RK4 step is exactly the affine map
-    x+ = phi x + gamma w, w = [u1; u2; u3], and its supplied energy exactly
-    x . (w O_x) + w . (w O_w) with O the weighted stage outputs
-    (`_rk4_step_map`). The run advances in chunks of L = `_CHUNK_STEPS`
-    steps: `u` is evaluated once per chunk on the array of its 2L + 1 step
-    and half-step times and must return an array that broadcasts to
-    (2L + 1, n_inputs), so a constant vector works as well as a
-    `MultisineInput`. Per chunk, w @ [gamma^T | O_x] and w @ O_w are two
-    products; the states follow x+ = phi x + gamma w by an anchored
-    recurrence (`_advance`): anchors every s = isqrt(L) steps advance by
-    phi^s, and the states between them follow for all anchors at once,
-    which agrees with the per-step loop to rounding. The supply, the stored
-    energy and the margin are then row dots over the chunk's steps. The run
-    needs a finite dt > 0 and a finite t_end of at least one step.
+    stored energy from the state metadata; for a passive model it must stay
+    non-negative up to integration error. The supply is advanced with the
+    same RK4 stages as the state (`_rk4_step_map`), in chunks of
+    L = `_CHUNK_STEPS` steps: `u` is evaluated once per chunk on its 2L + 1
+    step and half-step times and must return an array that broadcasts to
+    (2L + 1, n_inputs). Per chunk the states follow an anchored recurrence
+    (`_advance`) and the supply, stored energy and margin are row dots.
+    The run needs a finite dt > 0 and a finite t_end of at least one step.
     """
     if not (0.0 < dt < math.inf and math.isfinite(t_end) and t_end / dt > 0.5):
         raise ValueError(f"need a finite dt > 0 and t_end of at least one step, got dt={dt}, t_end={t_end}")
@@ -694,11 +652,11 @@ class _Variant:
     """One variant network of a verdict grid and the work its cells share.
 
     `flags` names the variant and `case` is its network, both without the
-    decoupled flag, which only the low-frequency Jacobian consumes. Its
-    operating point, Y_DQ(s), J_LF, decoupled J_LF and J(s) are each built
-    on first use and at most once, and `realize` builds a cell's model from
-    them. Every cell copies what it changes (`apply_qv_contribution`,
-    `replace`), so the cells read the same objects and nothing else.
+    decoupled flag, which only J_LF consumes. The case's one element table
+    (`dqstamp._network_elements`), its operating point, Y_DQ(s), J_LF,
+    decoupled J_LF and J(s) are each built on first use and at most once, and
+    `realize` builds a cell's model from them. Every cell copies what it
+    changes (`apply_qv_contribution`, `replace`).
     """
 
     def __init__(self, case: NetworkCase, flags: VariantFlags) -> None:
@@ -727,12 +685,9 @@ class _Variant:
         return build_j_of_s(self.ydq, op)
 
     def realize(self, model: str, analysis: str, decoupled: bool, tau: float) -> StateSpace:
-        """The state-space realization of one cell of this variant.
-
-        Low-frequency II-IV are built from J_LF, decoupled when asked; model
-        II is J_LF itself. An invalid combination raises ValueError before
-        any power flow runs.
-        """
+        """The state-space realization of one cell of this variant; low-frequency
+        II-IV from J_LF, decoupled when asked. An invalid combination raises
+        ValueError before any power flow runs."""
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}")
         if analysis not in ("wideband", "lowfreq"):
@@ -765,24 +720,20 @@ def classify_model(
 ) -> PassivityVerdict:
     """Classify one (model, analysis, variant) combination of a network.
 
-    For the polar models II-IV the variant network is re-solved so its
-    operating point is self-consistent; the rectangular model I is the
-    network alone and solves no power flow, so it is classified even where
-    the loading has no solution. Every cell is realized as state space and
-    goes through one pipeline: poles, sweep, residues, feedthrough. The static
-    low-frequency models are zero-state realizations, Y_DQ(0) for I and
-    N(s) = J_LF for II, so their sweep is the symmetric-part spectrum of D
-    and they report no pole check; III and IV are J_LF behind the channel
-    filters. A supplied regulation set can flip a failing verdict to
-    "passive-after-regulation". Model II is then judged with the structural
-    uniform-angle mode excluded (it is a right null vector of the Jacobian,
-    persists under regulation, and for lossy networks sits slightly below
-    zero in the symmetric part); III and IV re-run the pipeline.
+    The polar models II-IV re-solve the variant's power flow; the
+    rectangular model I solves none, so it is classified even where the
+    loading has no solution. Every cell goes through one pipeline: poles,
+    sweep, residues, feedthrough. Static low-frequency I and II are
+    zero-state (Y_DQ(0), J_LF) and report no pole check; low-frequency III
+    and IV are J_LF behind the channel filters. A regulation set can flip a
+    failing verdict to "passive-after-regulation": model II is then judged
+    with the structural uniform-angle mode (a right null vector of J_LF)
+    excluded, III and IV re-run the pipeline.
 
-    A caller with several cells of one variant (`classify_grid`) passes a
-    `_Variant` as `case`, so that they share its work. One built for other
-    flags than `flags`, `decoupled` aside, is a ValueError before any power
-    flow, as is a regulation set on a wideband or rectangular cell.
+    Several cells of one variant (`classify_grid`) share its work through a
+    `_Variant` passed as `case`. One built for other flags than `flags`,
+    `decoupled` aside, is a ValueError before any power flow, as is a
+    regulation set on a wideband or rectangular cell.
     """
     # A context of its own is dropped once the cell is realized, J(s) with it.
     work = case if isinstance(case, _Variant) else _Variant(case, flags)
@@ -847,13 +798,11 @@ def classify_grid(
     """Verdict grid over every model and variant column.
 
     Returns {model: {"wideband": verdict, "<column>/coupled": verdict,
-    "<column>/decoupled": verdict, ...}}; the rectangular model has a
-    single verdict per column. Each column's variant (`_Variant`) is built
-    once and shared by its cells and the wideband row: one case, operating
-    point, Y_DQ(s), J_LF and decoupled J_LF per column, one J(s) for the
-    grid. A caller that has used the base case's context (`cli.cmd_tables`)
-    passes it as `case`: it is the lossy_b column, so it must be built for
-    VariantFlags(), and the other columns derive from its case.
+    "<column>/decoupled": verdict, ...}}; model I has one verdict per column.
+    Each column's `_Variant` is built once and shared by its cells, the
+    lossy_b one also by the wideband row. A caller that has used the base
+    case's variant (`cli.cmd_tables`) passes it as `case`; it must be built
+    for VariantFlags().
     """
     base = case if isinstance(case, _Variant) else _Variant(case, VariantFlags())
     if base.flags != VariantFlags():

@@ -1,23 +1,18 @@
 """Interface-variable models built on top of the D-Q admittance.
 
 The rectangular admittance maps bus voltage deviations to current
-injections. Replacing the interface variables with polar quantities turns
-it into, successively:
+injections. Polar interface variables turn it into, successively:
 
 * ``J(s)``   -- (phi, V_n) in, (P, Q) out, via the operating-point
   interface matrices E, C, F;
-* ``J_dp(s)`` -- bus frequency deviation instead of phase angle on the
-  angle channels, realized by appending one integrator per bus;
+* ``J_dp(s)`` -- frequency deviation on the angle channels, one integrator
+  appended per bus;
 * ``J_df(s)`` -- frequency deviation and normalized-magnitude derivative
-  on all channels, appending 2n integrators.
+  on all channels, 2n integrators.
 
-At low frequency the network is replaced by its load-flow Jacobian: the
-zero-state model ``N(s) = J_LF`` that `powerflow.build_jlf_analytic`
-returns has the same (phi, V_n) to (P, Q) ports as J(s), so the same two
-builders turn it into the low-frequency models N_p(s) = `build_jdp` and
-N_df(s) = `build_jdf`, each with its simple pole at the origin carried by
-the appended integrators.
-`build_polar_model` maps the model names II, III and IV to these builders.
+At low frequency the zero-state ``N(s) = J_LF`` of
+`powerflow.build_jlf_analytic` has J(s)'s ports, so the same two builders
+give N_p(s) and N_df(s). `build_polar_model` maps II, III and IV to them.
 """
 
 from __future__ import annotations
@@ -63,21 +58,20 @@ def interface_matrices(op: OperatingPoint) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def build_j_of_s(ydq: StateSpace, op: OperatingPoint) -> StateSpace:
-    """Power-polar model J(s): inputs (phi, V_n), outputs (P, Q)."""
+    """Power-polar model J(s): inputs (phi, V_n), outputs (P, Q).
+
+    D = (E D_Y + C) F is formed here; A (Y_DQ's own), B F and E C when read.
+    """
     if ydq.bus_ids != op.bus_ids:
         raise ValueError("admittance model and operating point bus orders differ")
     e, c, f = interface_matrices(op)
-    j = StateSpace(
-        a=ydq.a,
-        b=ydq.b @ f,
-        c=e @ ydq.c,
-        d=(e @ ydq.d + c) @ f,
+    net = _bare_admittance(ydq)
+    return StateSpace._of_record(
+        None if net is None else net._derive(v=op.v_d + 1j * op.v_q, i=op.i_d + 1j * op.i_q),
+        lambda: (ydq.a, ydq.b @ f, e @ ydq.c, ydq.state_meta),
+        (e @ ydq.d + c) @ f,
         **_power_polar_ports(op.bus_ids),
-        state_meta=ydq.state_meta,
     )
-    if _bare_admittance(ydq) is not None:
-        j._network = ydq._network._derive(v=op.v_d + 1j * op.v_q, i=op.i_d + 1j * op.i_q)
-    return j
 
 
 def _check_tau(tau: float) -> None:
@@ -91,35 +85,30 @@ def _append_integrators(
     """Realize J(s) with (1 + s tau)/s inserted on its first k input channels.
 
     Each filtered channel input u becomes x_int + tau*u where x_int
-    integrates u, which appends k exact zero poles.
+    integrates u, which appends k exact zero poles. A J(s) with a record
+    gives a model whose A, B and C are formed when read.
     """
     _check_tau(tau)
-    nx = j.n_states
-    b_f = j.b[:, :k]
-    d_f = j.d[:, :k]
-    a = np.zeros((nx + k, nx + k))
-    a[:nx, :nx] = j.a
-    a[:nx, nx:] = b_f
-    b = np.zeros((nx + k, j.n_inputs))
-    b[:nx, :] = j.b
-    b[:nx, :k] = tau * b_f
-    b[nx:, :k] = np.eye(k)
     d = j.d.copy()
-    d[:, :k] = tau * d_f
-    out = StateSpace(
-        a=a,
-        b=b,
-        c=np.hstack([j.c, d_f]),
-        d=d,
-        input_labels=input_labels,
-        output_labels=j.output_labels,
-        state_meta=j.state_meta
-        + tuple(StateMeta("integrator", 0.0, f"int:{channel_tag}:{i}") for i in range(k)),
-        bus_ids=j.bus_ids,
-    )
-    if j._network is not None and not j._network.filtered:
-        out._network = j._network._derive(filtered=k, tau=tau)
-    return out
+    d[:, :k] = tau * j.d[:, :k]
+
+    def matrices() -> tuple:
+        nx = j.n_states
+        b_f = j.b[:, :k]
+        a = np.zeros((nx + k, nx + k))
+        a[:nx, :nx] = j.a
+        a[:nx, nx:] = b_f
+        b = np.zeros((nx + k, j.n_inputs))
+        b[:nx, :] = j.b
+        b[:nx, :k] = tau * b_f
+        b[nx:, :k] = np.eye(k)
+        meta = j.state_meta + tuple(StateMeta("integrator", 0.0, f"int:{channel_tag}:{i}") for i in range(k))
+        return a, b, np.hstack([j.c, j.d[:, :k]]), meta
+
+    net = j._network
+    net = net._derive(filtered=k, tau=tau) if net is not None and not net.filtered else None
+    ports = dict(input_labels=input_labels, output_labels=j.output_labels, bus_ids=j.bus_ids)
+    return StateSpace._of_record(net, matrices, d, **ports)
 
 
 def build_jdp(j: StateSpace, tau: float) -> StateSpace:

@@ -1,14 +1,10 @@
 """AC power flow and the unreduced low-frequency Jacobian J_LF.
 
-Conventions: the synchronous frame is aligned so that v_D = |V| sin(phi)
-and v_Q = |V| cos(phi); complex phasors are carried as v_Q + j v_D so the
-usual phasor algebra applies with the bus angle phi. Currents are
-injections into the network (i = Y_bus v). J_LF is the full 2n x 2n
-sensitivity of every bus (P, Q) to every bus (phi, V_n), with no slack
-rows or columns removed; V_n is the voltage magnitude normalized by its
-quiescent value, so the magnitude columns of the textbook polar Jacobian
-are scaled by |V|_o. It is carried as the static model N(s) = J_LF, a
-zero-state StateSpace with D = J_LF and the port labels of J(s).
+Conventions: v_D = |V| sin(phi) and v_Q = |V| cos(phi), complex phasors
+are v_Q + j v_D, currents are injections into the network (i = Y_bus v).
+J_LF is the full 2n x 2n sensitivity of every bus (P, Q) to every bus
+(phi, V_n), no slack row or column removed, with V_n = |V| / |V|_o. It is
+carried as the zero-state StateSpace N(s) = J_LF with J(s)'s port labels.
 """
 
 from __future__ import annotations
@@ -76,23 +72,19 @@ class OperatingPoint:
 
 
 def build_ybus(case: NetworkCase) -> np.ndarray:
-    """Complex nodal admittance matrix at nominal frequency, shunts included.
-
-    The dense Y(j omega0) of the network record `assemble_ydq` builds, with
-    no capacitor parasitic, so each bus capacitor adds j omega0 C = j b.
-    Raises ValueError on the elements the record rejects.
-    """
-    return _network_elements(case, 0.0)[0].admittance(1j * case.system.omega0)
+    """Complex nodal admittance matrix at nominal frequency, shunts included: the
+    dense Y(j omega0) of the case's element table, whose capacitors have no
+    parasitic (each adds j omega0 C = j b). Raises on the elements it rejects."""
+    return _network_elements(case)[0].admittance(1j * case.system.omega0)
 
 
 def solve_powerflow(case: NetworkCase) -> OperatingPoint:
     """Newton-Raphson power flow from a flat start.
 
-    Returns once max|mismatch| < `_NEWTON_TOL` (below the 1e-8 contract);
-    raises PowerFlowError if `_MAX_ITER` steps do not get there or an
-    iteration matrix is singular. The iteration matrix is the principal
-    submatrix of `_jacobian` on the non-slack angle and PQ magnitude rows.
-    Raises CaseError on what `netcase._check_injections` rejects.
+    Returns once max|mismatch| < `_NEWTON_TOL`; raises PowerFlowError if
+    `_MAX_ITER` steps do not get there or the iteration matrix (`_jacobian` on
+    the non-slack angle and PQ magnitude rows) is singular, and CaseError on
+    what `netcase._check_injections` rejects.
     """
     n = case.n_bus
     y = build_ybus(case)
@@ -173,15 +165,11 @@ def build_jlf_analytic(
 ) -> StateSpace:
     """Static model N(s) = J_LF of `case` at the operating point `op`.
 
-    A zero-state StateSpace with D = J_LF and J(s)'s (phi, V_n) -> (P, Q)
-    ports. All 2n rows and columns are kept (no slack deletion), V_n
-    columns are the d/d|V| columns scaled by |V|_o, and shunt/line-charging
-    susceptance is included. The diagonal terms use the operating point's own P_o, Q_o,
-    so the matrix equals the s = 0 evaluation of the interface-variable
-    model built from the same operating point even when `op` was solved on
-    a different (unsimplified) network; pass check_operating_point=False
-    for that frozen-operating-point usage, otherwise an inconsistent pair
-    raises ConsistencyError.
+    The diagonal terms use the operating point's own P_o, Q_o, so the matrix
+    equals J(0) built from the same operating point even when `op` was solved
+    on another (unsimplified) network; pass check_operating_point=False for
+    that frozen-operating-point use, else an inconsistent pair raises
+    ConsistencyError.
     """
     if op.bus_ids != case.bus_ids:
         raise ConsistencyError("operating point bus set does not match the case")

@@ -18,6 +18,17 @@ from dqpassivity import (
 from dqpassivity.netcase import validate_case
 
 
+def dense_incidence(net) -> np.ndarray:
+    """The n x m incidence K of a network record, entry by entry from each
+    element's endpoints: its weight at the head bus, -1 at the tail bus."""
+    k = np.zeros((net.n, net.head.size))
+    for e, (head, tail, weight) in enumerate(zip(net.head, net.tail, net.weight)):
+        k[head, e] = weight
+        if tail >= 0:
+            k[tail, e] = -1.0
+    return k
+
+
 @pytest.fixture(scope="session")
 def ieee9():
     return load_ieee9()

@@ -110,6 +110,16 @@ def test_pf_nonpositive_vset_exits_2(tmp_path, capsys):
     assert "bus 1: vset=-1.04 must be > 0" in captured.err
 
 
+def test_passivity_overflowing_element_exits_2_without_warning(tmp_path, capsys):
+    # x = 1e-320 overflows 1/L: the model is rejected by name at assembly, and
+    # no RuntimeWarning (an error under this suite) comes first.
+    path = tmp_path / "tiny_x.case"
+    path.write_text(TWO_BUS.replace("1  2  0.0  0.1  0.0  1.0", "1  2  0.0  1e-320  0.0  1.0"))
+    assert main(["passivity", str(path), "--model", "I", "--analysis", "wideband"]) == EXIT_CASE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: B must be finite\n"
+
+
 def test_pf_diverging_case_exits_3(tmp_path, capsys):
     path = tmp_path / "overloaded.case"
     path.write_text(TWO_BUS.replace("2  pv     -0.5  -  1.0", "2  pq     -100  0.0  -"))

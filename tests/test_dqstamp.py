@@ -26,14 +26,16 @@ from dqpassivity import (
     build_polar_model,
     derive_variant,
     eval_tf,
+    solve_powerflow,
     storage_energy,
     sweep_psd,
     sweep_samples,
 )
-from dqpassivity import dqstamp
+from dqpassivity import dqstamp, passcheck
 from dqpassivity.dqstamp import _MODAL_KAPPA_MAX, _POLE_TOL
-from conftest import random_case, random_solved_case
-from test_passcheck import _synthcase
+from dqpassivity.polarmodels import interface_matrices
+from conftest import dense_incidence, random_case, random_solved_case
+from test_passcheck import TAU, _synthcase
 
 W0 = SystemParams().omega0
 
@@ -110,10 +112,76 @@ def test_feedthrough_is_the_dense_product_without_negative_zeros(ieee9, name):
     delta = net.g.copy()
     cap = net.c > 0
     delta[cap] += 1.0 / net.r[cap]
-    want = (net.k * delta) @ net.k.T
+    k = dense_incidence(net)
+    want = (k * delta) @ k.T
     assert np.array_equal(ss.d[:n, :n], want) and np.array_equal(ss.d[n:, n:], want)
     assert not ss.d[:n, n:].any() and not ss.d[n:, :n].any()
     assert not np.signbit(ss.d[ss.d == 0.0]).any()
+
+
+def _defined_realizations(case: NetworkCase, tau: float) -> dict[str, tuple]:
+    """(A, B, C, state_meta) of wideband I-IV by their definitions, element by
+    element from the dense K: per dynamic element tau x' = K_e^T v - rho x in
+    both axes with the +/- omega0 coupling, injecting K_e gamma x; then
+    J(s) = (A, B F, E C) and the (1 + s tau)/s integrators on its inputs."""
+    net = assemble_ydq(case)._network
+    k, n, w0 = dense_incidence(net), net.n, net.omega0
+    dyn, taus, rate, _ = net._dynamic
+    a, b, c = np.zeros((2 * dyn.size,) * 2), np.zeros((2 * dyn.size, 2 * n)), np.zeros((2 * n, 2 * dyn.size))
+    meta = []
+    for q, e in enumerate(dyn):
+        inductor = net.l[e] > 0
+        gamma = 1.0 if inductor else -1.0 / net.r[e]
+        a[2 * q : 2 * q + 2, 2 * q : 2 * q + 2] = [[rate[q], -w0], [w0, rate[q]]]
+        b[2 * q, :n] = b[2 * q + 1, n:] = k[:, e] / taus[q]
+        c[:n, 2 * q] = c[n:, 2 * q + 1] = k[:, e] * gamma
+        if inductor:
+            br = case.branches[e]
+            meta += [StateMeta("inductor", net.l[e], f"i_{axis}:{br.from_bus}-{br.to_bus}") for axis in "DQ"]
+        else:
+            bus = case.bus_ids[net.head[e]]
+            meta += [StateMeta("capacitor", net.c[e], f"v_{axis}:{bus}") for axis in "DQ"]
+    e_op, c_op, f_op = interface_matrices(solve_powerflow(case))
+    j = (a, b @ f_op, e_op @ c, tuple(meta), (e_op @ assemble_ydq(case).d + c_op) @ f_op)
+    out = {"I": (a, b, c, tuple(meta)), "II": j[:4]}
+    for model, k_in, tag in (("III", n, "omega"), ("IV", 2 * n, "all")):
+        nx = j[0].shape[0]
+        a_i = np.block([[j[0], j[1][:, :k_in]], [np.zeros((k_in, nx + k_in))]])
+        b_i = np.vstack([np.hstack([tau * j[1][:, :k_in], j[1][:, k_in:]]), np.eye(k_in, 2 * n)])
+        c_i = np.hstack([j[2], j[4][:, :k_in]])
+        out[model] = (a_i, b_i, c_i, j[3] + tuple(StateMeta("integrator", 0.0, f"int:{tag}:{i}") for i in range(k_in)))
+    return out
+
+
+REALIZATION_CASES = {
+    **{f"ieee9-{column}": lambda c, f=flags: derive_variant(c, f) for column, flags in passcheck.VARIANT_COLUMNS},
+    **{f"mesh-40-{seed}": lambda c, k=seed: _synthcase().mesh_case(40, k) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", REALIZATION_CASES)
+def test_realization_formed_on_read_is_the_defined_one(ieee9, name):
+    # A record model forms A, B, C and state_meta only when read; what it forms
+    # is each model's definition, entry for entry, and the state count it
+    # reports before is the one formed.
+    case = REALIZATION_CASES[name](ieee9)
+    variant = passcheck._Variant(case, VariantFlags())
+    want = _defined_realizations(variant.case, TAU)
+    for model in passcheck.MODELS:
+        ss = variant.realize(model, "wideband", False, TAU)
+        assert "a" not in vars(ss) and ss._network is not None
+        n_states = ss.n_states
+        for got, ref in zip((ss.a, ss.b, ss.c), want[model]):
+            assert np.array_equal(got, ref), model
+        assert ss.state_meta == want[model][3] and ss.a.shape[0] == n_states, model
+
+
+@pytest.mark.parametrize("r, message", [(0.0, "B must be finite"), (0.01, "A must be finite")])
+def test_overflowing_element_value_fails_at_assembly_by_name(r, message):
+    # x = 1e-320 leaves L = x/omega0 subnormal, so 1/L overflows: the record's
+    # derived values are checked by name, with no RuntimeWarning on the way.
+    with pytest.raises(ValueError, match=message):
+        assemble_ydq(_single_branch_case(r=r, x=1e-320))
 
 
 def test_propriety_error_with_capacitors(ieee9):

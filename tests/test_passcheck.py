@@ -54,7 +54,7 @@ from dqpassivity import dqstamp, passcheck
 from dqpassivity.dqstamp import _Network
 from dqpassivity.passcheck import MODELS, VARIANT_COLUMNS
 from dqpassivity.reference import EXPECTED_GRID
-from conftest import random_case, random_solved_case, two_bus_case
+from conftest import dense_incidence, random_case, random_solved_case, two_bus_case
 from test_cli import DATA, _compare_tree
 
 TAU = 0.01
@@ -446,6 +446,20 @@ def test_wideband_verdicts_need_no_eigendecomposition(ieee9, monkeypatch, case_n
         assert classify_grid(case, TAU, REG) == EXPECTED_GRID
 
 
+@pytest.mark.parametrize("case_name", ["ieee9", "mesh-40-0"])
+def test_wideband_verdicts_form_no_state_matrix(ieee9, monkeypatch, case_name):
+    # A record model's checks read the record, D and the port labels: its
+    # A, B, C and state labels are formed only when something reads them.
+    case = ieee9 if case_name == "ieee9" else _synthcase().mesh_case(40, 0)
+
+    def refuse(self):
+        raise AssertionError("a wideband verdict formed the dense realization")
+
+    monkeypatch.setattr(StateSpace, "_materialize", refuse)
+    got = [classify_model(case, model=m, analysis="wideband", tau=TAU).overall for m in MODELS]
+    assert got == [EXPECTED_GRID[m]["wideband"] for m in MODELS]
+
+
 def test_builders_carry_the_network_record(ieee9, ieee9_op):
     # assemble_ydq and the polar builders carry the record; any replace copy,
     # the zero-state low-frequency model I and J_LF behind its filters do not.
@@ -467,11 +481,15 @@ def test_builders_carry_the_network_record(ieee9, ieee9_op):
 
 def test_record_copies_share_the_element_caches(ieee9, ieee9_op):
     # The polar builders' records share the scatter pattern and the element
-    # poles of the Y_DQ record: one computation per assemble_ydq.
+    # poles of the Y_DQ record: one computation per assemble_ydq. The bound's
+    # row tables are shared once built, as model I's sweep builds them before
+    # J(s) is derived; a record that is never swept does not build them.
     ydq = assemble_ydq(ieee9)
+    assert "_rows" not in vars(ydq._network)
+    ydq._network._rows
     j = build_j_of_s(ydq, ieee9_op)
     for ss in (j, build_jdp(j, TAU), build_jdf(j, TAU)):
-        for table in ("_scatter", "_kinds", "_rows", "_dynamic"):
+        for table in ("_scatter", "_scatter_runs", "_kinds", "_rows", "_dynamic"):
             assert getattr(ss._network, table) is getattr(ydq._network, table), table
 
 
@@ -540,12 +558,13 @@ def test_model_i_eigensolves_the_entries_its_bound_reads(ieee9, name):
     # pattern and zero elsewhere.
     ydq = assemble_ydq(MODEL_I_CASES[name](ieee9))
     net, s = ydq._network, 1j * SweepGrid().points()
-    n = net.k.shape[0]
+    n = net.n
     blocks = dqstamp._hermitian_blocks(ydq, s).reshape(2, s.size, n * n)
+    targets = net._scatter_runs[0]
     on_pattern = np.zeros(n * n, dtype=bool)
-    on_pattern[net._scatter[0]] = True
-    want = net._scatter_values(2.0 * net.sequence_admittances(s).real)
-    assert np.array_equal(blocks[..., on_pattern], want)
+    on_pattern[targets] = True
+    want = net._scatter_sums(2.0 * net.sequence_admittances(s).real)
+    assert np.array_equal(blocks[..., targets], want)
     assert not blocks[..., ~on_pattern].any()
 
 
@@ -755,17 +774,57 @@ def test_scatter_table_is_the_pairwise_one(ieee9, name):
     # `_scatter` pairs each incidence with those of its element in linear
     # time; here every pair of incidences is compared, as a reference.
     net = assemble_ydq(BOUND_CASES[name](ieee9)[0])._network
-    elem, bus = np.nonzero(net.k.T)
+    k = dense_incidence(net)
+    elem, bus = np.nonzero(k.T)
     i, j = np.nonzero(elem[:, None] == elem)
-    flat = bus[i] * net.k.shape[0] + bus[j]
+    flat = bus[i] * net.n + bus[j]
     order = np.argsort(flat, kind="stable")
     i, j, flat = i[order], j[order], flat[order]
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    want = (flat[starts], elem[i], net.k[bus[i], elem[i]] * net.k[bus[j], elem[i]], starts)
+    want = (flat, elem[i], k[bus[i], elem[i]] * k[bus[j], elem[i]])
     assert all(got.dtype == ref.dtype and np.array_equal(got, ref) for got, ref in zip(net._scatter, want))
     # The column order of the off-diagonal targets sorts their columns into their rows.
-    row, col, _, off, by_col, _ = net._rows
+    row, col, _, off, by_col, _, (bus, elem, abs_k, _) = net._rows
     assert np.array_equal(col[off][by_col], row[off])
+    # The incidences by bus are K's nonzeros in row-major order.
+    want_bus, want_elem = np.nonzero(k)
+    assert np.array_equal(bus, want_bus) and np.array_equal(elem, want_elem)
+    assert np.array_equal(abs_k, np.abs(k[want_bus, want_elem]))
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_scatter_sums_are_the_reduceat_of_the_scatter_table(ieee9, name):
+    # The slot sums add each target's terms in np.add.reduceat's order, so the
+    # real scatter of the bound and the complex one of eval_tf keep its values
+    # bit for bit (complex targets of 5 or more terms take its pairwise order).
+    net = assemble_ydq(BOUND_CASES[name](ieee9)[0])._network
+    flat, elem, weight = net._scatter
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    targets = flat[starts]
+    by_target = np.argsort(net._scatter_runs[0])
+    assert np.array_equal(net._scatter_runs[0][by_target], targets)
+    y = net.sequence_admittances(1j * SweepGrid().points())
+    for values in (y, y.real, 2.0 * y.imag):
+        want = np.add.reduceat(values[..., elem] * weight, starts, axis=-1)
+        assert np.array_equal(net._scatter_sums(values)[..., by_target], want)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_run_sums_add_in_the_reduceat_order(kind):
+    # Runs of 1-40 terms, some of them signed zeros: numpy's pairwise order
+    # sets in at 9 real or 5 complex terms.
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        lengths = rng.integers(1, 41, rng.integers(1, 20))
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        values = rng.normal(size=(2, lengths.sum())) * 10.0 ** rng.integers(-8, 8, (2, lengths.sum()))
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=values.shape)
+        values[:, rng.integers(0, values.shape[-1], values.shape[-1] // 4)] = -0.0
+        runs, slots = dqstamp._runs(np.repeat(np.arange(starts.size), lengths))
+        got = np.empty((2, starts.size), dtype=values.dtype)
+        got[:, runs] = dqstamp._run_sums(lambda j: values[:, slots[j]], [j.size for j in slots])
+        want = np.add.reduceat(values, starts, axis=-1)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got.real), np.signbit(want.real))
 
 
 @pytest.mark.parametrize("name", [*BOUND_CASES, "static-branch-and-g-shunt"])
